@@ -36,13 +36,7 @@ from .estimator import (
     run_chsh_experiment,
     screening_residual,
 )
-from .models import (
-    DeltaMixtureModel,
-    HallModel,
-    LocalBaselineModel,
-    PRBoxModel,
-    QuadratureError,
-)
+from .models import DeltaMixtureModel, HallModel, LocalBaselineModel, PRBoxModel
 from .qm import qm_correlator, qm_joint
 from .schulman import (
     BridgeSamplingError,
@@ -55,7 +49,26 @@ from .schulman import (
 )
 
 DEFAULT_SEED_ENV = "BELLLAB_DEFAULT_SEED"
-MODEL_IDS = ("delta-mixture", "hall", "local-baseline", "pr-box", "schulman-1", "schulman-2")
+
+#: Model id -> (builder from the settings quadruple, or None where the
+#: subcommand computes the model itself; subcommands accepting the id).
+MODELS = {
+    "delta-mixture": (lambda settings: DeltaMixtureModel(),
+                      ("run-chsh", "scan-settings", "mutual-info")),
+    "hall": (lambda settings: HallModel(), ("run-chsh", "scan-settings", "mutual-info")),
+    "local-baseline": (lambda settings: LocalBaselineModel(), ("run-chsh", "scan-settings")),
+    "pr-box": (PRBoxModel, ("run-chsh",)),
+    "schulman-2": (None, ("run-chsh",)),
+    "qm": (None, ("scan-settings",)),
+}
+
+
+def model_choices(command: str) -> tuple[str, ...]:
+    return tuple(key for key, (_, commands) in MODELS.items() if command in commands)
+
+
+def build_model(model_id: str, settings: tuple[PolAngle, ...]):
+    return MODELS[model_id][0](settings)
 
 
 class UsageError(ValueError):
@@ -105,18 +118,6 @@ def default_seed() -> int:
         return int(raw)
     except ValueError:
         raise UsageError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}") from None
-
-
-def build_model(model_id: str, settings: tuple[PolAngle, ...]):
-    if model_id == "delta-mixture":
-        return DeltaMixtureModel()
-    if model_id == "hall":
-        return HallModel()
-    if model_id == "local-baseline":
-        return LocalBaselineModel()
-    if model_id == "pr-box":
-        return PRBoxModel(settings)
-    raise UsageError(f"model {model_id!r} has no sampling implementation here")
 
 
 def fmt_float(x: float) -> str:
@@ -198,7 +199,7 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
             "log10_pvalue_bound": None,
             "residuals": None,
         }
-    elif args.model in ("delta-mixture", "hall", "local-baseline", "pr-box"):
+    else:
         model = build_model(args.model, settings)
         chsh = run_chsh_experiment(model, settings, args.samples, rng, workers=args.workers)
         residuals: dict[str, float] = {
@@ -225,8 +226,6 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
             "log10_pvalue_bound": chsh_pvalue_log10(min(chsh.s_value, 4.0), args.samples),
             "residuals": residuals,
         }
-    else:
-        raise UsageError(f"model {args.model!r} cannot run a CHSH experiment")
 
     elapsed = time.perf_counter() - started
     write_report(report, args.out, args.format)
@@ -345,8 +344,6 @@ def cmd_mutual_info(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.model != "hall":
-        raise UsageError("mutual-info supports only --model hall")
     started = time.perf_counter()
     estimate = mutual_information_hall(args.lambda_grid or 2048, args.settings_grid)
     halved = mutual_information_hall(
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("run-chsh", help="four-settings CHSH experiment")
-    p.add_argument("--model", choices=MODEL_IDS, required=True)
+    p.add_argument("--model", choices=model_choices("run-chsh"), required=True)
     p.add_argument("--settings", type=parse_settings, default=parse_settings("0,0.25pi,0.125pi,-0.125pi"),
                    help="a,a',b,b' (default: Tsirelson settings)")
     p.add_argument("--samples", type=int, default=10**6, help="samples per correlator")
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run_chsh)
 
     p = sub.add_parser("scan-settings", help="model vs QM over a settings grid")
-    p.add_argument("--model", choices=MODEL_IDS + ("qm",), required=True)
+    p.add_argument("--model", choices=model_choices("scan-settings"), required=True)
     p.add_argument("--settings", type=parse_settings,
                    default=parse_settings("0,0.25pi,0.125pi,-0.125pi"))
     p.add_argument("--grid", type=int, default=16)
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schulman_paths)
 
     p = sub.add_parser("mutual-info", help="setting information in the Hall hidden angle")
-    p.add_argument("--model", choices=MODEL_IDS, default="hall")
+    p.add_argument("--model", choices=model_choices("mutual-info"), default="hall")
     p.add_argument("--lambda-grid", type=int, default=None)
     p.add_argument("--settings-grid", type=int, default=64)
     common(p)
@@ -475,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def apply_config_file(argv: list[str]) -> list[str]:
     """Expand --config key=value pairs into leading flags so that explicit
     command-line flags take precedence."""
     if "--config" not in argv:
@@ -503,15 +500,14 @@ def apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = apply_config_file(build_parser(), argv)
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(apply_config_file(argv))
         if getattr(args, "seed", None) is None:
             args.seed = default_seed()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResolutionError, QuadratureError, BridgeSamplingError) as exc:
+    except (ResolutionError, BridgeSamplingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

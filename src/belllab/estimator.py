@@ -1,4 +1,4 @@
-"""Monte-Carlo and quadrature estimation: correlators, CHSH values, locality
+"""Monte-Carlo and exact estimation: correlators, CHSH values, locality
 residuals, mutual information and certification bounds.
 
 Sampling work is split into fixed-size logical shards with one random
@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import PI, PolAngle, RngStream, canonical_diff
 from .models import AnyModel, HiddenVariableModel, PRBoxModel, hall_density
@@ -169,13 +168,13 @@ def screening_residual(
     single trivial bin, which measures the raw outcome correlation.
     """
     lams, a_out, b_out = model.sample_runs(a, b, n, rng)
-    if lams is None:
+    dist = None if lams is None else model.lambda_distribution(a, b)
+    if dist is None:
         bins = np.zeros(n, dtype=int)
         n_bins = 1
-    elif getattr(model, "discrete_lambda", False):
-        atoms, _ = model.lambda_atoms(a, b)
-        bins = np.searchsorted(atoms, lams)
-        n_bins = len(atoms)
+    elif dist.edges is None:
+        bins = np.searchsorted(dist.points, lams)
+        n_bins = dist.points.size
     else:
         bins = np.minimum((np.asarray(lams) / PI * lambda_bins).astype(int), lambda_bins - 1)
         n_bins = lambda_bins
@@ -212,29 +211,19 @@ def lambda_independence_residual(
     settings pairs; zero iff the model treats them identically."""
     if not model.exposes_lambda:
         raise ValueError("model exposes no hidden angle")
-    if model.discrete_lambda:
-        atoms_1, w_1 = model.lambda_atoms(*settings_1)
-        atoms_2, w_2 = model.lambda_atoms(*settings_2)
-        support = sorted(set(atoms_1.tolist()) | set(atoms_2.tolist()))
-        m_1 = dict(zip(atoms_1.tolist(), w_1.tolist()))
-        m_2 = dict(zip(atoms_2.tolist(), w_2.tolist()))
+    dist_1 = model.lambda_distribution(*settings_1)
+    dist_2 = model.lambda_distribution(*settings_2)
+    if dist_1.edges is None:
+        support = sorted(set(dist_1.points.tolist()) | set(dist_2.points.tolist()))
+        m_1 = dict(zip(dist_1.points.tolist(), dist_1.mass.tolist()))
+        m_2 = dict(zip(dist_2.points.tolist(), dist_2.mass.tolist()))
         return 0.5 * sum(abs(m_1.get(x, 0.0) - m_2.get(x, 0.0)) for x in support)
 
-    pdf_1 = model.lambda_pdf(*settings_1)
-    pdf_2 = model.lambda_pdf(*settings_2)
-    points = sorted(
-        set(model.density_breakpoints(*settings_1))
-        | set(model.density_breakpoints(*settings_2))
-    )
-
-    def integrand(lam):
-        lam = np.atleast_1d(lam)
-        return float(np.abs(pdf_1(lam) - pdf_2(lam))[0])
-
-    value, _ = integrate.quad(
-        integrand, 0.0, PI, points=points or None, epsabs=1e-10, limit=200
-    )
-    return 0.5 * value
+    # both densities are constant between consecutive edges of either one
+    edges = np.union1d(dist_1.edges, dist_2.edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    gap = np.abs(dist_1.density_at(mids) - dist_2.density_at(mids))
+    return 0.5 * float(np.sum(gap * np.diff(edges)))
 
 
 def _hall_pair_information(d: np.ndarray) -> np.ndarray:

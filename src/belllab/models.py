@@ -7,6 +7,10 @@ the separability integral
 
     P(A, B) = integral dlam P(lam) * P(A | lam) * P(B | lam).
 
+For every model here that integral is a finite sum over atoms or over
+segments of a piecewise-constant density (`LambdaDistribution`), so joint
+distributions are exact, with no quadrature.
+
 Outcomes on the two sides are always drawn independently given lambda, so
 lambda screens one wing from the other by construction.  The models that
 reproduce quantum statistics do so by letting the lambda distribution
@@ -17,22 +21,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .core import HALF_PI, PI, OUTCOMES, PolAngle, RngStream, canonical_diff, check_outcome
 from .qm import JointDist
-
-QUADRATURE_ABS_TOL = 1e-10
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the lambda integral fails to reach the requested accuracy."""
-
-    def __init__(self, message: str, achieved_error: float) -> None:
-        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
-        self.achieved_error = achieved_error
 
 
 def _sign_plus(x: np.ndarray | float) -> np.ndarray | float:
@@ -73,30 +67,47 @@ def hall_breakpoints(a: float, b: float) -> tuple[float, ...]:
     return tuple(sorted(p for p in pts if 0.0 < p < PI))
 
 
-class HiddenVariableModel(ABC):
-    """Contract shared by all lambda-mediated models.
+@dataclass(frozen=True)
+class LambdaDistribution:
+    """The hidden-angle distribution at one settings pair, in the finite form
+    its separability integral sums exactly.
 
-    ``discrete_lambda`` distinguishes atom-valued lambda distributions
-    (exact summation) from continuous densities (quadrature).
+    Atoms (``edges`` is None): ``mass[i]`` sits on ``points[i]``.  Segments:
+    ``mass[i]`` is spread uniformly over [edges[i], edges[i + 1]) and
+    ``points[i]`` is that segment's midpoint, where outcome probabilities are
+    evaluated.
     """
+
+    points: np.ndarray
+    mass: np.ndarray
+    edges: np.ndarray | None = None
+
+    def density_at(self, lam: np.ndarray) -> np.ndarray:
+        """Segment density mass / length at each lam in [0, pi)."""
+        index = np.searchsorted(self.edges, lam, side="right") - 1
+        return (self.mass / np.diff(self.edges))[index]
+
+    def sample(self, n: int, rng: RngStream) -> np.ndarray:
+        """n hidden angles: an atom or segment by mass, then uniform within it."""
+        gen = rng.generator
+        index = gen.choice(self.mass.size, size=n, p=self.mass / self.mass.sum())
+        if self.edges is None:
+            return self.points[index]
+        lengths = np.diff(self.edges)
+        return self.edges[index] + lengths[index] * gen.random(n)
+
+
+class HiddenVariableModel(ABC):
+    """Contract shared by all lambda-mediated models."""
 
     name: str = "hidden-variable-model"
     exposes_lambda: bool = True
-    discrete_lambda: bool = False
 
     # -- lambda distribution ------------------------------------------------
 
-    def lambda_atoms(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """(atoms, weights) for discrete models."""
-        raise NotImplementedError
-
-    def lambda_pdf(self, a: float, b: float):
-        """Vectorized density over [0, pi) for continuous models."""
-        raise NotImplementedError
-
-    def density_breakpoints(self, a: float, b: float) -> tuple[float, ...]:
-        """Known discontinuities of the density, for quadrature subdivision."""
-        return ()
+    @abstractmethod
+    def lambda_distribution(self, a: float, b: float) -> LambdaDistribution:
+        """The (a, b)-dependent hidden-angle distribution as atoms or segments."""
 
     @abstractmethod
     def sample_lambdas(self, a: float, b: float, n: int, rng: RngStream) -> np.ndarray:
@@ -115,43 +126,14 @@ class HiddenVariableModel(ABC):
     # -- derived ------------------------------------------------------------
 
     def joint_dist(self, a: float, b: float) -> JointDist:
-        """Separability integral of the lambda distribution and outcome models."""
-        if self.discrete_lambda:
-            atoms, weights = self.lambda_atoms(a, b)
-            probs = {}
-            for a_out in OUTCOMES:
-                p1 = self.outcome_prob_1(a, atoms, a_out)
-                for b_out in OUTCOMES:
-                    p2 = self.outcome_prob_2(b, atoms, b_out)
-                    probs[(a_out, b_out)] = float(np.sum(weights * p1 * p2))
-            return JointDist(
-                probs[(1, 1)], probs[(1, -1)], probs[(-1, 1)], probs[(-1, -1)]
-            ).validate(atol=1e-9)
-
-        pdf = self.lambda_pdf(a, b)
-        points = list(self.density_breakpoints(a, b))
+        """Separability integral, summed exactly over the lambda distribution."""
+        dist = self.lambda_distribution(a, b)
         probs = {}
-        worst_err = 0.0
         for a_out in OUTCOMES:
+            p1 = self.outcome_prob_1(a, dist.points, a_out)
             for b_out in OUTCOMES:
-
-                def integrand(lam, a_out=a_out, b_out=b_out):
-                    lam = np.atleast_1d(lam)
-                    val = (
-                        pdf(lam)
-                        * self.outcome_prob_1(a, lam, a_out)
-                        * self.outcome_prob_2(b, lam, b_out)
-                    )
-                    return float(val[0])
-
-                value, err = integrate.quad(
-                    integrand, 0.0, PI, points=points or None,
-                    epsabs=QUADRATURE_ABS_TOL, epsrel=1e-12, limit=200,
-                )
-                worst_err = max(worst_err, err)
-                probs[(a_out, b_out)] = value
-        if worst_err > 1e-8:
-            raise QuadratureError("lambda integral did not converge", worst_err)
+                p2 = self.outcome_prob_2(b, dist.points, b_out)
+                probs[(a_out, b_out)] = float(np.sum(dist.mass * p1 * p2))
         return JointDist(
             probs[(1, 1)], probs[(1, -1)], probs[(-1, 1)], probs[(-1, -1)]
         ).validate(atol=1e-9)
@@ -195,52 +177,36 @@ class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
     """
 
     name = "delta-mixture"
-    discrete_lambda = True
 
-    def lambda_atoms(self, a, b):
+    def lambda_distribution(self, a, b):
         raw = [PolAngle(a), PolAngle(a + HALF_PI), PolAngle(b), PolAngle(b + HALF_PI)]
         merged: dict[float, float] = {}
         for atom in raw:
             merged[float(atom)] = merged.get(float(atom), 0.0) + 0.25
         atoms = np.array(sorted(merged))
-        weights = np.array([merged[x] for x in atoms])
-        return atoms, weights
+        return LambdaDistribution(atoms, np.array([merged[x] for x in atoms]))
 
     def sample_lambdas(self, a, b, n, rng):
-        atoms, weights = self.lambda_atoms(a, b)
-        return rng.generator.choice(atoms, size=n, p=weights)
+        return self.lambda_distribution(a, b).sample(n, rng)
 
 
 class HallModel(HiddenVariableModel):
     """Deterministic-outcome model with an information-efficient lambda.
 
     The density trades the four delta atoms for a broad piecewise-constant
-    distribution; outcomes are fixed by the sign of cos(2*setting - 2*lambda).
+    distribution; outcomes are fixed by the sign of cos(2*setting - 2*lambda),
+    so they are constant on each segment between the density's breakpoints.
     """
 
     name = "hall"
 
-    def lambda_pdf(self, a, b):
-        return lambda lam: hall_density(a, b, lam)
-
-    def density_breakpoints(self, a, b):
-        return hall_breakpoints(a, b)
-
-    def _segments(self, a, b):
-        edges = [0.0, *self.density_breakpoints(a, b), PI]
-        edges = sorted(set(edges))
-        mids = 0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))
-        values = np.asarray(hall_density(a, b, mids), dtype=float)
-        lengths = np.diff(edges)
-        return np.array(edges), values, lengths
+    def lambda_distribution(self, a, b):
+        edges = np.array([0.0, *hall_breakpoints(a, b), PI])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return LambdaDistribution(mids, hall_density(a, b, mids) * np.diff(edges), edges)
 
     def sample_lambdas(self, a, b, n, rng):
-        edges, values, lengths = self._segments(a, b)
-        weights = values * lengths
-        weights = weights / weights.sum()
-        gen = rng.generator
-        seg = gen.choice(len(lengths), size=n, p=weights)
-        return edges[seg] + lengths[seg] * gen.random(n)
+        return self.lambda_distribution(a, b).sample(n, rng)
 
     def outcome_prob_1(self, a, lam, outcome):
         check_outcome(outcome)
@@ -260,8 +226,13 @@ class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
 
     name = "local-baseline"
 
-    def lambda_pdf(self, a, b):
-        return lambda lam: np.full(np.shape(lam), 1.0 / PI)
+    def lambda_distribution(self, a, b):
+        # Uniform lambda as three equal segments.  The midpoint sum is exact:
+        # the Malus product is a trigonometric polynomial of degree 2 in
+        # 2*lambda, which the three-point midpoint rule integrates exactly.
+        edges = np.linspace(0.0, PI, 4)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return LambdaDistribution(mids, np.full(3, 1.0 / 3.0), edges)
 
     def sample_lambdas(self, a, b, n, rng):
         return rng.generator.random(n) * PI
@@ -279,7 +250,6 @@ class PRBoxModel:
 
     name = "pr-box"
     exposes_lambda = False
-    discrete_lambda = False
 
     def __init__(self, settings: tuple[float, float, float, float]) -> None:
         self.settings = tuple(PolAngle(s) for s in settings)

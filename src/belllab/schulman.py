@@ -332,8 +332,10 @@ def endpoint_targets(spec: PathSpec, n_windings: int = 200) -> tuple[np.ndarray,
     """Candidate net rotations and their normalized Cauchy weights.
 
     Targets enumerate both alignment families and windings |n| <= n_windings;
-    the discarded tail mass is O(gamma / n_windings) and irrelevant for the
-    small-gamma regimes used here.
+    the weights are renormalized over the kept windings.  The discarded share
+    is about sin^2(2 * dtheta) / (pi^2 * n_windings) whatever gamma (2.5e-4 at
+    dtheta = pi/8); `DominancePrediction.discarded_winding_mass` computes it
+    exactly.
     """
     d0 = float(spec.theta2) - float(spec.theta1)
     n = np.arange(-n_windings, n_windings + 1)

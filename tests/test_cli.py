@@ -179,8 +179,16 @@ class TestSubcommands:
 
 class TestExitCodes:
     def test_usage_error_for_bad_combination(self, capsys):
-        assert main(["run-chsh", "--model", "schulman-1", "--samples", "10"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run-chsh", "--model", "schulman-1", "--samples", "10"])
+        assert exc.value.code == 2
         assert "schulman-1" in capsys.readouterr().err
+
+    def test_scan_settings_refuses_pr_box(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-settings", "--model", "pr-box"])
+        assert exc.value.code == 2
+        assert "pr-box" in capsys.readouterr().err
 
     def test_mutual_info_refuses_delta_mixture(self, capsys):
         assert main(["mutual-info", "--model", "delta-mixture"]) == 2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from belllab.core import PI, RngStream
 from belllab.estimator import (
@@ -23,6 +24,8 @@ from belllab.models import (
     HallModel,
     LocalBaselineModel,
     PRBoxModel,
+    hall_breakpoints,
+    hall_density,
 )
 from belllab.qm import TSIRELSON_BOUND, qm_correlator, tsirelson_settings
 
@@ -153,6 +156,27 @@ class TestLambdaIndependence:
             HallModel(), (0.0, PI / 8), (0.0, 3 * PI / 8)
         )
         assert res > 0.01
+
+    @pytest.mark.parametrize(
+        "pair_1,pair_2",
+        [
+            ((0.0, PI / 8), (PI / 4, 7 * PI / 8)),
+            ((0.0, PI / 8), (0.0, 3 * PI / 8)),
+            ((0.3, 0.3), (0.3, 0.3 + PI / 4)),
+            ((1.0, 2.5), (0.2, 0.2 + 1e-12)),
+        ],
+    )
+    def test_hall_matches_quadrature(self, pair_1, pair_2):
+        points = sorted(set(hall_breakpoints(*pair_1)) | set(hall_breakpoints(*pair_2)))
+
+        def gap(lam):
+            return abs(float(hall_density(*pair_1, lam)) - float(hall_density(*pair_2, lam)))
+
+        reference, _ = integrate.quad(
+            gap, 0.0, PI, points=points, epsabs=1e-14, epsrel=1e-14, limit=200
+        )
+        res = lambda_independence_residual(HallModel(), pair_1, pair_2)
+        assert res == pytest.approx(0.5 * reference, abs=1e-12)
 
     def test_rejects_lambda_free_model(self):
         with pytest.raises(ValueError):

@@ -18,10 +18,16 @@ from belllab.models import (
     joint_outcome_dist,
     sample_run,
 )
-from belllab.qm import qm_joint, tsirelson_settings
+from belllab.qm import JointDist, qm_joint, tsirelson_settings
 
 angles = st.floats(min_value=0.0, max_value=PI - 1e-9, allow_nan=False)
 TSIRELSON = tsirelson_settings()
+
+
+def local_baseline_joint(a: float, b: float) -> JointDist:
+    """Joint of the uniform-lambda Malus model, (1/4)(1 + AB cos(2a - 2b)/2)."""
+    c = 0.5 * math.cos(2 * (a - b))
+    return JointDist(0.25 * (1 + c), 0.25 * (1 - c), 0.25 * (1 - c), 0.25 * (1 + c))
 
 
 class TestHallDensity:
@@ -60,17 +66,18 @@ class TestDeltaMixture:
     model = DeltaMixtureModel()
 
     def test_atoms_and_weights(self):
-        atoms, weights = self.model.lambda_atoms(0.0, PI / 8)
-        assert sorted(atoms) == pytest.approx(
+        dist = self.model.lambda_distribution(0.0, PI / 8)
+        assert dist.edges is None
+        assert sorted(dist.points) == pytest.approx(
             sorted([0.0, HALF_PI, PI / 8, PI / 8 + HALF_PI])
         )
-        np.testing.assert_allclose(weights, 0.25)
+        np.testing.assert_allclose(dist.mass, 0.25)
 
     def test_coinciding_atoms_merge(self):
-        atoms, weights = self.model.lambda_atoms(0.3, 0.3)
-        assert len(atoms) == 2
-        np.testing.assert_allclose(weights, 0.5)
-        assert weights.sum() == pytest.approx(1.0)
+        dist = self.model.lambda_distribution(0.3, 0.3)
+        assert len(dist.points) == 2
+        np.testing.assert_allclose(dist.mass, 0.5)
+        assert dist.mass.sum() == pytest.approx(1.0)
 
     @given(angles, angles)
     @hyp_settings(max_examples=50, deadline=None)
@@ -80,7 +87,7 @@ class TestDeltaMixture:
 
     def test_sampled_lambdas_live_on_atoms(self):
         lams = self.model.sample_lambdas(0.0, PI / 8, 1000, RngStream(1))
-        atoms, _ = self.model.lambda_atoms(0.0, PI / 8)
+        atoms = self.model.lambda_distribution(0.0, PI / 8).points
         assert set(np.unique(lams)) <= set(atoms)
 
 
@@ -122,15 +129,17 @@ class TestLocalBaseline:
     @given(angles, angles)
     @hyp_settings(max_examples=25, deadline=None)
     def test_half_strength_correlator(self, a, b):
-        # [DERIVED] uniform-lambda Malus average: <AB> = cos(2a-2b)/2
+        # [DERIVED] uniform-lambda Malus average: <AB> = cos(2a-2b)/2, and the
+        # whole joint is (1/4)(1 + AB cos(2a-2b)/2)
         got = self.model.joint_dist(a, b)
         assert got.correlator() == pytest.approx(
             0.5 * math.cos(2 * (a - b)), abs=1e-9
         )
+        assert got.max_abs_diff(local_baseline_joint(a, b)) < 1e-14
 
     def test_lambda_distribution_ignores_settings(self):
-        pdf = self.model.lambda_pdf(0.0, PI / 8)
-        np.testing.assert_allclose(pdf(np.linspace(0, 3, 7)), 1.0 / PI)
+        dist = self.model.lambda_distribution(0.0, PI / 8)
+        np.testing.assert_allclose(dist.density_at(np.linspace(0, 3, 7)), 1.0 / PI)
 
 
 class TestPRBox:
@@ -183,3 +192,42 @@ class TestSamplingContract:
     def test_joint_outcome_dist_dispatch(self):
         d = joint_outcome_dist(DeltaMixtureModel(), 0.0, 0.0)
         assert d.correlator() == pytest.approx(1.0)
+
+
+class TestExactLambdaSums:
+    """Edge settings: a = b, a perpendicular to b, b on a Hall breakpoint of a,
+    and |a - b| = 1e-12, for every lambda-mediated model."""
+
+    MODELS = [DeltaMixtureModel(), HallModel(), LocalBaselineModel()]
+    REFERENCES = {
+        "delta-mixture": qm_joint,
+        "hall": qm_joint,
+        "local-baseline": local_baseline_joint,
+    }
+
+    @staticmethod
+    def edge_pairs():
+        for a in (0.0, 0.3, HALF_PI, 2.9):
+            for offset in (0.0, HALF_PI, PI / 4, 1e-12, -1e-12):
+                yield a, float(PolAngle(a + offset))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_joint_exact_at_edge_settings(self, model):
+        reference = self.REFERENCES[model.name]
+        for a, b in self.edge_pairs():
+            got = model.joint_dist(a, b)
+            assert got.max_abs_diff(reference(a, b)) < 1e-14, (a, b)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_mass_sums_to_one_at_edge_settings(self, model):
+        for a, b in self.edge_pairs():
+            dist = model.lambda_distribution(a, b)
+            assert abs(dist.mass.sum() - 1.0) < 1e-14, (a, b)
+            assert np.all(dist.mass >= 0.0)
+
+    def test_hall_breakpoint_setting_is_a_segment_edge(self):
+        a = 0.3
+        b = float(PolAngle(a + PI / 4))
+        dist = HallModel().lambda_distribution(a, b)
+        assert b in dist.edges
+        assert np.all(np.diff(dist.edges) > 0.0)

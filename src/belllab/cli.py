@@ -46,6 +46,7 @@ from .schulman import (
     free_kick_sums,
     sample_bridges,
     two_photon_joint,
+    two_photon_outcome_joint,
 )
 
 DEFAULT_SEED_ENV = "BELLLAB_DEFAULT_SEED"
@@ -177,14 +178,13 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
     started = time.perf_counter()
 
     if args.model == "schulman-2":
-        if args.gamma is None:
-            raise UsageError("--gamma is required for schulman-* models")
-        grid = args.lambda_grid or int(math.ceil(8 * PI / args.gamma))
+        if args.gamma is None or args.gamma <= 0:
+            raise UsageError("--gamma > 0 is required for schulman-2")
         a, a_p, b, b_p = settings
-        correlators = []
-        for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p)):
-            joint = two_photon_joint(x, y, args.gamma, grid).joint
-            correlators.append(joint.correlator())
+        correlators = [
+            two_photon_outcome_joint(x, y, args.gamma).correlator()
+            for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))
+        ]
         s = abs(correlators[0] + correlators[1] + correlators[2] - correlators[3])
         report = {
             "command": "run-chsh",
@@ -346,9 +346,6 @@ def cmd_mutual_info(args: argparse.Namespace) -> int:
         return 2
     started = time.perf_counter()
     estimate = mutual_information_hall(args.lambda_grid or 2048, args.settings_grid)
-    halved = mutual_information_hall(
-        max((args.lambda_grid or 2048) // 2, 512), max(args.settings_grid // 2, 64)
-    )
     report = {
         "command": "mutual-info",
         "version": __version__,
@@ -356,8 +353,8 @@ def cmd_mutual_info(args: argparse.Namespace) -> int:
         "bits": estimate.bits,
         "error_estimate": estimate.error_estimate,
         "refinement": {
-            "halved_grid_bits": halved.bits,
-            "abs_change": abs(halved.bits - estimate.bits),
+            "halved_grid_bits": estimate.halved_grid_bits,
+            "abs_change": abs(estimate.halved_grid_bits - estimate.bits),
         },
     }
     elapsed = time.perf_counter() - started
@@ -434,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,a',b,b' (default: Tsirelson settings)")
     p.add_argument("--samples", type=int, default=10**6, help="samples per correlator")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--lambda-grid", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_run_chsh)
 

@@ -48,6 +48,8 @@ class MIEstimate:
 
     bits: float
     error_estimate: float
+    #: the same average on the settings grid of half the size per axis
+    halved_grid_bits: float
 
 
 @dataclass(frozen=True)
@@ -287,8 +289,12 @@ def mutual_information_hall(lambda_grid: int = 2048, settings_grid: int = 64) ->
     mean_density /= settings_grid**2
     density_dev = float(np.max(np.abs(mean_density * PI - 1.0)))
 
-    refinement = abs(bits - average_over_grid(settings_grid // 2))
-    return MIEstimate(bits=bits, error_estimate=max(refinement, density_dev))
+    halved_grid_bits = average_over_grid(settings_grid // 2)
+    return MIEstimate(
+        bits=bits,
+        error_estimate=max(abs(bits - halved_grid_bits), density_dev),
+        halved_grid_bits=halved_grid_bits,
+    )
 
 
 def chsh_pvalue(s_hat: float, n_per_correlator: int) -> float:

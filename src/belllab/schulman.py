@@ -278,6 +278,22 @@ class TwoPhotonResult:
         return out
 
 
+def two_photon_outcome_joint(a: float, b: float, gamma: float) -> JointDist:
+    """Observable joint of `two_photon_joint`, in closed form with no lambda grid.
+
+    Wrapped Cauchy densities are closed under convolution,
+    int P_gamma(lam - t1) P_gamma(lam - t2) dlam = P_{2 gamma}(t1 - t2)
+    (Mardia & Jupp, Directional Statistics), so p(A, B) is proportional to
+    the one-photon family weight between the two outcome axes at width
+    2 * gamma: p_pp = p_mm = p / 2 and p_pm = p_mp = (1 - p) / 2 with
+    p = single_photon_outcome_prob(a, b, 2 * gamma).
+    """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
+    p = single_photon_outcome_prob(a, b, 2.0 * gamma)
+    return JointDist(0.5 * p, 0.5 * (1.0 - p), 0.5 * (1.0 - p), 0.5 * p)
+
+
 def two_photon_joint(
     a: float, b: float, gamma: float, grid_size: int
 ) -> TwoPhotonResult:
@@ -286,8 +302,9 @@ def two_photon_joint(
     Both kick histories start at the common hidden angle lambda (flat base
     measure on [0, pi)) and end in the family selected by each outcome.
     The weight of a configuration is the product of the two wrapped-Cauchy
-    family weights; normalizing over (lambda, A, B) yields the observable
-    joint distribution and the lambda posterior.
+    family weights; normalizing over (lambda, A, B) on the grid yields the
+    lambda posterior.  The joint is `two_photon_outcome_joint`, exact; the
+    grid is needed only for the posterior.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -311,10 +328,8 @@ def two_photon_joint(
             w2 = periodized_cauchy(lam - t2, gamma)
             mass[i, j] = w1 * w2 * spacing
     mass /= mass.sum()
-    outcome = mass.sum(axis=2)
-    joint = JointDist(outcome[0, 0], outcome[0, 1], outcome[1, 0], outcome[1, 1])
     return TwoPhotonResult(
-        joint=joint.validate(atol=1e-9),
+        joint=two_photon_outcome_joint(a, b, gamma),
         a=a,
         b=b,
         gamma=gamma,
@@ -348,36 +363,38 @@ def _conditional_step(
     residual: np.ndarray, d1: float, d2: float, gen: np.random.Generator,
     max_rounds: int,
 ) -> np.ndarray:
-    """Draw one increment per path from p(e) ~ C_d1(e) * C_d2(residual - e).
+    """Draw one increment per path from f(e) ~ C_d1(e) * C_d2(residual - e).
 
-    Exact rejection sampling.  Proposal: equal mixture of the two Cauchy
-    factors.  The envelope constant is exact because the reciprocal of the
-    target-over-proposal ratio is a quadratic in e, minimized in closed
-    form, so acceptance is ~50% across all width/residual regimes.
+    Exact rejection sampling.  Proposal: the mixture
+    g(e) = w C_d1(e) + (1 - w) C_d2(r - e), w = sqrt(d2) / (sqrt(d1) + sqrt(d2)),
+    of which only the chosen Cauchy variate is drawn.  g / f = pi Q(e) with
+    Q(e) = alpha ((r - e)^2 + d2^2) + beta (e^2 + d1^2), alpha = w / d2,
+    beta = (1 - w) / d1, a quadratic whose minimum
+    Q_min = alpha beta / (alpha + beta) r^2 + alpha d2^2 + beta d1^2 is exact,
+    so e is accepted when u Q(e) <= Q_min.  The acceptance rate is
+    pi Q_min C_{d1+d2}(r): (d1 + d2) / (sqrt(d1) + sqrt(d2))^2 for |r| >> d2,
+    between 1/2 (equal widths) and 1 (one width dominant), against exactly 1/2
+    for an equal mixture.
     """
     n = residual.size
-    # h(e) = 0.5*pi*((r-e)^2 + d2^2)/d2 + 0.5*pi*(e^2 + d1^2)/d1  (= g/f up to the mixture)
-    a_coef = 0.5 * PI * (1.0 / d2 + 1.0 / d1)
-    b_coef = -PI * residual / d2
-    c_coef = 0.5 * PI * ((residual**2 + d2**2) / d2 + d1)
-    h_min = c_coef - b_coef**2 / (4.0 * a_coef)
+    w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))
+    alpha = w / d2
+    beta = (1.0 - w) / d1
+    q_floor = alpha * d2 * d2 + beta * d1 * d1
+    q_min = (alpha * beta / (alpha + beta)) * residual**2 + q_floor
     out = np.empty(n)
     todo = np.arange(n)
     for _ in range(max_rounds):
         m = todo.size
-        from_first = gen.random(m) < 0.5
-        eps = np.where(
-            from_first,
-            d1 * gen.standard_cauchy(m),
-            residual[todo] + d2 * gen.standard_cauchy(m),
-        )
-        c1 = d1 / (PI * (eps**2 + d1**2))
-        c2 = d2 / (PI * ((residual[todo] - eps) ** 2 + d2**2))
-        f = c1 * c2
-        g = 0.5 * (c1 + c2)
-        accept = gen.random(m) * g <= f * h_min[todo]
-        out[todo[accept]] = eps[accept]
-        todo = todo[~accept]
+        r = residual[todo]
+        z = gen.standard_cauchy(m)
+        eps = np.where(gen.random(m) < w, d1 * z, r + d2 * z)
+        q = alpha * (r - eps) ** 2 + beta * eps**2 + q_floor
+        accept = gen.random(m) * q <= q_min[todo]
+        # a rejected entry is overwritten in a later round; integer indexing
+        # is cheaper here than scattering through the boolean mask
+        out[todo] = eps
+        todo = todo[np.flatnonzero(~accept)]
         if todo.size == 0:
             return out
     raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
@@ -464,7 +481,7 @@ def dominant_kick_stats(paths: np.ndarray, gamma: float) -> KickStats:
     if paths.shape[0] == 0:
         raise ValueError("empty path collection")
     inc = np.diff(paths, axis=1)
-    abs_inc = np.abs(inc)
+    abs_inc = np.abs(inc, out=inc)
     largest = abs_inc.max(axis=1)
     total = abs_inc.sum(axis=1)
     net = np.abs(paths[:, -1] - paths[:, 0])

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from belllab import cli
 from belllab.cli import (
     UsageError,
     fmt_float,
@@ -137,6 +138,18 @@ class TestSubcommands:
         assert report["s_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
         assert all(c["standard_error"] == 0.0 for c in report["correlators"])
 
+    def test_run_chsh_schulman2_builds_no_grid(self, tmp_path, monkeypatch):
+        # a lambda grid at gamma = 1e-6 would hold 25M points per correlator
+        def no_grid(*args, **kwargs):
+            raise AssertionError("run-chsh built a two-photon lambda grid")
+
+        monkeypatch.setattr(cli, "two_photon_joint", no_grid)
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "schulman-2", "--gamma", "1e-6",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert abs(report["s_value"] - 2 * math.sqrt(2)) < 1e-3
+
     def test_scan_settings_qm_self_scan(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["scan-settings", "--model", "qm", "--grid", "4",
@@ -165,7 +178,10 @@ class TestSubcommands:
                      "--settings-grid", "64", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["bits"] < 0.07
-        assert report["refinement"]["abs_change"] < 1e-3
+        refinement = report["refinement"]
+        # the halved settings grid (32 per axis) really differs from the full one
+        assert 0.0 < refinement["abs_change"] < 1e-3
+        assert refinement["abs_change"] == abs(refinement["halved_grid_bits"] - report["bits"])
 
     def test_two_photon(self, tmp_path):
         out = tmp_path / "r.json"
@@ -196,6 +212,15 @@ class TestExitCodes:
 
     def test_schulman_models_require_gamma(self):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2
+        assert main(["run-chsh", "--model", "schulman-2", "--gamma", "0"]) == 2
+
+    def test_run_chsh_has_no_lambda_grid(self, capsys):
+        # the schulman-2 joint is exact, so there is no grid to size
+        with pytest.raises(SystemExit) as exc:
+            main(["run-chsh", "--model", "schulman-2", "--gamma", "1e-3",
+                  "--lambda-grid", "100"])
+        assert exc.value.code == 2
+        assert "--lambda-grid" in capsys.readouterr().err
 
     def test_two_photon_resolution_failure(self, capsys):
         code = main(["two-photon", "--gamma", "0.001", "--lambda-grid", "100"])

@@ -191,6 +191,11 @@ class TestMutualInformation:
         assert 0.0 < est.bits < 0.07
         assert est.error_estimate < 1e-3
 
+    def test_halved_grid_bits_is_the_half_size_average(self):
+        est = mutual_information_hall(lambda_grid=512, settings_grid=128)
+        assert est.halved_grid_bits == mutual_information_hall(512, 64).bits
+        assert est.error_estimate >= abs(est.bits - est.halved_grid_bits) > 0.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             mutual_information_hall(lambda_grid=100)

@@ -15,6 +15,7 @@ from belllab.schulman import (
     PathSpec,
     PolarizationPath,
     ResolutionError,
+    _conditional_step,
     dominant_kick_stats,
     endpoint_targets,
     exact_family_sum,
@@ -30,6 +31,7 @@ from belllab.schulman import (
     single_photon_outcome_prob,
     truncated_family_sum,
     two_photon_joint,
+    two_photon_outcome_joint,
 )
 
 CFG = FamilySumConfig()
@@ -155,6 +157,23 @@ class TestTwoPhoton:
             2 / PI * math.atan(3.0), abs=0.01
         )
 
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("a, b", [(0.0, PI / 8), (0.3, 1.2), (0.0, 0.0), (0.0, HALF_PI)])
+    def test_closed_form_matches_grid(self, a, b, gamma):
+        res = two_photon_joint(PolAngle(a), PolAngle(b), gamma, math.ceil(8 * PI / gamma))
+        closed = two_photon_outcome_joint(a, b, gamma)
+        np.testing.assert_allclose(
+            [[closed.p_pp, closed.p_pm], [closed.p_mp, closed.p_mm]],
+            res.mass_by_outcome.sum(axis=2),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        assert res.joint == closed
+
+    def test_closed_form_rejects_bad_width(self):
+        with pytest.raises(ValueError):
+            two_photon_outcome_joint(0.0, PI / 8, 0.0)
+
     def test_grid_resolution_guard(self):
         with pytest.raises(ResolutionError):
             two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-4, 1000)
@@ -209,6 +228,77 @@ class TestBridges:
             PathSpec(theta1=0.0, theta2=0.0, gamma=-1.0)
         with pytest.raises(ValueError):
             PathSpec(theta1=0.0, theta2=0.0, gamma=1e-3, steps=0)
+
+
+def conditional_cdf(x, r, d1, d2):
+    """CDF of C_d1(e) C_d2(r - e) / C_{d1+d2}(r), the law `_conditional_step`
+    samples, by the partial fractions of `net_dominance_given_rotation`
+    (needs r != 0 or d1 != d2)."""
+    m = (r * r + (d1 + d2) ** 2) * (r * r + (d1 - d2) ** 2)
+    a_ = 2.0 * r / m
+    b_ = (r * r + d2 * d2 - d1 * d1) / m
+    d_ = (r * r + d1 * d1 - d2 * d2) / m
+    x = np.asarray(x, dtype=float)
+    primitive = (
+        0.5 * a_ * np.log((x * x + d1 * d1) / ((x - r) ** 2 + d2 * d2))
+        + b_ / d1 * (np.arctan(x / d1) + HALF_PI)
+        + d_ / d2 * (np.arctan((x - r) / d2) + HALF_PI)
+    )
+    return d1 * d2 / PI**2 * primitive / net_rotation_density(r, d1 + d2)
+
+
+def exact_acceptance(r, d1, d2):
+    """pi * Q_min * C_{d1+d2}(r) for the proposal weight w = sqrt(d2) / (sqrt(d1) + sqrt(d2))."""
+    w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))
+    alpha, beta = w / d2, (1.0 - w) / d1
+    q_min = alpha * beta / (alpha + beta) * r * r + alpha * d2 * d2 + beta * d1 * d1
+    return PI * q_min * net_rotation_density(r, d1 + d2)
+
+
+class CountingGenerator:
+    """Forwards the draws `_conditional_step` makes and counts its proposals."""
+
+    def __init__(self, seed):
+        self.gen = RngStream(seed).generator
+        self.proposals = 0
+
+    def standard_cauchy(self, size):
+        self.proposals += size
+        return self.gen.standard_cauchy(size)
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
+#: (residual, d1, d2): separated peaks (the gate's first step), equal widths,
+#: zero residual, a far winding, comparable widths
+STEP_REGIMES = [
+    (PI / 8, 1e-5, 9.9e-4),
+    (PI / 8, 5e-4, 5e-4),
+    (0.0, 1e-5, 9.9e-4),
+    (PI / 8 + 200 * PI, 1e-5, 9.9e-4),
+    (2e-3, 1e-3, 1e-2),
+]
+
+
+class TestConditionalStep:
+    @pytest.mark.parametrize("seed, regime", enumerate(STEP_REGIMES, start=31))
+    def test_matches_exact_conditional(self, seed, regime):
+        r, d1, d2 = regime
+        n = 20_000
+        eps = _conditional_step(np.full(n, r), d1, d2, RngStream(seed).generator, 64)
+        assert stats.kstest(eps, lambda x: conditional_cdf(x, r, d1, d2)).pvalue > 0.01
+
+    @pytest.mark.parametrize("seed, regime", enumerate(STEP_REGIMES, start=41))
+    def test_proposal_count_matches_exact_acceptance(self, seed, regime):
+        r, d1, d2 = regime
+        n = 50_000
+        gen = CountingGenerator(seed)
+        _conditional_step(np.full(n, r), d1, d2, gen, 64)
+        # proposals per path are geometric with success probability p
+        p = exact_acceptance(r, d1, d2)
+        se = math.sqrt((1.0 - p) / n) / p
+        assert abs(gen.proposals / n - 1.0 / p) < 5 * se
 
 
 class TestKickStatistics:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -42,7 +43,9 @@ from .schulman import (
     BridgeSamplingError,
     PathSpec,
     ResolutionError,
+    _discarded_winding_mass,
     dominant_kick_stats,
+    endpoint_targets,
     free_kick_sums,
     sample_bridges,
     two_photon_joint,
@@ -189,7 +192,7 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
         report = {
             "command": "run-chsh",
             "version": __version__,
-            "config": _config_echo(args, ["model", "samples", "seed", "gamma"]),
+            "config": _config_echo(args, ["model", "gamma"]),
             "settings": [float(v) for v in settings],
             "correlators": [
                 {"value": c, "standard_error": 0.0, "samples": 0} for c in correlators
@@ -311,6 +314,8 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
         ),
         "paths": int(paths.shape[0]),
         "excluded_paths": kicks.excluded_paths,
+        # endpoint weight the sampler's winding cut-off leaves out
+        "discarded_winding_mass": _discarded_winding_mass(spec, endpoint_targets(spec)[0]),
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),
@@ -409,7 +414,9 @@ def cmd_two_photon(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="belllab",
         description="Simulate and verify hidden-variable models of Bell-type experiments.",

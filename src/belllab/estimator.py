@@ -86,7 +86,8 @@ def estimate_correlator(
     def run_shard(args):
         index, size = args
         _, a_out, b_out = model.sample_runs(a, b, size, rng.substream(index))
-        return float(np.sum(a_out * b_out))
+        # A*B is +-1: the sum is the count of agreements minus disagreements
+        return float(size - 2 * np.count_nonzero(a_out != b_out))
 
     jobs = list(enumerate(sizes))
     if workers > 1 and len(jobs) > 1:
@@ -181,26 +182,22 @@ def screening_residual(
         bins = np.minimum((np.asarray(lams) / PI * lambda_bins).astype(int), lambda_bins - 1)
         n_bins = lambda_bins
 
+    # counts[bin, A == -1, B == -1], from one pass over the samples
+    codes = 4 * bins + 2 * (a_out != 1) + (b_out != 1)
+    counts = np.bincount(codes, minlength=4 * n_bins).reshape(n_bins, 2, 2)
+    total = counts.sum(axis=(1, 2))
+    excluded = int(np.count_nonzero((total > 0) & (total < min_bin_count)))
+    kept = total >= min_bin_count
+    occupied = int(np.count_nonzero(kept))
+    counts, total = counts[kept], total[kept]
+    # the same divisions as per-bin means of the boolean outcome masks
+    p_a = counts[:, 0, :].sum(axis=1) / total
+    p_b = counts[:, :, 0].sum(axis=1) / total
     worst = 0.0
-    occupied = 0
-    excluded = 0
-    for idx in range(n_bins):
-        mask = bins == idx
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        if count < min_bin_count:
-            excluded += 1
-            continue
-        occupied += 1
-        a_bin = a_out[mask]
-        b_bin = b_out[mask]
-        p_a = (a_bin == 1).mean()
-        p_b = (b_bin == 1).mean()
-        for a_val, pa in ((1, p_a), (-1, 1.0 - p_a)):
-            for b_val, pb in ((1, p_b), (-1, 1.0 - p_b)):
-                joint = float(np.mean((a_bin == a_val) & (b_bin == b_val)))
-                worst = max(worst, abs(joint - pa * pb))
+    for i, pa in enumerate((p_a, 1.0 - p_a)):
+        for j, pb in enumerate((p_b, 1.0 - p_b)):
+            joint = counts[:, i, j] / total
+            worst = max(worst, float(np.max(np.abs(joint - pa * pb), initial=0.0)))
     return ScreeningResult(value=float(worst), occupied_bins=occupied, excluded_bins=excluded)
 
 

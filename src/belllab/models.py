@@ -34,6 +34,13 @@ def _sign_plus(x: np.ndarray | float) -> np.ndarray | float:
     return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
 
 
+def _outcomes(plus: np.ndarray) -> np.ndarray:
+    """+1 where ``plus`` is True and -1 elsewhere, as int8."""
+    out = plus.view(np.int8) * np.int8(2)
+    out -= 1
+    return out
+
+
 def hall_density(a: float, b: float, lam: np.ndarray | float) -> np.ndarray | float:
     """Setting-dependent hidden-angle density of the deterministic Hall model.
 
@@ -87,14 +94,22 @@ class LambdaDistribution:
         index = np.searchsorted(self.edges, lam, side="right") - 1
         return (self.mass / np.diff(self.edges))[index]
 
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        """n hidden angles: an atom or segment by mass, then uniform within it."""
+    def sample(
+        self, n: int, rng: RngStream, with_pieces: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """n hidden angles: an atom or segment by mass, then uniform within it.
+
+        With ``with_pieces``, return ``(index, lams)``: ``index[i]`` is the
+        atom or segment ``lams[i]`` was drawn from.  The draws are the same.
+        """
         gen = rng.generator
         index = gen.choice(self.mass.size, size=n, p=self.mass / self.mass.sum())
         if self.edges is None:
-            return self.points[index]
-        lengths = np.diff(self.edges)
-        return self.edges[index] + lengths[index] * gen.random(n)
+            lams = self.points[index]
+        else:
+            lengths = np.diff(self.edges)
+            lams = self.edges[index] + lengths[index] * gen.random(n)
+        return (index, lams) if with_pieces else lams
 
 
 class HiddenVariableModel(ABC):
@@ -102,6 +117,13 @@ class HiddenVariableModel(ABC):
 
     name: str = "hidden-variable-model"
     exposes_lambda: bool = True
+    #: The outcome probabilities are constant on each atom or segment of
+    #: lambda_distribution, so runs draw each lambda with its piece and
+    #: evaluate the probabilities once per piece.  Not so where the segments
+    #: are only a device for the exact sum (the local baseline).
+    piecewise_outcomes: bool = False
+    #: The outcome probabilities are 0 or 1, so outcome draws take no uniforms.
+    deterministic_outcomes: bool = False
 
     # -- lambda distribution ------------------------------------------------
 
@@ -111,7 +133,11 @@ class HiddenVariableModel(ABC):
 
     @abstractmethod
     def sample_lambdas(self, a: float, b: float, n: int, rng: RngStream) -> np.ndarray:
-        """Draw n hidden angles from the (a, b)-dependent distribution."""
+        """Draw n hidden angles from the (a, b)-dependent distribution.
+
+        Models with ``piecewise_outcomes`` also take ``with_pieces=True`` and
+        then return ``(index, lams)``, as `LambdaDistribution.sample` does.
+        """
 
     # -- outcome models -----------------------------------------------------
 
@@ -139,22 +165,42 @@ class HiddenVariableModel(ABC):
         ).validate(atol=1e-9)
 
     def sample_outcomes(
-        self, a: float, b: float, lams: np.ndarray, rng: RngStream
+        self,
+        a: float,
+        b: float,
+        lams: np.ndarray,
+        rng: RngStream,
+        index: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw A and B independently given each lambda (screening)."""
+        """Draw A and B (int8, +-1) independently given each lambda (screening).
+
+        With ``index``, each lambda's atom or segment of
+        ``lambda_distribution(a, b)`` (models with ``piecewise_outcomes``),
+        the outcome probabilities are evaluated once per piece, at its point.
+        A's uniforms are drawn before B's; deterministic models draw none.
+        """
+        at = lams if index is None else self.lambda_distribution(a, b).points
+        p1 = self.outcome_prob_1(a, at, +1)
+        p2 = self.outcome_prob_2(b, at, +1)
+        if self.deterministic_outcomes:
+            a_out, b_out = _outcomes(p1 == 1.0), _outcomes(p2 == 1.0)
+            return (a_out, b_out) if index is None else (a_out[index], b_out[index])
+        if index is not None:
+            p1, p2 = p1[index], p2[index]
         gen = rng.generator
-        p1 = self.outcome_prob_1(a, lams, +1)
-        p2 = self.outcome_prob_2(b, lams, +1)
-        a_out = np.where(gen.random(lams.size) < p1, 1, -1)
-        b_out = np.where(gen.random(lams.size) < p2, 1, -1)
+        a_out = _outcomes(gen.random(lams.size) < p1)
+        b_out = _outcomes(gen.random(lams.size) < p2)
         return a_out, b_out
 
     def sample_runs(
         self, a: float, b: float, n: int, rng: RngStream
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n independent (lambda, A, B) triples."""
-        lams = self.sample_lambdas(a, b, n, rng)
-        a_out, b_out = self.sample_outcomes(a, b, lams, rng)
+        if self.piecewise_outcomes:
+            index, lams = self.sample_lambdas(a, b, n, rng, with_pieces=True)
+        else:
+            index, lams = None, self.sample_lambdas(a, b, n, rng)
+        a_out, b_out = self.sample_outcomes(a, b, lams, rng, index)
         return lams, a_out, b_out
 
 
@@ -177,6 +223,7 @@ class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
     """
 
     name = "delta-mixture"
+    piecewise_outcomes = True
 
     def lambda_distribution(self, a, b):
         raw = [PolAngle(a), PolAngle(a + HALF_PI), PolAngle(b), PolAngle(b + HALF_PI)]
@@ -186,8 +233,8 @@ class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
         atoms = np.array(sorted(merged))
         return LambdaDistribution(atoms, np.array([merged[x] for x in atoms]))
 
-    def sample_lambdas(self, a, b, n, rng):
-        return self.lambda_distribution(a, b).sample(n, rng)
+    def sample_lambdas(self, a, b, n, rng, with_pieces=False):
+        return self.lambda_distribution(a, b).sample(n, rng, with_pieces)
 
 
 class HallModel(HiddenVariableModel):
@@ -199,14 +246,16 @@ class HallModel(HiddenVariableModel):
     """
 
     name = "hall"
+    piecewise_outcomes = True
+    deterministic_outcomes = True
 
     def lambda_distribution(self, a, b):
         edges = np.array([0.0, *hall_breakpoints(a, b), PI])
         mids = 0.5 * (edges[:-1] + edges[1:])
         return LambdaDistribution(mids, hall_density(a, b, mids) * np.diff(edges), edges)
 
-    def sample_lambdas(self, a, b, n, rng):
-        return self.lambda_distribution(a, b).sample(n, rng)
+    def sample_lambdas(self, a, b, n, rng, with_pieces=False):
+        return self.lambda_distribution(a, b).sample(n, rng, with_pieces)
 
     def outcome_prob_1(self, a, lam, outcome):
         check_outcome(outcome)

@@ -348,9 +348,10 @@ def endpoint_targets(spec: PathSpec, n_windings: int = 200) -> tuple[np.ndarray,
 
     Targets enumerate both alignment families and windings |n| <= n_windings;
     the weights are renormalized over the kept windings.  The discarded share
-    is about sin^2(2 * dtheta) / (pi^2 * n_windings) whatever gamma (2.5e-4 at
-    dtheta = pi/8); `DominancePrediction.discarded_winding_mass` computes it
-    exactly.
+    is about sin^2(2 * dtheta) / (pi^2 * n_windings) for gamma << 1 (2.5e-4 at
+    dtheta = pi/8), and approaches 2 * gamma / (pi^2 * n_windings) once gamma
+    is of order 1 (1.0e-3 at gamma = 1); `DominancePrediction` and the
+    schulman-paths report give it exactly as `discarded_winding_mass`.
     """
     d0 = float(spec.theta2) - float(spec.theta1)
     n = np.arange(-n_windings, n_windings + 1)

@@ -1,5 +1,6 @@
 """Command-line front end: parsing, report formats, reproducibility, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -15,6 +16,7 @@ from belllab.cli import (
     parse_settings,
 )
 from belllab.core import PI
+from belllab.schulman import PathSpec, expected_net_dominance
 
 
 class TestParsing:
@@ -137,6 +139,8 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["s_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-3)
         assert all(c["standard_error"] == 0.0 for c in report["correlators"])
+        # nothing is drawn, so samples and seed are not echoed
+        assert report["config"] == {"model": "schulman-2", "gamma": 0.002}
 
     def test_run_chsh_schulman2_builds_no_grid(self, tmp_path, monkeypatch):
         # a lambda grid at gamma = 1e-6 would hold 25M points per correlator
@@ -171,6 +175,19 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert sum(report["kick_time_histogram"]) + report["excluded_paths"] == 2000
         assert report["cauchy_stability_ks_pvalue"] > 0.01
+        spec = PathSpec(theta1=0.0, theta2=PI / 8, gamma=0.001, steps=20)
+        assert report["discarded_winding_mass"] == (
+            expected_net_dominance(spec).discarded_winding_mass
+        )
+        assert report["discarded_winding_mass"] == pytest.approx(2.527e-4, rel=1e-3)
+
+    def test_schulman_paths_discarded_winding_mass_grows_with_gamma(self, tmp_path):
+        # sin^2(2 dtheta) / (pi^2 n_windings) holds for small gamma only
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", "1", "--steps", "10",
+                     "--samples", "500", "--seed", "1", "--out", str(out)]) == 0
+        mass = json.loads(out.read_text())["discarded_winding_mass"]
+        assert 9.8e-4 < mass < 1.06e-3
 
     def test_mutual_info_hall(self, tmp_path):
         out = tmp_path / "r.json"
@@ -191,6 +208,23 @@ class TestSubcommands:
         assert report["max_abs_diff_vs_qm"] < 1e-4
         shares = [w["share_of_windows"] for w in report["atom_windows"].values()]
         assert shares == pytest.approx([0.25] * 4, abs=0.01)
+
+
+class TestParser:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert main(["scan-settings", "--model", "qm", "--grid", "2",
+                         "--out", str(tmp_path / "r.json")]) == 0
+        assert built.count("belllab") == 1
 
 
 class TestExitCodes:

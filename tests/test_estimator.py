@@ -106,6 +106,37 @@ class TestPeresIdentity:
             peres_identity_check(0, 1, 1, 1)
 
 
+def masked_loop_screening(model, a, b, n, lambda_bins, rng, min_bin_count=100):
+    """Reference for screening_residual: one boolean mask per lambda bin."""
+    lams, a_out, b_out = model.sample_runs(a, b, n, rng)
+    if lams is None:
+        bins, n_bins = np.zeros(n, dtype=int), 1
+    elif model.lambda_distribution(a, b).edges is None:
+        points = model.lambda_distribution(a, b).points
+        bins, n_bins = np.searchsorted(points, lams), points.size
+    else:
+        bins = np.minimum((lams / PI * lambda_bins).astype(int), lambda_bins - 1)
+        n_bins = lambda_bins
+    worst, occupied, excluded = 0.0, 0, 0
+    for idx in range(n_bins):
+        mask = bins == idx
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        if count < min_bin_count:
+            excluded += 1
+            continue
+        occupied += 1
+        a_bin, b_bin = a_out[mask], b_out[mask]
+        p_a = (a_bin == 1).mean()
+        p_b = (b_bin == 1).mean()
+        for a_val, pa in ((1, p_a), (-1, 1.0 - p_a)):
+            for b_val, pb in ((1, p_b), (-1, 1.0 - p_b)):
+                joint = float(np.mean((a_bin == a_val) & (b_bin == b_val)))
+                worst = max(worst, abs(joint - pa * pb))
+    return float(worst), occupied, excluded
+
+
 class TestScreening:
     def test_hall_screens(self):
         res = screening_residual(
@@ -129,6 +160,28 @@ class TestScreening:
         )
         # no lambda to condition on: the raw correlation survives, |0.5 - 0.25|
         assert float(res) == pytest.approx(0.25, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "model, a, b, n, min_bin_count",
+        [
+            (HallModel(), 0.0, PI / 8, 200_000, 100),
+            # ~100 samples per bin: some fall below min_bin_count
+            (HallModel(), 0.0, PI / 8, 6_400, 100),
+            # ~5 per bin: some bins are empty, which count as neither
+            (HallModel(), 0.0, PI / 8, 300, 5),
+            # a perpendicular to b: Hall's agreement segments carry no mass
+            (HallModel(), 0.3, 0.3 + PI / 2, 12_800, 100),
+            (DeltaMixtureModel(), 0.0, PI / 8, 20_000, 100),
+            (LocalBaselineModel(), 0.0, PI / 8, 6_400, 100),
+            (PRBoxModel(TSIRELSON), TSIRELSON[1], TSIRELSON[3], 1_000, 100),
+        ],
+    )
+    def test_matches_masked_loop_bit_for_bit(self, model, a, b, n, min_bin_count):
+        for seed in (0, 1, 2029):
+            got = screening_residual(model, a, b, n, lambda_bins=64, rng=RngStream(seed),
+                                     min_bin_count=min_bin_count)
+            ref = masked_loop_screening(model, a, b, n, 64, RngStream(seed), min_bin_count)
+            assert (got.value, got.occupied_bins, got.excluded_bins) == ref
 
     def test_result_is_float_like(self):
         res = screening_residual(

@@ -194,6 +194,62 @@ class TestSamplingContract:
         assert d.correlator() == pytest.approx(1.0)
 
 
+def per_sample_runs(model, a, b, n, rng):
+    """Reference sampler: lambda by piece, outcome probabilities at every
+    lambda, then A's uniforms, then B's (also for deterministic outcomes)."""
+    gen = rng.generator
+    dist = model.lambda_distribution(a, b)
+    index = gen.choice(dist.mass.size, size=n, p=dist.mass / dist.mass.sum())
+    if dist.edges is None:
+        lams = dist.points[index]
+    else:
+        lams = dist.edges[index] + np.diff(dist.edges)[index] * gen.random(n)
+    p1 = model.outcome_prob_1(a, lams, +1)
+    p2 = model.outcome_prob_2(b, lams, +1)
+    a_out = np.where(gen.random(n) < p1, 1, -1)
+    b_out = np.where(gen.random(n) < p2, 1, -1)
+    return lams, a_out, b_out
+
+
+class TestPiecewiseRuns:
+    """Hall and the delta mixture evaluate outcome probabilities once per
+    lambda piece; the runs must equal per-sample evaluation element for
+    element."""
+
+    @staticmethod
+    def settings_pairs():
+        a = 0.3
+        a_p, b, b_p = (float(x) for x in TSIRELSON[1:])
+        yield a, a
+        yield a, float(PolAngle(a + HALF_PI))
+        yield a, float(PolAngle(a + PI / 4))  # b on a Hall breakpoint of a
+        yield from ((float(TSIRELSON[0]), b), (a_p, b), (float(TSIRELSON[0]), b_p), (a_p, b_p))
+
+    @pytest.mark.parametrize("model", [HallModel(), DeltaMixtureModel()], ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", [0, 1, 2029])
+    def test_runs_equal_per_sample_reference(self, model, seed):
+        for k, (a, b) in enumerate(self.settings_pairs()):
+            lams, a_out, b_out = model.sample_runs(a, b, 20_000, RngStream(seed, k))
+            ref_lams, ref_a, ref_b = per_sample_runs(model, a, b, 20_000, RngStream(seed, k))
+            np.testing.assert_array_equal(lams, ref_lams)
+            np.testing.assert_array_equal(a_out, ref_a, err_msg=f"A at {(a, b)}")
+            np.testing.assert_array_equal(b_out, ref_b, err_msg=f"B at {(a, b)}")
+            assert a_out.dtype == b_out.dtype == np.int8
+
+    def test_hall_outcomes_draw_no_uniforms(self):
+        a, b = 0.0, PI / 8
+        after_runs, after_lambdas = RngStream(4), RngStream(4)
+        HallModel().sample_runs(a, b, 1000, after_runs)
+        HallModel().sample_lambdas(a, b, 1000, after_lambdas)
+        assert after_runs.generator.random() == after_lambdas.generator.random()
+
+    def test_pieces_index_the_drawn_lambdas(self):
+        dist = HallModel().lambda_distribution(0.0, PI / 8)
+        index, lams = dist.sample(1000, RngStream(2), with_pieces=True)
+        np.testing.assert_array_equal(lams, dist.sample(1000, RngStream(2)))
+        assert np.all(dist.edges[index] <= lams) and np.all(lams < dist.edges[index + 1])
+
+
 class TestExactLambdaSums:
     """Edge settings: a = b, a perpendicular to b, b on a Hall breakpoint of a,
     and |a - b| = 1e-12, for every lambda-mediated model."""

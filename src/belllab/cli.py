@@ -57,9 +57,8 @@ DEFAULT_SEED_ENV = "BELLLAB_DEFAULT_SEED"
 #: Model id -> (builder from the settings quadruple, or None where the
 #: subcommand computes the model itself; subcommands accepting the id).
 MODELS = {
-    "delta-mixture": (lambda settings: DeltaMixtureModel(),
-                      ("run-chsh", "scan-settings", "mutual-info")),
-    "hall": (lambda settings: HallModel(), ("run-chsh", "scan-settings", "mutual-info")),
+    "delta-mixture": (lambda settings: DeltaMixtureModel(), ("run-chsh", "scan-settings")),
+    "hall": (lambda settings: HallModel(), ("run-chsh", "scan-settings")),
     "local-baseline": (lambda settings: LocalBaselineModel(), ("run-chsh", "scan-settings")),
     "pr-box": (PRBoxModel, ("run-chsh",)),
     "schulman-2": (None, ("run-chsh",)),
@@ -242,9 +241,8 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
 def cmd_scan_settings(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise UsageError("--grid must be >= 2")
-    model = None
-    if args.model != "qm":
-        model = build_model(args.model, args.settings)
+    # no scan model reads the settings quadruple (the PR box is not scanned)
+    model = None if args.model == "qm" else build_model(args.model, ())
     started = time.perf_counter()
     angles = [PolAngle(i * PI / args.grid) for i in range(args.grid)]
     rows = []
@@ -340,21 +338,13 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
 
 
 def cmd_mutual_info(args: argparse.Namespace) -> int:
-    if args.model == "delta-mixture":
-        print(
-            "mutual-info: refusing the delta-mixture model: its hidden angle is "
-            "atom-valued, so the continuous-prior mutual information diverges "
-            "logarithmically with bin resolution and cannot be compared to the "
-            "Hall-model bound.",
-            file=sys.stderr,
-        )
-        return 2
     started = time.perf_counter()
     estimate = mutual_information_hall(args.lambda_grid or 2048, args.settings_grid)
     report = {
         "command": "mutual-info",
         "version": __version__,
-        "config": _config_echo(args, ["model", "lambda_grid", "settings_grid"]),
+        # "model" stays the first key, so the CSV rows keep their order
+        "config": {"model": "hall", **_config_echo(args, ["lambda_grid", "settings_grid"])},
         "bits": estimate.bits,
         "error_estimate": estimate.error_estimate,
         "refinement": {
@@ -373,7 +363,8 @@ def cmd_two_photon(args: argparse.Namespace) -> int:
     if args.gamma is None or args.gamma <= 0:
         raise UsageError("--gamma > 0 is required for two-photon")
     a, b = parse_settings(args.pair, count=2)
-    grid = args.lambda_grid or int(math.ceil(8 * PI / args.gamma))
+    # 8 grid points per gamma width, and no fewer than two_photon_joint accepts
+    grid = args.lambda_grid or max(64, math.ceil(8 * PI / args.gamma))
     started = time.perf_counter()
     result = two_photon_joint(a, b, args.gamma, grid)
     ref = qm_joint(a, b)
@@ -427,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker threads; does not affect results")
         p.add_argument("--out", default=None, help="report file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -438,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,a',b,b' (default: Tsirelson settings)")
     p.add_argument("--samples", type=int, default=10**6, help="samples per correlator")
     p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker threads; does not affect results")
     common(p)
     p.set_defaults(func=cmd_run_chsh)
 
     p = sub.add_parser("scan-settings", help="model vs QM over a settings grid")
     p.add_argument("--model", choices=model_choices("scan-settings"), required=True)
-    p.add_argument("--settings", type=parse_settings,
-                   default=parse_settings("0,0.25pi,0.125pi,-0.125pi"))
     p.add_argument("--grid", type=int, default=16)
     common(p)
     p.set_defaults(func=cmd_scan_settings)
@@ -458,8 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_schulman_paths)
 
-    p = sub.add_parser("mutual-info", help="setting information in the Hall hidden angle")
-    p.add_argument("--model", choices=model_choices("mutual-info"), default="hall")
+    p = sub.add_parser(
+        "mutual-info",
+        help="setting information in the Hall hidden angle",
+        description="Setting information carried by the Hall model's hidden angle.  Only "
+        "the Hall model is offered: the delta mixture's hidden angle is atom-valued, so "
+        "its continuous-prior mutual information diverges logarithmically with bin "
+        "resolution and cannot be compared to the Hall-model bound.",
+    )
     p.add_argument("--lambda-grid", type=int, default=None)
     p.add_argument("--settings-grid", type=int, default=64)
     common(p)

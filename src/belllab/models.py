@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HALF_PI, PI, OUTCOMES, PolAngle, RngStream, canonical_diff, check_outcome
+from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff
 from .qm import JointDist
 
 
@@ -94,22 +94,18 @@ class LambdaDistribution:
         index = np.searchsorted(self.edges, lam, side="right") - 1
         return (self.mass / np.diff(self.edges))[index]
 
-    def sample(
-        self, n: int, rng: RngStream, with_pieces: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    def sample(self, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
         """n hidden angles: an atom or segment by mass, then uniform within it.
 
-        With ``with_pieces``, return ``(index, lams)``: ``index[i]`` is the
-        atom or segment ``lams[i]`` was drawn from.  The draws are the same.
+        Returns ``(index, lams)``: ``index[i]`` is the atom or segment
+        ``lams[i]`` was drawn from.
         """
         gen = rng.generator
         index = gen.choice(self.mass.size, size=n, p=self.mass / self.mass.sum())
         if self.edges is None:
-            lams = self.points[index]
-        else:
-            lengths = np.diff(self.edges)
-            lams = self.edges[index] + lengths[index] * gen.random(n)
-        return (index, lams) if with_pieces else lams
+            return index, self.points[index]
+        lengths = np.diff(self.edges)
+        return index, self.edges[index] + lengths[index] * gen.random(n)
 
 
 class HiddenVariableModel(ABC):
@@ -117,11 +113,6 @@ class HiddenVariableModel(ABC):
 
     name: str = "hidden-variable-model"
     exposes_lambda: bool = True
-    #: The outcome probabilities are constant on each atom or segment of
-    #: lambda_distribution, so runs draw each lambda with its piece and
-    #: evaluate the probabilities once per piece.  Not so where the segments
-    #: are only a device for the exact sum (the local baseline).
-    piecewise_outcomes: bool = False
     #: The outcome probabilities are 0 or 1, so outcome draws take no uniforms.
     deterministic_outcomes: bool = False
 
@@ -132,37 +123,36 @@ class HiddenVariableModel(ABC):
         """The (a, b)-dependent hidden-angle distribution as atoms or segments."""
 
     @abstractmethod
-    def sample_lambdas(self, a: float, b: float, n: int, rng: RngStream) -> np.ndarray:
+    def sample_lambdas(
+        self, a: float, b: float, n: int, rng: RngStream
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """Draw n hidden angles from the (a, b)-dependent distribution.
 
-        Models with ``piecewise_outcomes`` also take ``with_pieces=True`` and
-        then return ``(index, lams)``, as `LambdaDistribution.sample` does.
+        Returns ``(index, lams)`` as `LambdaDistribution.sample` does where
+        the outcome probabilities are constant on each atom or segment of
+        ``lambda_distribution``, and ``(None, lams)`` where they are not.
         """
 
-    # -- outcome models -----------------------------------------------------
+    # -- outcome model ------------------------------------------------------
 
     @abstractmethod
-    def outcome_prob_1(self, a: float, lam: np.ndarray, outcome: int) -> np.ndarray:
-        """P(A = outcome | a, lam), vectorized over lam."""
-
-    @abstractmethod
-    def outcome_prob_2(self, b: float, lam: np.ndarray, outcome: int) -> np.ndarray:
-        """P(B = outcome | b, lam), vectorized over lam."""
+    def outcome_prob(self, setting: float, lam: np.ndarray) -> np.ndarray:
+        """P(outcome = +1 | setting, lam) on either side, vectorized over lam."""
 
     # -- derived ------------------------------------------------------------
 
     def joint_dist(self, a: float, b: float) -> JointDist:
         """Separability integral, summed exactly over the lambda distribution."""
         dist = self.lambda_distribution(a, b)
-        probs = {}
-        for a_out in OUTCOMES:
-            p1 = self.outcome_prob_1(a, dist.points, a_out)
-            for b_out in OUTCOMES:
-                p2 = self.outcome_prob_2(b, dist.points, b_out)
-                probs[(a_out, b_out)] = float(np.sum(dist.mass * p1 * p2))
-        return JointDist(
-            probs[(1, 1)], probs[(1, -1)], probs[(-1, 1)], probs[(-1, -1)]
-        ).validate(atol=1e-9)
+        p1 = self.outcome_prob(a, dist.points)
+        p2 = self.outcome_prob(b, dist.points)
+        # P(-1) = 1 - P(+1); the order is that of JointDist: ++, +-, -+, --
+        probs = (
+            float(np.sum(dist.mass * q1 * q2))
+            for q1 in (p1, 1.0 - p1)
+            for q2 in (p2, 1.0 - p2)
+        )
+        return JointDist(*probs).validate(atol=1e-9)
 
     def sample_outcomes(
         self,
@@ -170,18 +160,18 @@ class HiddenVariableModel(ABC):
         b: float,
         lams: np.ndarray,
         rng: RngStream,
-        index: np.ndarray | None = None,
+        index: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw A and B (int8, +-1) independently given each lambda (screening).
 
-        With ``index``, each lambda's atom or segment of
-        ``lambda_distribution(a, b)`` (models with ``piecewise_outcomes``),
-        the outcome probabilities are evaluated once per piece, at its point.
-        A's uniforms are drawn before B's; deterministic models draw none.
+        With ``index`` (not None), each lambda's atom or segment of
+        ``lambda_distribution(a, b)``, the outcome probabilities are
+        evaluated once per piece, at its point.  A's uniforms are drawn
+        before B's; deterministic models draw none.
         """
         at = lams if index is None else self.lambda_distribution(a, b).points
-        p1 = self.outcome_prob_1(a, at, +1)
-        p2 = self.outcome_prob_2(b, at, +1)
+        p1 = self.outcome_prob(a, at)
+        p2 = self.outcome_prob(b, at)
         if self.deterministic_outcomes:
             a_out, b_out = _outcomes(p1 == 1.0), _outcomes(p2 == 1.0)
             return (a_out, b_out) if index is None else (a_out[index], b_out[index])
@@ -196,23 +186,16 @@ class HiddenVariableModel(ABC):
         self, a: float, b: float, n: int, rng: RngStream
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n independent (lambda, A, B) triples."""
-        if self.piecewise_outcomes:
-            index, lams = self.sample_lambdas(a, b, n, rng, with_pieces=True)
-        else:
-            index, lams = None, self.sample_lambdas(a, b, n, rng)
+        index, lams = self.sample_lambdas(a, b, n, rng)
         a_out, b_out = self.sample_outcomes(a, b, lams, rng, index)
         return lams, a_out, b_out
 
 
 class MalusOutcomeMixin:
-    """Outcome probabilities cos^2 / sin^2 of the setting-lambda angle."""
+    """Outcome probability cos^2 of the setting-lambda angle."""
 
-    def outcome_prob_1(self, a, lam, outcome):
-        check_outcome(outcome)
-        p_plus = np.cos(a - np.asarray(lam, dtype=float)) ** 2
-        return p_plus if outcome == +1 else 1.0 - p_plus
-
-    outcome_prob_2 = outcome_prob_1
+    def outcome_prob(self, setting, lam):
+        return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
 
 
 class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
@@ -223,7 +206,6 @@ class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
     """
 
     name = "delta-mixture"
-    piecewise_outcomes = True
 
     def lambda_distribution(self, a, b):
         raw = [PolAngle(a), PolAngle(a + HALF_PI), PolAngle(b), PolAngle(b + HALF_PI)]
@@ -233,8 +215,8 @@ class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
         atoms = np.array(sorted(merged))
         return LambdaDistribution(atoms, np.array([merged[x] for x in atoms]))
 
-    def sample_lambdas(self, a, b, n, rng, with_pieces=False):
-        return self.lambda_distribution(a, b).sample(n, rng, with_pieces)
+    def sample_lambdas(self, a, b, n, rng):
+        return self.lambda_distribution(a, b).sample(n, rng)
 
 
 class HallModel(HiddenVariableModel):
@@ -246,7 +228,6 @@ class HallModel(HiddenVariableModel):
     """
 
     name = "hall"
-    piecewise_outcomes = True
     deterministic_outcomes = True
 
     def lambda_distribution(self, a, b):
@@ -254,15 +235,12 @@ class HallModel(HiddenVariableModel):
         mids = 0.5 * (edges[:-1] + edges[1:])
         return LambdaDistribution(mids, hall_density(a, b, mids) * np.diff(edges), edges)
 
-    def sample_lambdas(self, a, b, n, rng, with_pieces=False):
-        return self.lambda_distribution(a, b).sample(n, rng, with_pieces)
+    def sample_lambdas(self, a, b, n, rng):
+        return self.lambda_distribution(a, b).sample(n, rng)
 
-    def outcome_prob_1(self, a, lam, outcome):
-        check_outcome(outcome)
-        determined = _sign_plus(np.cos(2.0 * (a - np.asarray(lam, dtype=float))))
-        return (determined == outcome).astype(float)
-
-    outcome_prob_2 = outcome_prob_1
+    def outcome_prob(self, setting, lam):
+        # +1 where cos(2 setting - 2 lam) >= 0, the tie going to +1 as in hall_density
+        return (np.cos(2.0 * (setting - np.asarray(lam, dtype=float))) >= 0.0).astype(float)
 
 
 class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
@@ -284,7 +262,9 @@ class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
         return LambdaDistribution(mids, np.full(3, 1.0 / 3.0), edges)
 
     def sample_lambdas(self, a, b, n, rng):
-        return rng.generator.random(n) * PI
+        # the three segments only make the exact sum finite; outcome
+        # probabilities vary within them, so no piece index is returned
+        return None, rng.generator.random(n) * PI
 
 
 class PRBoxModel:
@@ -329,7 +309,7 @@ class PRBoxModel:
 
     def sample_runs(self, a, b, n, rng):
         x, y = self.box_inputs(a, b)
-        a_out = np.where(rng.generator.random(n) < 0.5, 1, -1)
+        a_out = _outcomes(rng.generator.random(n) < 0.5)
         b_out = -a_out if x & y else a_out.copy()
         return None, a_out, b_out
 

@@ -28,6 +28,12 @@ from .qm import JointDist
 #: no meaningful "collapse kick"; they are excluded from dominance ratios.
 DOMINANCE_FLOOR = 1e-3
 
+#: Windings |n| <= N_WINDINGS of each alignment family that bridge endpoints
+#: are drawn from.  `endpoint_targets`, `sample_bridges` and
+#: `expected_net_dominance` must share it for criterion 8's prediction to
+#: describe the sampled paths.
+N_WINDINGS = 200
+
 
 class AlignedPoleError(ZeroDivisionError):
     """Family sum requested exactly at its pole (aligned boundary angles)."""
@@ -44,20 +50,6 @@ class BridgeSamplingError(RuntimeError):
         super().__init__(f"{message} (step {step}, {attempts} proposal rounds)")
         self.step = step
         self.attempts = attempts
-
-
-@dataclass(frozen=True)
-class KickWidth:
-    """Total Cauchy width of a kick history; widths add along the path."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-
-    def per_step(self, steps: int) -> float:
-        return self.gamma / steps
 
 
 @dataclass(frozen=True)
@@ -96,21 +88,6 @@ class PathSpec:
     @property
     def step_width(self) -> float:
         return self.gamma / self.steps
-
-
-@dataclass(frozen=True)
-class PolarizationPath:
-    """Unwrapped angle history q_0 .. q_N; increments record the kicks."""
-
-    angles: np.ndarray
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.angles)
-
-    @property
-    def net_rotation(self) -> float:
-        return float(self.angles[-1] - self.angles[0])
 
 
 def net_rotation_density(delta_q, gamma: float):
@@ -154,12 +131,31 @@ def periodized_cauchy(x, gamma: float):
     as sinh(gamma)*cosh(gamma) / (pi * (sinh(gamma)^2 + sin(x)^2)) to avoid
     the cancellation near the peak for small gamma; integrates to 1 over one
     period [0, pi).
+
+    Where pi * sinh(gamma)^2 overflows (gamma > 355.0) the density is 1/pi
+    to within rounding.  Where sinh(gamma)^2 and sin(x)^2 both underflow to 0
+    (gamma and |sin(x)| below 1.6e-162) numerator and denominator are
+    divided by the larger of sinh(gamma) and |sin(x)| first.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     x = np.asarray(x, dtype=float)
-    sh = math.sinh(gamma)
-    out = sh * math.cosh(gamma) / (PI * (sh * sh + np.sin(x) ** 2))
+    try:
+        sh = math.sinh(gamma)
+    except OverflowError:
+        sh = math.inf
+    if math.isinf(PI * (sh * sh)):
+        return 1.0 / PI if x.ndim == 0 else np.full(x.shape, 1.0 / PI)
+    sin_x = np.sin(x)
+    den = sh * sh + sin_x**2
+    with np.errstate(divide="ignore"):
+        out = sh * math.cosh(gamma) / (PI * den)
+    underflow = den == 0.0
+    if np.any(underflow):
+        scale = np.maximum(sh, np.abs(sin_x))
+        rel_sh, rel_sin = sh / scale, sin_x / scale
+        rescaled = rel_sh * math.cosh(gamma) / (PI * scale * (rel_sh**2 + rel_sin**2))
+        out = np.where(underflow, rescaled, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -179,12 +175,7 @@ def periodized_cauchy_truncated(x: float, gamma: float, cfg: FamilySumConfig) ->
     return total
 
 
-def single_photon_outcome_prob(
-    theta1: float,
-    theta2: float,
-    gamma: float,
-    cfg: FamilySumConfig | None = None,
-) -> float:
+def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> float:
     """Probability that the photon aligns with the second polarizer.
 
     gamma == 0 selects the analytic limit, which is exactly Malus' law
@@ -197,19 +188,13 @@ def single_photon_outcome_prob(
         return math.cos(d) ** 2
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    if cfg is None:
-        w_plus = periodized_cauchy(d, gamma)
-        w_minus = periodized_cauchy(d + HALF_PI, gamma)
-    else:
-        w_plus = periodized_cauchy_truncated(d, gamma, cfg)
-        w_minus = periodized_cauchy_truncated(d + HALF_PI, gamma, cfg)
+    w_plus = periodized_cauchy(d, gamma)
+    w_minus = periodized_cauchy(d + HALF_PI, gamma)
     return w_plus / (w_plus + w_minus)
 
 
 def sequential_outcome_probs(
-    angles: list[float] | tuple[float, ...],
-    gamma: float,
-    cfg: FamilySumConfig | None = None,
+    angles: list[float] | tuple[float, ...], gamma: float
 ) -> dict[tuple[int, ...], float]:
     """Distribution over +-1 outcome sequences for a chain of polarizers.
 
@@ -226,7 +211,7 @@ def sequential_outcome_probs(
         new_dists: dict[tuple[int, ...], float] = {}
         new_realized: dict[tuple[int, ...], PolAngle] = {}
         for seq, prob in dists.items():
-            p_plus = single_photon_outcome_prob(realized[seq], theta, gamma, cfg)
+            p_plus = single_photon_outcome_prob(realized[seq], theta, gamma)
             for outcome, p, axis in (
                 (+1, p_plus, theta),
                 (-1, 1.0 - p_plus, theta.perpendicular()),
@@ -343,18 +328,18 @@ def two_photon_joint(
 # ---------------------------------------------------------------------------
 
 
-def endpoint_targets(spec: PathSpec, n_windings: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def endpoint_targets(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
     """Candidate net rotations and their normalized Cauchy weights.
 
-    Targets enumerate both alignment families and windings |n| <= n_windings;
+    Targets enumerate both alignment families and windings |n| <= N_WINDINGS;
     the weights are renormalized over the kept windings.  The discarded share
-    is about sin^2(2 * dtheta) / (pi^2 * n_windings) for gamma << 1 (2.5e-4 at
-    dtheta = pi/8), and approaches 2 * gamma / (pi^2 * n_windings) once gamma
+    is about sin^2(2 * dtheta) / (pi^2 * N_WINDINGS) for gamma << 1 (2.5e-4 at
+    dtheta = pi/8), and approaches 2 * gamma / (pi^2 * N_WINDINGS) once gamma
     is of order 1 (1.0e-3 at gamma = 1); `DominancePrediction` and the
     schulman-paths report give it exactly as `discarded_winding_mass`.
     """
     d0 = float(spec.theta2) - float(spec.theta1)
-    n = np.arange(-n_windings, n_windings + 1)
+    n = np.arange(-N_WINDINGS, N_WINDINGS + 1)
     rotations = np.concatenate([d0 + n * PI, d0 + HALF_PI + n * PI])
     weights = net_rotation_density(rotations, spec.gamma)
     return rotations, weights / weights.sum()
@@ -401,28 +386,25 @@ def _conditional_step(
     raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
 
 
-def sample_bridges(
-    spec: PathSpec,
-    n_paths: int,
-    rng: RngStream,
-    n_windings: int = 200,
-    retry_budget: int = 10**6,
-) -> np.ndarray:
+def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     """Sample boundary-conditioned kick paths, shape (n_paths, steps + 1).
 
     The endpoint (alignment family and winding) is drawn first from the
     normalized net-rotation weights; increments are then drawn from their
     exact conditional densities given the remaining rotation and remaining
-    Cauchy width.  The endpoint constraint is satisfied bit-exactly.
+    Cauchy width.  The endpoint constraint is satisfied bit-exactly.  Each
+    step may take max(64, 10**6 // n_paths) proposal rounds before it raises
+    `BridgeSamplingError`.
     """
     gen = rng.generator
-    rotations, weights = endpoint_targets(spec, n_windings)
+    rotations, weights = endpoint_targets(spec)
     targets = rotations[gen.choice(rotations.size, size=n_paths, p=weights)]
 
     steps = spec.steps
     d_step = spec.step_width
     increments = np.empty((n_paths, steps))
     residual = targets.copy()
+    retry_budget = 10**6
     max_rounds = max(64, retry_budget // max(1, n_paths))
     for i in range(steps - 1):
         remaining_width = (steps - 1 - i) * d_step
@@ -441,11 +423,6 @@ def sample_bridges(
     # enforce the endpoint constraint exactly against cumulative rounding
     paths[:, -1] = float(spec.theta1) + targets
     return paths
-
-
-def sample_bridge(spec: PathSpec, rng: RngStream, **kwargs) -> PolarizationPath:
-    """One boundary-conditioned path."""
-    return PolarizationPath(sample_bridges(spec, 1, rng, **kwargs)[0])
 
 
 def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarray:
@@ -577,9 +554,7 @@ def _discarded_winding_mass(spec: PathSpec, rotations: np.ndarray) -> float:
     return max(0.0, 1.0 - kept / full)
 
 
-def expected_net_dominance(
-    spec: PathSpec, threshold: float = 0.99, n_windings: int = 200
-) -> DominancePrediction:
+def expected_net_dominance(spec: PathSpec, threshold: float = 0.99) -> DominancePrediction:
     """Expected share of `sample_bridges(spec, ...)` paths whose largest
     |increment| exceeds threshold * |net rotation| (the quantity
     `dominant_kick_stats(...).net_dominance > threshold` estimates).
@@ -602,7 +577,7 @@ def expected_net_dominance(
     """
     if threshold <= 0.5:
         raise ValueError("threshold must exceed 1/2 (two same-sign kicks could both exceed it)")
-    rotations, weights = endpoint_targets(spec, n_windings)
+    rotations, weights = endpoint_targets(spec)
     per_winding = net_dominance_given_rotation(rotations, spec.gamma, spec.steps, threshold)
     value = float(np.sum(weights * per_winding))
 

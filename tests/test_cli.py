@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from belllab import cli
+from belllab import cli, schulman
 from belllab.cli import (
     UsageError,
     fmt_float,
@@ -16,7 +16,7 @@ from belllab.cli import (
     parse_settings,
 )
 from belllab.core import PI
-from belllab.schulman import PathSpec, expected_net_dominance
+from belllab.schulman import BridgeSamplingError, PathSpec, expected_net_dominance
 
 
 class TestParsing:
@@ -200,6 +200,27 @@ class TestSubcommands:
         assert 0.0 < refinement["abs_change"] < 1e-3
         assert refinement["abs_change"] == abs(refinement["halved_grid_bits"] - report["bits"])
 
+    def test_run_chsh_schulman2_at_wide_kicks(self, tmp_path):
+        # at 2 * gamma = 400 sinh(2 gamma)^2 overflows; the outcomes are coin flips
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "schulman-2", "--gamma", "200",
+                     "--out", str(out)]) == 0
+        def strict(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        report = json.loads(out.read_text(), parse_constant=strict)
+        assert report["s_value"] == 0.0
+        assert all(c["value"] == 0.0 for c in report["correlators"])
+
+    def test_two_photon_wide_kicks_use_the_smallest_grid(self, tmp_path):
+        # ceil(8 pi / gamma) = 26 points would be below the grid's floor of 64
+        out = tmp_path / "r.json"
+        assert main(["two-photon", "--gamma", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["lambda_grid"] == 64
+        # cos(2(a - b)) / cosh(4 gamma), the wrapped-Cauchy correlator at width 2 gamma
+        assert report["correlator"] == pytest.approx(math.sqrt(0.5) / math.cosh(4.0), rel=1e-12)
+
     def test_two_photon(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["two-photon", "--gamma", "0.002", "--pair", "0,0.125pi",
@@ -241,8 +262,25 @@ class TestExitCodes:
         assert "pr-box" in capsys.readouterr().err
 
     def test_mutual_info_refuses_delta_mixture(self, capsys):
-        assert main(["mutual-info", "--model", "delta-mixture"]) == 2
-        assert "diverges" in capsys.readouterr().err
+        # mutual-info is Hall-only and takes no --model; its help says why
+        with pytest.raises(SystemExit) as exc:
+            main(["mutual-info", "--model", "delta-mixture"])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["mutual-info", "--help"])
+        assert "diverges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["scan-settings", "--model", "hall", "--workers", "2"],
+        ["scan-settings", "--model", "hall", "--settings", "0,1,2,3"],
+        ["two-photon", "--gamma", "1e-3", "--workers", "2"],
+    ])
+    def test_options_no_subcommand_reads_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_schulman_models_require_gamma(self):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2
@@ -255,6 +293,17 @@ class TestExitCodes:
                   "--lambda-grid", "100"])
         assert exc.value.code == 2
         assert "--lambda-grid" in capsys.readouterr().err
+
+    def test_bridge_sampling_failure(self, capsys, monkeypatch):
+        def stall(residual, d1, d2, gen, max_rounds):
+            raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+
+        monkeypatch.setattr(schulman, "_conditional_step", stall)
+        code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "10",
+                     "--samples", "100", "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "step 0" in err
 
     def test_two_photon_resolution_failure(self, capsys):
         code = main(["two-photon", "--gamma", "0.001", "--lambda-grid", "100"])

@@ -86,7 +86,7 @@ class TestDeltaMixture:
         assert got.max_abs_diff(qm_joint(a, b)) < 1e-9
 
     def test_sampled_lambdas_live_on_atoms(self):
-        lams = self.model.sample_lambdas(0.0, PI / 8, 1000, RngStream(1))
+        _, lams = self.model.sample_lambdas(0.0, PI / 8, 1000, RngStream(1))
         atoms = self.model.lambda_distribution(0.0, PI / 8).points
         assert set(np.unique(lams)) <= set(atoms)
 
@@ -96,10 +96,9 @@ class TestHallModel:
 
     def test_outcomes_deterministic_given_lambda(self):
         lam = np.array([0.1, 1.0, 2.0])
-        p = self.model.outcome_prob_1(0.0, lam, +1)
+        p = self.model.outcome_prob(0.0, lam)
         assert set(p.tolist()) <= {0.0, 1.0}
-        q = self.model.outcome_prob_1(0.0, lam, -1)
-        np.testing.assert_allclose(p + q, 1.0)
+        np.testing.assert_array_equal(p, np.cos(2.0 * (0.0 - lam)) >= 0.0)
 
     @given(angles, angles)
     @hyp_settings(max_examples=25, deadline=None)
@@ -110,7 +109,7 @@ class TestHallModel:
     def test_sampled_lambda_histogram_matches_density(self):
         a, b = 0.0, PI / 8
         n = 200_000
-        lams = self.model.sample_lambdas(a, b, n, RngStream(5))
+        _, lams = self.model.sample_lambdas(a, b, n, RngStream(5))
         edges = np.linspace(0.0, PI, 33)
         hist, _ = np.histogram(lams, bins=edges, density=True)
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -170,6 +169,14 @@ class TestPRBox:
         _, a_out, b_out = self.model.sample_runs(a_p, b_p, 100, RngStream(0))
         np.testing.assert_array_equal(a_out, -b_out)
 
+    def test_outcomes_match_the_int64_reference(self):
+        a, a_p, b, b_p = TSIRELSON
+        _, a_out, b_out = self.model.sample_runs(a_p, b_p, 10_000, RngStream(7))
+        reference = np.where(RngStream(7).generator.random(10_000) < 0.5, 1, -1)
+        np.testing.assert_array_equal(a_out, reference)
+        np.testing.assert_array_equal(b_out, -reference)
+        assert a_out.dtype == b_out.dtype == np.int8
+
 
 class TestSamplingContract:
     @pytest.mark.parametrize(
@@ -204,8 +211,8 @@ def per_sample_runs(model, a, b, n, rng):
         lams = dist.points[index]
     else:
         lams = dist.edges[index] + np.diff(dist.edges)[index] * gen.random(n)
-    p1 = model.outcome_prob_1(a, lams, +1)
-    p2 = model.outcome_prob_2(b, lams, +1)
+    p1 = model.outcome_prob(a, lams)
+    p2 = model.outcome_prob(b, lams)
     a_out = np.where(gen.random(n) < p1, 1, -1)
     b_out = np.where(gen.random(n) < p2, 1, -1)
     return lams, a_out, b_out
@@ -245,9 +252,16 @@ class TestPiecewiseRuns:
 
     def test_pieces_index_the_drawn_lambdas(self):
         dist = HallModel().lambda_distribution(0.0, PI / 8)
-        index, lams = dist.sample(1000, RngStream(2), with_pieces=True)
-        np.testing.assert_array_equal(lams, dist.sample(1000, RngStream(2)))
+        index, lams = dist.sample(1000, RngStream(2))
         assert np.all(dist.edges[index] <= lams) and np.all(lams < dist.edges[index + 1])
+        atoms = DeltaMixtureModel().lambda_distribution(0.0, PI / 8)
+        index, lams = atoms.sample(1000, RngStream(2))
+        np.testing.assert_array_equal(lams, atoms.points[index])
+
+    def test_local_baseline_lambdas_carry_no_pieces(self):
+        index, lams = LocalBaselineModel().sample_lambdas(0.0, PI / 8, 1000, RngStream(2))
+        assert index is None
+        assert lams.shape == (1000,) and np.all((0.0 <= lams) & (lams < PI))
 
 
 class TestExactLambdaSums:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy import integrate, stats
 
+from belllab import schulman
 from belllab.core import PI, HALF_PI, PolAngle, RngStream
 from belllab.qm import qm_joint
 from belllab.schulman import (
     AlignedPoleError,
+    BridgeSamplingError,
     FamilySumConfig,
     PathSpec,
-    PolarizationPath,
     ResolutionError,
     _conditional_step,
     dominant_kick_stats,
@@ -25,7 +26,6 @@ from belllab.schulman import (
     net_rotation_density,
     periodized_cauchy,
     periodized_cauchy_truncated,
-    sample_bridge,
     sample_bridges,
     sequential_outcome_probs,
     single_photon_outcome_prob,
@@ -85,6 +85,22 @@ class TestPeriodizedCauchy:
             net_rotation_density(0.001, 1e-4), rel=1e-6
         )
 
+    @pytest.mark.parametrize("gamma", [355.1, 356.0, 711.0, 1e4])
+    def test_flat_beyond_sinh_overflow(self, gamma):
+        x = np.linspace(-2.0, 2.0, 9)
+        np.testing.assert_array_equal(periodized_cauchy(x, gamma), 1.0 / PI)
+        assert periodized_cauchy(0.0, gamma) == 1.0 / PI
+
+    def test_finite_where_both_squares_underflow(self):
+        # near the peak: gamma / (pi (x^2 + gamma^2)) with x^2 and gamma^2 below 1e-323
+        assert periodized_cauchy(0.0, 1e-300) == pytest.approx(1.0 / (PI * 1e-300), rel=1e-12)
+        assert periodized_cauchy(1e-300, 1e-300) == pytest.approx(0.5 / (PI * 1e-300), rel=1e-12)
+        far = periodized_cauchy(1e-200, 1e-300)
+        assert far == pytest.approx(1e-100 / (PI * 1e-200), rel=1e-12)
+        got = periodized_cauchy(np.array([0.0, 1e-200, 0.3]), 1e-300)
+        assert np.all(np.isfinite(got))
+        assert got[2] == periodized_cauchy(0.3, 1e-300)
+
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             periodized_cauchy(0.0, 0.0)
@@ -105,14 +121,34 @@ class TestSinglePhoton:
 
     def test_truncated_route_agrees_with_closed_form(self):
         d = PI / 8
-        assert single_photon_outcome_prob(0.0, d, 1e-3, CFG) == pytest.approx(
-            single_photon_outcome_prob(0.0, d, 1e-3), rel=1e-9
+        w_plus = periodized_cauchy_truncated(d, 1e-3, CFG)
+        w_minus = periodized_cauchy_truncated(d + HALF_PI, 1e-3, CFG)
+        assert single_photon_outcome_prob(0.0, d, 1e-3) == pytest.approx(
+            w_plus / (w_plus + w_minus), rel=1e-9
         )
 
     def test_complementary_outcomes(self):
         p = single_photon_outcome_prob(0.0, 0.3, 1e-3)
         q = single_photon_outcome_prob(0.0, 0.3 + HALF_PI, 1e-3)
         assert p + q == pytest.approx(1.0)
+
+    @given(
+        st.floats(min_value=-300.0, max_value=4.0),
+        st.one_of(st.sampled_from([0.0, 1e-300, HALF_PI, -HALF_PI]),
+                  st.floats(min_value=-HALF_PI, max_value=HALF_PI)),
+    )
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_probability_at_any_width(self, log_gamma, d):
+        gamma = 10.0**log_gamma
+        p = single_photon_outcome_prob(0.0, d, gamma)
+        assert math.isfinite(p) and 0.0 <= p <= 1.0
+        if gamma >= 1.0:
+            # p - 1/2 ~ exp(-2 gamma) cos(2d): the kicks wash out the polarizer angle
+            assert abs(p - 0.5) <= 1.1 * math.exp(-2.0 * gamma) + 1e-15
+
+    def test_aligned_and_crossed_at_tiny_width(self):
+        assert single_photon_outcome_prob(0.0, 0.0, 1e-300) == 1.0
+        assert single_photon_outcome_prob(0.0, HALF_PI, 1e-300) == 0.0
 
     def test_rejects_negative_width(self):
         with pytest.raises(ValueError):
@@ -217,11 +253,27 @@ class TestBridges:
 
     def test_single_step_bridge(self):
         spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=1)
-        path = sample_bridge(spec, RngStream(5))
-        assert isinstance(path, PolarizationPath)
-        assert path.angles.shape == (2,)
-        assert path.increments.shape == (1,)
-        assert path.net_rotation == path.angles[1] - path.angles[0]
+        paths = sample_bridges(spec, 1, RngStream(5))
+        assert paths.shape == (1, 2)
+        rotations, _ = endpoint_targets(spec)
+        assert paths[0, 1] - paths[0, 0] in rotations
+
+    def test_stalled_step_reports_its_index(self, monkeypatch):
+        calls = []
+
+        def stall_on_third_step(residual, d1, d2, gen, max_rounds):
+            calls.append(max_rounds)
+            if len(calls) == 3:
+                raise BridgeSamplingError("stalled", -1, max_rounds)
+            return np.zeros_like(residual)
+
+        monkeypatch.setattr(schulman, "_conditional_step", stall_on_third_step)
+        with pytest.raises(BridgeSamplingError) as exc:
+            sample_bridges(self.spec, 200, RngStream(2))
+        assert exc.value.step == 2
+        # the retry budget of 10**6 proposals per step, over 200 paths
+        assert exc.value.attempts == calls[-1] == 5000
+        assert "step 2" in str(exc.value)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,21 @@ def parse_settings(text: str, count: int = 4) -> tuple[PolAngle, ...]:
     return tuple(parse_angle(p) for p in parts)
 
 
+def at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key=value document, one key per line, '#' comments allowed."""
     values: dict[str, str] = {}
@@ -239,8 +254,6 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_settings(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        raise UsageError("--grid must be >= 2")
     # no scan model reads the settings quadruple (the PR box is not scanned)
     model = None if args.model == "qm" else build_model(args.model, ())
     started = time.perf_counter()
@@ -293,6 +306,9 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     paths = sample_bridges(spec, args.samples, rng.substream(0))
     kicks = dominant_kick_stats(paths, spec.gamma)
+    # drop the paths before the free-kick draw, so peak memory is one path array
+    n_paths = paths.shape[0]
+    del paths
 
     sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
     ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
@@ -310,7 +326,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
         "config": _config_echo(
             args, ["gamma", "steps", "samples", "seed", "theta1", "theta2"]
         ),
-        "paths": int(paths.shape[0]),
+        "paths": n_paths,
         "excluded_paths": kicks.excluded_paths,
         # endpoint weight the sampler's winding cut-off leaves out
         "discarded_winding_mass": _discarded_winding_mass(spec, endpoint_targets(spec)[0]),
@@ -339,7 +355,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
 
 def cmd_mutual_info(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    estimate = mutual_information_hall(args.lambda_grid or 2048, args.settings_grid)
+    estimate = mutual_information_hall(args.lambda_grid, args.settings_grid)
     report = {
         "command": "mutual-info",
         "version": __version__,
@@ -425,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=model_choices("run-chsh"), required=True)
     p.add_argument("--settings", type=parse_settings, default=parse_settings("0,0.25pi,0.125pi,-0.125pi"),
                    help="a,a',b,b' (default: Tsirelson settings)")
-    p.add_argument("--samples", type=int, default=10**6, help="samples per correlator")
+    p.add_argument("--samples", type=at_least(1), default=10**6, help="samples per correlator")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="worker threads; does not affect results")
@@ -434,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-settings", help="model vs QM over a settings grid")
     p.add_argument("--model", choices=model_choices("scan-settings"), required=True)
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=at_least(2), default=16)
     common(p)
     p.set_defaults(func=cmd_scan_settings)
 
     p = sub.add_parser("schulman-paths", help="bridge-path ensemble statistics")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--samples", type=int, default=10**5, help="number of paths")
+    p.add_argument("--steps", type=at_least(1), default=100)
+    p.add_argument("--samples", type=at_least(1), default=10**5, help="number of paths")
     p.add_argument("--theta1", type=parse_angle, default=PolAngle(0.0))
     p.add_argument("--theta2", type=parse_angle, default=PolAngle(PI / 8))
     common(p)
@@ -455,15 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
         "its continuous-prior mutual information diverges logarithmically with bin "
         "resolution and cannot be compared to the Hall-model bound.",
     )
-    p.add_argument("--lambda-grid", type=int, default=None)
-    p.add_argument("--settings-grid", type=int, default=64)
+    p.add_argument("--lambda-grid", type=at_least(512), default=2048)
+    p.add_argument("--settings-grid", type=at_least(64), default=64)
     common(p)
     p.set_defaults(func=cmd_mutual_info)
 
     p = sub.add_parser("two-photon", help="two-photon Levy-flight joint distribution")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--pair", default="0,0.125pi", help="a,b settings")
-    p.add_argument("--lambda-grid", type=int, default=None)
+    p.add_argument("--lambda-grid", type=at_least(64), default=None)
     common(p)
     p.set_defaults(func=cmd_two_photon)
 

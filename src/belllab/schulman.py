@@ -34,6 +34,11 @@ DOMINANCE_FLOOR = 1e-3
 #: describe the sampled paths.
 N_WINDINGS = 200
 
+#: Rows per block in which `sample_bridges`, `dominant_kick_stats` and
+#: `free_kick_sums` process their (n, steps) arrays.  Every row sees the
+#: same arithmetic in any block, so results do not depend on it.
+ROW_BLOCK = 4096
+
 
 class AlignedPoleError(ZeroDivisionError):
     """Family sum requested exactly at its pole (aligned boundary angles)."""
@@ -395,6 +400,10 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     Cauchy width.  The endpoint constraint is satisfied bit-exactly.  Each
     step may take max(64, 10**6 // n_paths) proposal rounds before it raises
     `BridgeSamplingError`.
+
+    The increments are written into the returned array and summed there in
+    place, ROW_BLOCK rows at a time, so the sampler holds one
+    (n_paths, steps + 1) array; the paths do not depend on ROW_BLOCK.
     """
     gen = rng.generator
     rotations, weights = endpoint_targets(spec)
@@ -402,7 +411,7 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
 
     steps = spec.steps
     d_step = spec.step_width
-    increments = np.empty((n_paths, steps))
+    paths = np.empty((n_paths, steps + 1))
     residual = targets.copy()
     retry_budget = 10**6
     max_rounds = max(64, retry_budget // max(1, n_paths))
@@ -412,16 +421,19 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
             eps = _conditional_step(residual, d_step, remaining_width, gen, max_rounds)
         except BridgeSamplingError as exc:
             raise BridgeSamplingError(str(exc), i, exc.attempts) from None
-        increments[:, i] = eps
+        paths[:, i + 1] = eps
         residual -= eps
-    increments[:, steps - 1] = residual
+    paths[:, steps] = residual
 
-    paths = np.empty((n_paths, steps + 1))
-    paths[:, 0] = float(spec.theta1)
-    np.cumsum(increments, axis=1, out=paths[:, 1:])
-    paths[:, 1:] += float(spec.theta1)
+    theta1 = float(spec.theta1)
+    # cumsum adds along each row in order, so row blocks change no bit
+    for start in range(0, n_paths, ROW_BLOCK):
+        block = paths[start : start + ROW_BLOCK, 1:]
+        block[...] = np.cumsum(block, axis=1)
+        block += theta1
+    paths[:, 0] = theta1
     # enforce the endpoint constraint exactly against cumulative rounding
-    paths[:, -1] = float(spec.theta1) + targets
+    paths[:, -1] = theta1 + targets
     return paths
 
 
@@ -429,10 +441,18 @@ def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarr
     """Unconditioned sums of `steps` iid Cauchy(gamma/steps) kicks.
 
     By Cauchy stability these are distributed as Cauchy(gamma); used as
-    the stability check against net_rotation_density.
+    the stability check against net_rotation_density.  The kicks are drawn
+    ROW_BLOCK rows at a time, in the stream order of one (n, steps) draw, so
+    at most a (ROW_BLOCK, steps) array is held and the sums do not depend
+    on ROW_BLOCK.
     """
-    kicks = (gamma / steps) * rng.generator.standard_cauchy((n, steps))
-    return kicks.sum(axis=1)
+    gen = rng.generator
+    out = np.empty(n)
+    for start in range(0, n, ROW_BLOCK):
+        rows = min(ROW_BLOCK, n - start)
+        kicks = (gamma / steps) * gen.standard_cauchy((rows, steps))
+        out[start : start + rows] = kicks.sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -454,18 +474,27 @@ def dominant_kick_stats(paths: np.ndarray, gamma: float) -> KickStats:
 
     Paths with total absolute increment below DOMINANCE_FLOOR * gamma have
     no collapse kick (aligned boundaries) and are excluded from ratios.
+    Increments are taken ROW_BLOCK rows at a time, so beside `paths` only
+    (ROW_BLOCK, steps) temporaries are held; each row is reduced as one
+    contiguous row, so the statistics do not depend on ROW_BLOCK.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
-    if paths.shape[0] == 0:
+    n = paths.shape[0]
+    if n == 0:
         raise ValueError("empty path collection")
-    inc = np.diff(paths, axis=1)
-    abs_inc = np.abs(inc, out=inc)
-    largest = abs_inc.max(axis=1)
-    total = abs_inc.sum(axis=1)
+    largest = np.empty(n)
+    total = np.empty(n)
+    argmax = np.empty(n, dtype=np.intp)
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        inc = np.diff(paths[rows], axis=1)
+        abs_inc = np.abs(inc, out=inc)
+        largest[rows] = abs_inc.max(axis=1)
+        total[rows] = abs_inc.sum(axis=1)
+        argmax[rows] = abs_inc.argmax(axis=1)
     net = np.abs(paths[:, -1] - paths[:, 0])
     defined = total >= DOMINANCE_FLOOR * gamma
-    argmax = abs_inc.argmax(axis=1)
-    hist = np.bincount(argmax[defined], minlength=inc.shape[1])
+    hist = np.bincount(argmax[defined], minlength=paths.shape[1] - 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         net_dom = largest[defined] / net[defined]
     return KickStats(

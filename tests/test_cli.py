@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,23 @@ class TestSubcommands:
         mass = json.loads(out.read_text())["discarded_winding_mass"]
         assert 9.8e-4 < mass < 1.06e-3
 
+    def test_schulman_paths_holds_one_path_array(self, tmp_path):
+        argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--steps", "10", "--samples", "100"]) == 0  # imports and caches
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--steps", "100", "--samples", "50000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # row-block temporaries are a larger share of fewer paths: keep 50000
+        assert peak < 1.5 * 50_000 * 101 * 8
+
+    def test_mutual_info_echoes_its_default_grid(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["mutual-info", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["lambda_grid"] == 2048
+
     def test_mutual_info_hall(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["mutual-info", "--lambda-grid", "1024",
@@ -281,6 +299,21 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["schulman-paths", "--gamma", "1e-3", "--samples", "0"],
+        ["schulman-paths", "--gamma", "1e-3", "--steps", "0"],
+        ["run-chsh", "--model", "hall", "--samples", "0"],
+        ["scan-settings", "--model", "hall", "--grid", "1"],
+        ["mutual-info", "--settings-grid", "32"],
+        ["mutual-info", "--lambda-grid", "100"],
+        ["two-photon", "--gamma", "1e-3", "--lambda-grid", "10"],
+    ])
+    def test_values_below_the_minimum_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
 
     def test_schulman_models_require_gamma(self):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2

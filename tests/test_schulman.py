@@ -353,6 +353,63 @@ class TestConditionalStep:
         assert abs(gen.proposals / n - 1.0 / p) < 5 * se
 
 
+class TestRowBlocks:
+    """Row-blocked results equal the one-shot whole-array arithmetic, bit for bit."""
+
+    n = schulman.ROW_BLOCK + 3
+    spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=6)
+
+    def test_bridges_are_the_cumulative_increments(self, monkeypatch):
+        kick_gen = RngStream(12).generator
+        residuals, kicks = [], []
+
+        def fixed_step(residual, d1, d2, gen, max_rounds):
+            residuals.append(residual.copy())
+            kicks.append(1e-3 * kick_gen.standard_cauchy(residual.size))
+            return kicks[-1]
+
+        monkeypatch.setattr(schulman, "_conditional_step", fixed_step)
+        paths = sample_bridges(self.spec, self.n, RngStream(13))
+        targets = residuals[0]
+        increments = np.column_stack([*kicks, residuals[-1] - kicks[-1]])
+        theta1 = float(self.spec.theta1)
+        expected = np.empty((self.n, self.spec.steps + 1))
+        expected[:, 0] = theta1
+        expected[:, 1:] = theta1 + np.cumsum(increments, axis=1)
+        expected[:, -1] = theta1 + targets
+        assert paths.tobytes() == expected.tobytes()
+
+    def test_kick_stats_match_the_whole_array_formula(self):
+        paths = sample_bridges(self.spec, self.n, RngStream(14))
+        paths[-2:] = 0.3  # two flat paths in the last, partial block are excluded
+        gamma = self.spec.gamma
+        abs_inc = np.abs(np.diff(paths, axis=1))
+        largest = abs_inc.max(axis=1)
+        total = abs_inc.sum(axis=1)
+        net = np.abs(paths[:, -1] - paths[:, 0])
+        defined = total >= schulman.DOMINANCE_FLOOR * gamma
+        expected = {
+            "kick_time_histogram": np.bincount(
+                abs_inc.argmax(axis=1)[defined], minlength=abs_inc.shape[1]
+            ),
+            "dominance_fraction": largest[defined] / total[defined],
+            "net_dominance": largest[defined] / net[defined],
+        }
+        got = dominant_kick_stats(paths, gamma)
+        assert got.excluded_paths == int(np.sum(~defined)) == 2
+        for name, want in expected.items():
+            have = getattr(got, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+
+    def test_free_kick_sums_match_one_draw(self):
+        gamma, steps = 1e-3, 6
+        sums = free_kick_sums(gamma, steps, self.n, RngStream(15).substream(1))
+        kicks = (gamma / steps) * RngStream(15).substream(1).generator.standard_cauchy(
+            (self.n, steps)
+        )
+        assert sums.tobytes() == kicks.sum(axis=1).tobytes()
+
+
 class TestKickStatistics:
     def test_cauchy_stability(self):
         sums = free_kick_sums(1e-3, 100, 50_000, RngStream(6))

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import stats
@@ -304,13 +305,18 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
     )
     rng = RngStream(args.seed)
     started = time.perf_counter()
-    paths = sample_bridges(spec, args.samples, rng.substream(0))
-    kicks = dominant_kick_stats(paths, spec.gamma)
-    # drop the paths before the free-kick draw, so peak memory is one path array
-    n_paths = paths.shape[0]
-    del paths
+    # the stability sample is drawn on one helper thread while the bridges are
+    # sampled; it has its own substream, so reports do not depend on the timing
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending_sums = pool.submit(
+            free_kick_sums, spec.gamma, spec.steps, args.samples, rng.substream(1)
+        )
+        paths = sample_bridges(spec, args.samples, rng.substream(0))
+        kicks = dominant_kick_stats(paths, spec.gamma)
+        n_paths = paths.shape[0]
+        del paths  # peak memory stays one path array
+        sums = pending_sums.result()
 
-    sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
     ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
 
     hist = kicks.kick_time_histogram
@@ -443,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,a',b,b' (default: Tsirelson settings)")
     p.add_argument("--samples", type=at_least(1), default=10**6, help="samples per correlator")
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=at_least(1), default=1,
                    help="worker threads; does not affect results")
     common(p)
     p.set_defaults(func=cmd_run_chsh)

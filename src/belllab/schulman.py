@@ -442,16 +442,17 @@ def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarr
 
     By Cauchy stability these are distributed as Cauchy(gamma); used as
     the stability check against net_rotation_density.  The kicks are drawn
-    ROW_BLOCK rows at a time, in the stream order of one (n, steps) draw, so
-    at most a (ROW_BLOCK, steps) array is held and the sums do not depend
-    on ROW_BLOCK.
+    ROW_BLOCK rows at a time, in the stream order of one (n, steps) draw, and
+    scaled and summed in place, so at most one (ROW_BLOCK, steps) array is
+    held and the sums do not depend on ROW_BLOCK.
     """
     gen = rng.generator
     out = np.empty(n)
     for start in range(0, n, ROW_BLOCK):
         rows = min(ROW_BLOCK, n - start)
-        kicks = (gamma / steps) * gen.standard_cauchy((rows, steps))
-        out[start : start + rows] = kicks.sum(axis=1)
+        kicks = gen.standard_cauchy((rows, steps))
+        kicks *= gamma / steps
+        kicks.sum(axis=1, out=out[start : start + rows])
     return out
 
 

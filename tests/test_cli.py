@@ -3,7 +3,9 @@
 import argparse
 import json
 import math
+import threading
 import tracemalloc
+from concurrent.futures import Executor, Future
 
 import pytest
 
@@ -202,6 +204,37 @@ class TestSubcommands:
         # row-block temporaries are a larger share of fewer paths: keep 50000
         assert peak < 1.5 * 50_000 * 101 * 8
 
+    def test_schulman_paths_draws_free_kicks_on_a_helper_thread(self, tmp_path, monkeypatch):
+        draws = []
+
+        def recording(*args):
+            draws.append(threading.current_thread())
+            return schulman.free_kick_sums(*args)
+
+        class SerialPool(Executor):
+            """Runs each submitted call at once, in the caller's thread."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "free_kick_sums", recording)
+        # more than one row block of paths and of free kicks
+        argv = ["schulman-paths", "--gamma", "1e-3", "--steps", "20",
+                "--samples", "5000", "--seed", "3"]
+        overlapped = tmp_path / "overlapped.json"
+        assert main([*argv, "--out", str(overlapped)]) == 0
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        serial = tmp_path / "serial.json"
+        assert main([*argv, "--out", str(serial)]) == 0
+        assert draws[0] is not threading.main_thread()
+        assert draws[1] is threading.main_thread()
+        assert overlapped.read_bytes() == serial.read_bytes()
+
     def test_mutual_info_echoes_its_default_grid(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["mutual-info", "--out", str(out)]) == 0
@@ -304,6 +337,8 @@ class TestExitCodes:
         ["schulman-paths", "--gamma", "1e-3", "--samples", "0"],
         ["schulman-paths", "--gamma", "1e-3", "--steps", "0"],
         ["run-chsh", "--model", "hall", "--samples", "0"],
+        ["run-chsh", "--model", "hall", "--workers", "0"],
+        ["run-chsh", "--model", "hall", "--workers", "-3"],
         ["scan-settings", "--model", "hall", "--grid", "1"],
         ["mutual-info", "--settings-grid", "32"],
         ["mutual-info", "--lambda-grid", "100"],
@@ -337,6 +372,18 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "numerical failure" in err and "step 0" in err
+
+    def test_bridge_failure_leaves_no_helper_thread(self, capsys, monkeypatch):
+        def fail(spec, n_paths, rng):
+            raise BridgeSamplingError("conditional increment sampling stalled", 3, 10**6)
+
+        monkeypatch.setattr(cli, "sample_bridges", fail)
+        threads_before = threading.active_count()
+        code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "10",
+                     "--samples", "100", "--seed", "1"])
+        assert code == 1
+        assert "numerical failure" in capsys.readouterr().err
+        assert threading.active_count() == threads_before
 
     def test_two_photon_resolution_failure(self, capsys):
         code = main(["two-photon", "--gamma", "0.001", "--lambda-grid", "100"])

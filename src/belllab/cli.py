@@ -32,6 +32,7 @@ from . import __version__
 from .core import PI, PolAngle, RngStream
 from .estimator import (
     chsh_pvalue_log10,
+    chsh_value,
     estimate_correlator,
     lambda_independence_residual,
     mutual_information_hall,
@@ -43,7 +44,6 @@ from .qm import qm_correlator, qm_joint
 from .schulman import (
     BridgeSamplingError,
     PathSpec,
-    ResolutionError,
     _discarded_winding_mass,
     dominant_kick_stats,
     endpoint_targets,
@@ -114,6 +114,17 @@ def at_least(minimum: int):
     return parse
 
 
+def positive(text: str) -> float:
+    """argparse type: a finite float > 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key=value document, one key per line, '#' comments allowed."""
     values: dict[str, str] = {}
@@ -176,51 +187,35 @@ def write_report(report: dict, out: str | None, fmt: str) -> None:
 
 
 def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
-    echo = {}
-    for key in keys:
-        value = getattr(args, key)
-        if isinstance(value, tuple):
-            value = [float(v) for v in value]
-        echo[key] = value
-    return echo
+    return {key: getattr(args, key) for key in keys}
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (report body from "config" on, stdout summary);
+# `main` adds the header, writes the report and prints the summary's time.
 # ---------------------------------------------------------------------------
 
 
-def cmd_run_chsh(args: argparse.Namespace) -> int:
+def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
     settings = args.settings
-    rng = RngStream(args.seed)
-    started = time.perf_counter()
 
     if args.model == "schulman-2":
-        if args.gamma is None or args.gamma <= 0:
-            raise UsageError("--gamma > 0 is required for schulman-2")
+        if args.gamma is None:
+            raise UsageError("--gamma is required for schulman-2")
         a, a_p, b, b_p = settings
-        correlators = [
+        values = [
             two_photon_outcome_joint(x, y, args.gamma).correlator()
             for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))
         ]
-        s = abs(correlators[0] + correlators[1] + correlators[2] - correlators[3])
-        report = {
-            "command": "run-chsh",
-            "version": __version__,
-            "config": _config_echo(args, ["model", "gamma"]),
-            "settings": [float(v) for v in settings],
-            "correlators": [
-                {"value": c, "standard_error": 0.0, "samples": 0} for c in correlators
-            ],
-            "s_value": s,
-            "s_standard_error": 0.0,
-            "log10_pvalue_bound": None,
-            "residuals": None,
-        }
+        config = ["model", "gamma"]
+        correlators = [(c, 0.0, 0) for c in values]
+        s_value, s_error = chsh_value(*values), 0.0
+        pvalue, residuals = None, None
     else:
+        rng = RngStream(args.seed)
         model = build_model(args.model, settings)
         chsh = run_chsh_experiment(model, settings, args.samples, rng, workers=args.workers)
-        residuals: dict[str, float] = {
+        residuals = {
             "screening": screening_residual(
                 model, settings[0], settings[2], min(args.samples, 200_000),
                 lambda_bins=64, rng=rng.substream(100),
@@ -230,44 +225,36 @@ def cmd_run_chsh(args: argparse.Namespace) -> int:
             residuals["lambda_independence"] = lambda_independence_residual(
                 model, (settings[0], settings[2]), (settings[1], settings[3])
             )
-        report = {
-            "command": "run-chsh",
-            "version": __version__,
-            "config": _config_echo(args, ["model", "samples", "seed"]),
-            "settings": [float(v) for v in settings],
-            "correlators": [
-                {"value": e.value, "standard_error": e.standard_error, "samples": e.sample_count}
-                for e in chsh.correlators
-            ],
-            "s_value": chsh.s_value,
-            "s_standard_error": chsh.s_standard_error,
-            "log10_pvalue_bound": chsh_pvalue_log10(min(chsh.s_value, 4.0), args.samples),
-            "residuals": residuals,
-        }
+        config = ["model", "samples", "seed"]
+        correlators = [(e.value, e.standard_error, e.sample_count) for e in chsh.correlators]
+        s_value, s_error = chsh.s_value, chsh.s_standard_error
+        pvalue = chsh_pvalue_log10(min(s_value, 4.0), args.samples)
 
-    elapsed = time.perf_counter() - started
-    write_report(report, args.out, args.format)
-    print(
-        f"run-chsh model={args.model} S={report['s_value']:.6f} "
-        f"(+- {report['s_standard_error']:.6f}), {elapsed:.2f}s"
-    )
-    return 0
+    body = {
+        "config": _config_echo(args, config),
+        "settings": [float(v) for v in settings],
+        "correlators": [
+            {"value": value, "standard_error": error, "samples": samples}
+            for value, error, samples in correlators
+        ],
+        "s_value": s_value,
+        "s_standard_error": s_error,
+        "log10_pvalue_bound": pvalue,
+        "residuals": residuals,
+    }
+    return body, f"run-chsh model={args.model} S={s_value:.6f} (+- {s_error:.6f})"
 
 
-def cmd_scan_settings(args: argparse.Namespace) -> int:
+def cmd_scan_settings(args: argparse.Namespace) -> tuple[dict, str]:
     # no scan model reads the settings quadruple (the PR box is not scanned)
     model = None if args.model == "qm" else build_model(args.model, ())
-    started = time.perf_counter()
     angles = [PolAngle(i * PI / args.grid) for i in range(args.grid)]
     rows = []
     worst = 0.0
     for a in angles:
         for b in angles:
             ref = qm_joint(a, b)
-            if model is None:
-                got = ref
-            else:
-                got = model.joint_dist(a, b)
+            got = ref if model is None else model.joint_dist(a, b)
             diff = got.max_abs_diff(ref)
             worst = max(worst, diff)
             rows.append(
@@ -283,28 +270,19 @@ def cmd_scan_settings(args: argparse.Namespace) -> int:
                     "max_abs_diff_vs_qm": diff,
                 }
             )
-    report = {
-        "command": "scan-settings",
-        "version": __version__,
+    body = {
         "config": _config_echo(args, ["model", "grid"]),
         "max_abs_diff_vs_qm": worst,
         "table": rows,
     }
-    elapsed = time.perf_counter() - started
-    write_report(report, args.out, args.format)
-    print(f"scan-settings model={args.model} grid={args.grid} "
-          f"max|diff|={worst:.3e}, {elapsed:.2f}s")
-    return 0
+    return body, f"scan-settings model={args.model} grid={args.grid} max|diff|={worst:.3e}"
 
 
-def cmd_schulman_paths(args: argparse.Namespace) -> int:
-    if args.gamma is None or args.gamma <= 0:
-        raise UsageError("--gamma > 0 is required for schulman-paths")
+def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     spec = PathSpec(
         theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
     )
     rng = RngStream(args.seed)
-    started = time.perf_counter()
     # the stability sample is drawn on one helper thread while the bridges are
     # sampled; it has its own substream, so reports do not depend on the timing
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -321,14 +299,11 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
 
     hist = kicks.kick_time_histogram
     if spec.steps > 1 and hist.sum() > 0:
-        chi2 = stats.chisquare(hist)
-        chi2_p = float(chi2.pvalue)
+        chi2_p = float(stats.chisquare(hist).pvalue)
     else:
         chi2_p = 1.0
     net_dom = kicks.net_dominance
-    report = {
-        "command": "schulman-paths",
-        "version": __version__,
+    body = {
         "config": _config_echo(
             args, ["gamma", "steps", "samples", "seed", "theta1", "theta2"]
         ),
@@ -350,21 +325,15 @@ def cmd_schulman_paths(args: argparse.Namespace) -> int:
         if kicks.dominance_fraction.size
         else None,
     }
-    elapsed = time.perf_counter() - started
-    write_report(report, args.out, args.format)
-    print(
+    return body, (
         f"schulman-paths gamma={args.gamma} steps={args.steps} paths={args.samples} "
-        f"KS p={ks.pvalue:.3f} chi2 p={chi2_p:.3f}, {elapsed:.2f}s"
+        f"KS p={ks.pvalue:.3f} chi2 p={chi2_p:.3f}"
     )
-    return 0
 
 
-def cmd_mutual_info(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_mutual_info(args: argparse.Namespace) -> tuple[dict, str]:
     estimate = mutual_information_hall(args.lambda_grid, args.settings_grid)
-    report = {
-        "command": "mutual-info",
-        "version": __version__,
+    body = {
         # "model" stays the first key, so the CSV rows keep their order
         "config": {"model": "hall", **_config_echo(args, ["lambda_grid", "settings_grid"])},
         "bits": estimate.bits,
@@ -374,27 +343,18 @@ def cmd_mutual_info(args: argparse.Namespace) -> int:
             "abs_change": abs(estimate.halved_grid_bits - estimate.bits),
         },
     }
-    elapsed = time.perf_counter() - started
-    write_report(report, args.out, args.format)
-    print(f"mutual-info bits={estimate.bits:.6f} (< 0.07: {estimate.bits < 0.07}), "
-          f"{elapsed:.2f}s")
-    return 0
+    return body, f"mutual-info bits={estimate.bits:.6f} (< 0.07: {estimate.bits < 0.07})"
 
 
-def cmd_two_photon(args: argparse.Namespace) -> int:
-    if args.gamma is None or args.gamma <= 0:
-        raise UsageError("--gamma > 0 is required for two-photon")
+def cmd_two_photon(args: argparse.Namespace) -> tuple[dict, str]:
     a, b = parse_settings(args.pair, count=2)
     # 8 grid points per gamma width, and no fewer than two_photon_joint accepts
-    grid = args.lambda_grid or max(64, math.ceil(8 * PI / args.gamma))
-    started = time.perf_counter()
+    grid = max(64, math.ceil(8 * PI / args.gamma))
     result = two_photon_joint(a, b, args.gamma, grid)
-    ref = qm_joint(a, b)
     windows = result.atom_window_masses(3.0 * args.gamma)
     total_window = sum(windows.values())
-    report = {
-        "command": "two-photon",
-        "version": __version__,
+    diff = result.joint.max_abs_diff(qm_joint(a, b))
+    body = {
         "config": _config_echo(args, ["gamma", "pair"]),
         "lambda_grid": grid,
         "joint": {
@@ -404,7 +364,7 @@ def cmd_two_photon(args: argparse.Namespace) -> int:
             "p_mm": result.joint.p_mm,
         },
         "correlator": result.joint.correlator(),
-        "max_abs_diff_vs_qm": result.joint.max_abs_diff(ref),
+        "max_abs_diff_vs_qm": diff,
         "atom_windows": {
             fmt_float(atom): {
                 "mass": mass,
@@ -413,13 +373,7 @@ def cmd_two_photon(args: argparse.Namespace) -> int:
             for atom, mass in windows.items()
         },
     }
-    elapsed = time.perf_counter() - started
-    write_report(report, args.out, args.format)
-    print(
-        f"two-photon gamma={args.gamma} max|diff vs QM|="
-        f"{report['max_abs_diff_vs_qm']:.3e}, {elapsed:.2f}s"
-    )
-    return 0
+    return body, f"two-photon gamma={args.gamma} max|diff vs QM|={diff:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", type=parse_settings, default=parse_settings("0,0.25pi,0.125pi,-0.125pi"),
                    help="a,a',b,b' (default: Tsirelson settings)")
     p.add_argument("--samples", type=at_least(1), default=10**6, help="samples per correlator")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=positive, default=None)
     p.add_argument("--workers", type=at_least(1), default=1,
                    help="worker threads; does not affect results")
     common(p)
@@ -461,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_settings)
 
     p = sub.add_parser("schulman-paths", help="bridge-path ensemble statistics")
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=positive, required=True)
     p.add_argument("--steps", type=at_least(1), default=100)
     p.add_argument("--samples", type=at_least(1), default=10**5, help="number of paths")
     p.add_argument("--theta1", type=parse_angle, default=PolAngle(0.0))
@@ -483,9 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mutual_info)
 
     p = sub.add_parser("two-photon", help="two-photon Levy-flight joint distribution")
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=positive, required=True)
     p.add_argument("--pair", default="0,0.125pi", help="a,b settings")
-    p.add_argument("--lambda-grid", type=at_least(64), default=None)
     common(p)
     p.set_defaults(func=cmd_two_photon)
 
@@ -521,15 +474,21 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(apply_config_file(argv))
-        if getattr(args, "seed", None) is None:
+        if args.seed is None:
             args.seed = default_seed()
-        return args.func(args)
+        started = time.perf_counter()
+        body, summary = args.func(args)
+        elapsed = time.perf_counter() - started
+        write_report({"command": args.command, "version": __version__, **body},
+                     args.out, args.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResolutionError, BridgeSamplingError) as exc:
+    except BridgeSamplingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    print(f"{summary}, {elapsed:.2f}s")
+    return 0
 
 
 if __name__ == "__main__":

@@ -301,10 +301,11 @@ def two_photon_joint(
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     spacing = PI / grid_size
-    if gamma / spacing < 8.0:
+    needed = math.ceil(8 * PI / gamma)
+    if grid_size < needed:
         raise ResolutionError(
             f"grid spacing {spacing:.3e} too coarse for gamma {gamma:.3e}; "
-            f"need at least 8 grid points per gamma width ({math.ceil(8 * PI / gamma)} total)"
+            f"need at least 8 grid points per gamma width ({needed} total)"
         )
     a = PolAngle(a)
     b = PolAngle(b)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import threading
 import tracemalloc
 from concurrent.futures import Executor, Future
@@ -281,6 +282,70 @@ class TestSubcommands:
         shares = [w["share_of_windows"] for w in report["atom_windows"].values()]
         assert shares == pytest.approx([0.25] * 4, abs=0.01)
 
+    def test_two_photon_grid_passes_its_own_resolution_check(self, tmp_path):
+        # gamma / (pi / 211) rounds to 7.999999999999999 at this gamma
+        out = tmp_path / "r.json"
+        assert main(["two-photon", "--gamma", "0.11911251767165092", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["lambda_grid"] == 211
+
+
+#: One small invocation of each subcommand.
+SMALL_RUNS = [
+    ["run-chsh", "--model", "hall", "--samples", "2000"],
+    ["scan-settings", "--model", "hall", "--grid", "2"],
+    ["schulman-paths", "--gamma", "1e-3", "--steps", "5", "--samples", "50"],
+    ["mutual-info", "--lambda-grid", "512", "--settings-grid", "64"],
+    ["two-photon", "--gamma", "1e-2"],
+]
+
+
+class TestReportPath:
+    """`main` writes every subcommand's report, once, with the same header."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        calls = []
+        write = cli.write_report
+
+        def counting(report, out, fmt):
+            calls.append(report["command"])
+            write(report, out, fmt)
+
+        monkeypatch.setattr(cli, "write_report", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_csv_rows_start_with_the_header(self, argv, tmp_path, writes):
+        out = tmp_path / "r.csv"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+        keys = [line.split(",", 1)[0] for line in out.read_text().splitlines()[1:]]
+        assert keys[:2] == ["command", "version"]
+        assert keys[2].startswith("config.")
+        assert writes == [argv[0]]
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_json_names_the_subcommand_and_stdout_ends_in_the_time(
+        self, argv, tmp_path, writes, capsys
+    ):
+        out = tmp_path / "r.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["command"] == argv[0]
+        assert report["version"] == cli.__version__
+        line = capsys.readouterr().out
+        assert line.startswith(argv[0] + " ")
+        assert re.search(r", \d+\.\d\ds\n\Z", line)
+        assert writes == [argv[0]]
+
+    def test_no_report_is_written_on_failure(self, writes, monkeypatch):
+        def fail(spec, n_paths, rng):
+            raise BridgeSamplingError("conditional increment sampling stalled", 3, 10**6)
+
+        monkeypatch.setattr(cli, "sample_bridges", fail)
+        assert main(SMALL_RUNS[2]) == 1
+        assert main(["run-chsh", "--model", "schulman-2"]) == 2
+        assert writes == []
+
 
 class TestParser:
     def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
@@ -326,6 +391,7 @@ class TestExitCodes:
         ["scan-settings", "--model", "hall", "--workers", "2"],
         ["scan-settings", "--model", "hall", "--settings", "0,1,2,3"],
         ["two-photon", "--gamma", "1e-3", "--workers", "2"],
+        ["two-photon", "--gamma", "1e-3", "--lambda-grid", "64"],
     ])
     def test_options_no_subcommand_reads_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -342,7 +408,6 @@ class TestExitCodes:
         ["scan-settings", "--model", "hall", "--grid", "1"],
         ["mutual-info", "--settings-grid", "32"],
         ["mutual-info", "--lambda-grid", "100"],
-        ["two-photon", "--gamma", "1e-3", "--lambda-grid", "10"],
     ])
     def test_values_below_the_minimum_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -350,9 +415,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be >=" in capsys.readouterr().err
 
-    def test_schulman_models_require_gamma(self):
+    def test_schulman_models_require_gamma(self, capsys):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2
-        assert main(["run-chsh", "--model", "schulman-2", "--gamma", "0"]) == 2
+        assert "--gamma is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run-chsh", "--model", "schulman-2", "--gamma", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["run-chsh", "--model", "schulman-2"],
+        ["schulman-paths", "--steps", "5", "--samples", "10"],
+        ["two-photon"],
+    ], ids=lambda argv: argv[0])
+    def test_gamma_must_be_finite_and_positive(self, argv, gamma, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--gamma={gamma}"])
+        assert exc.value.code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
 
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size
@@ -384,8 +464,3 @@ class TestExitCodes:
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err
         assert threading.active_count() == threads_before
-
-    def test_two_photon_resolution_failure(self, capsys):
-        code = main(["two-photon", "--gamma", "0.001", "--lambda-grid", "100"])
-        assert code == 1
-        assert "grid" in capsys.readouterr().err

@@ -216,6 +216,15 @@ class TestTwoPhoton:
         with pytest.raises(ValueError):
             two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 0.0, 1000)
 
+    @pytest.mark.parametrize("n", [131, 211, 290, 522])
+    def test_grid_of_ceil_8pi_over_gamma_is_fine_enough(self, n):
+        # one ulp below 8 pi / n, gamma / (pi / n) rounds to just under 8
+        gamma = math.nextafter(8 * PI / n, 0.0)
+        assert math.ceil(8 * PI / gamma) == n
+        assert two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma, n).lam.size == n
+        with pytest.raises(ResolutionError, match=f"\\({n} total\\)"):
+            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma, n - 1)
+
 
 class TestBridges:
     spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=50)

@@ -27,7 +27,7 @@ for gamma in (0.1, 0.01, 1e-3, 1e-4, 1e-6):
 print()
 
 gamma = 1e-4
-res = bl.two_photon_joint(a, b, gamma, int(math.ceil(8 * math.pi / gamma)))
+res = bl.two_photon_joint(a, b, gamma)
 windows = res.atom_window_masses(3 * gamma)
 total = sum(windows.values())
 print(f"Posterior over the shared initial angle (gamma = {gamma:g}),")

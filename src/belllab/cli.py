@@ -20,7 +20,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,21 +38,18 @@ from .estimator import (
     run_chsh_experiment,
     screening_residual,
 )
-from .models import DeltaMixtureModel, HallModel, LocalBaselineModel, PRBoxModel
+from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
 from .qm import qm_correlator, qm_joint
 from .schulman import (
     BridgeSamplingError,
     PathSpec,
-    _discarded_winding_mass,
+    discarded_winding_mass,
     dominant_kick_stats,
-    endpoint_targets,
     free_kick_sums,
     sample_bridges,
     two_photon_joint,
     two_photon_outcome_joint,
 )
-
-DEFAULT_SEED_ENV = "BELLLAB_DEFAULT_SEED"
 
 #: Model id -> (builder from the settings quadruple, or None where the
 #: subcommand computes the model itself; subcommands accepting the id).
@@ -80,16 +76,19 @@ class UsageError(ValueError):
 
 
 def parse_angle(text: str) -> PolAngle:
-    """Angles in radians ("0.3927") or multiples of pi ("0.125pi", "-0.5pi")."""
+    """Finite angles in radians ("0.3927") or multiples of pi ("0.125pi", "-0.5pi")."""
     text = text.strip().lower()
     try:
         if text.endswith("pi"):
             head = text[:-2]
-            factor = 1.0 if head in ("", "+") else -1.0 if head == "-" else float(head)
-            return PolAngle(factor * PI)
-        return PolAngle(float(text))
+            value = (1.0 if head in ("", "+") else -1.0 if head == "-" else float(head)) * PI
+        else:
+            value = float(text)
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"angle must be finite, got {text!r}")
+    return PolAngle(value)
 
 
 def parse_settings(text: str, count: int = 4) -> tuple[PolAngle, ...]:
@@ -125,31 +124,6 @@ def positive(text: str) -> float:
     return value
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value document, one key per line, '#' comments allowed."""
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def default_seed() -> int:
-    raw = os.environ.get(DEFAULT_SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}") from None
-
-
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -170,15 +144,13 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
 def write_report(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+    else:  # argparse's choices leave only "csv"
         rows: list[tuple[str, str]] = []
         _flatten("", report, rows)
         lines = ["key,value"]
         for key, value in rows:
             lines.append(f"{key},{value}")
         text = "\n".join(lines) + "\n"
-    else:
-        raise UsageError(f"unknown output format {fmt!r}")
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -221,7 +193,7 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
                 lambda_bins=64, rng=rng.substream(100),
             ).value
         }
-        if getattr(model, "exposes_lambda", False):
+        if isinstance(model, HiddenVariableModel):
             residuals["lambda_independence"] = lambda_independence_residual(
                 model, (settings[0], settings[2]), (settings[1], settings[3])
             )
@@ -310,7 +282,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "paths": n_paths,
         "excluded_paths": kicks.excluded_paths,
         # endpoint weight the sampler's winding cut-off leaves out
-        "discarded_winding_mass": _discarded_winding_mass(spec, endpoint_targets(spec)[0]),
+        "discarded_winding_mass": discarded_winding_mass(spec),
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),
@@ -348,15 +320,13 @@ def cmd_mutual_info(args: argparse.Namespace) -> tuple[dict, str]:
 
 def cmd_two_photon(args: argparse.Namespace) -> tuple[dict, str]:
     a, b = parse_settings(args.pair, count=2)
-    # 8 grid points per gamma width, and no fewer than two_photon_joint accepts
-    grid = max(64, math.ceil(8 * PI / args.gamma))
-    result = two_photon_joint(a, b, args.gamma, grid)
+    result = two_photon_joint(a, b, args.gamma)
     windows = result.atom_window_masses(3.0 * args.gamma)
     total_window = sum(windows.values())
     diff = result.joint.max_abs_diff(qm_joint(a, b))
     body = {
         "config": _config_echo(args, ["gamma", "pair"]),
-        "lambda_grid": grid,
+        "lambda_grid": result.lam.size,
         "joint": {
             "p_pp": result.joint.p_pp,
             "p_pm": result.joint.p_pm,
@@ -388,12 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="belllab",
         description="Simulate and verify hidden-variable models of Bell-type experiments.",
     )
-    parser.add_argument("--config", help="flat key=value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", default=None, help="report file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -445,37 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config key=value pairs into leading flags so that explicit
-    command-line flags take precedence."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise UsageError("--config requires a path") from None
-    values = load_config_file(path)
-    rest = argv[:idx] + argv[idx + 2 :]
-    file_command = values.pop("command", None)
-    if rest and not rest[0].startswith("-"):
-        command, rest = rest[0], rest[1:]
-    elif file_command is not None:
-        command = file_command
-    else:
-        raise UsageError("config file must define a command (or pass one explicitly)")
-    injected: list[str] = []
-    for key, value in values.items():
-        injected.extend([f"--{key.replace('_', '-')}", value])
-    return [command, *injected, *rest]
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(apply_config_file(argv))
-        if args.seed is None:
-            args.seed = default_seed()
+        args = build_parser().parse_args(argv)
         started = time.perf_counter()
         body, summary = args.func(args)
         elapsed = time.perf_counter() - started

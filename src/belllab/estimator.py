@@ -208,7 +208,7 @@ def lambda_independence_residual(
 ) -> float:
     """Total-variation distance between the lambda distributions at two
     settings pairs; zero iff the model treats them identically."""
-    if not model.exposes_lambda:
+    if not isinstance(model, HiddenVariableModel):
         raise ValueError("model exposes no hidden angle")
     dist_1 = model.lambda_distribution(*settings_1)
     dist_2 = model.lambda_distribution(*settings_2)

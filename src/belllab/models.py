@@ -112,7 +112,6 @@ class HiddenVariableModel(ABC):
     """Contract shared by all lambda-mediated models."""
 
     name: str = "hidden-variable-model"
-    exposes_lambda: bool = True
     #: The outcome probabilities are 0 or 1, so outcome draws take no uniforms.
     deterministic_outcomes: bool = False
 
@@ -278,7 +277,6 @@ class PRBoxModel:
     """
 
     name = "pr-box"
-    exposes_lambda = False
 
     def __init__(self, settings: tuple[float, float, float, float]) -> None:
         self.settings = tuple(PolAngle(s) for s in settings)

@@ -44,10 +44,6 @@ class AlignedPoleError(ZeroDivisionError):
     """Family sum requested exactly at its pole (aligned boundary angles)."""
 
 
-class ResolutionError(ValueError):
-    """Lambda grid too coarse to resolve the Cauchy peaks."""
-
-
 class BridgeSamplingError(RuntimeError):
     """Rejection sampler exhausted its retry budget."""
 
@@ -284,9 +280,7 @@ def two_photon_outcome_joint(a: float, b: float, gamma: float) -> JointDist:
     return JointDist(0.5 * p, 0.5 * (1.0 - p), 0.5 * (1.0 - p), 0.5 * p)
 
 
-def two_photon_joint(
-    a: float, b: float, gamma: float, grid_size: int
-) -> TwoPhotonResult:
+def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
     """Two entangled photons sharing an unknown initial polarization.
 
     Both kick histories start at the common hidden angle lambda (flat base
@@ -294,25 +288,19 @@ def two_photon_joint(
     The weight of a configuration is the product of the two wrapped-Cauchy
     family weights; normalizing over (lambda, A, B) on the grid yields the
     lambda posterior.  The joint is `two_photon_outcome_joint`, exact; the
-    grid is needed only for the posterior.
+    grid is needed only for the posterior.  It has 8 points per gamma width,
+    max(64, ceil(8 pi / gamma)) in all.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    spacing = PI / grid_size
-    needed = math.ceil(8 * PI / gamma)
-    if grid_size < needed:
-        raise ResolutionError(
-            f"grid spacing {spacing:.3e} too coarse for gamma {gamma:.3e}; "
-            f"need at least 8 grid points per gamma width ({needed} total)"
-        )
+    points = max(64, math.ceil(8 * PI / gamma))
+    spacing = PI / points
     a = PolAngle(a)
     b = PolAngle(b)
-    lam = (np.arange(grid_size) + 0.5) * spacing
+    lam = (np.arange(points) + 0.5) * spacing
     targets_1 = (float(a), float(a.perpendicular()))  # A = +1, -1
     targets_2 = (float(b), float(b.perpendicular()))
-    mass = np.empty((2, 2, grid_size))
+    mass = np.empty((2, 2, points))
     for i, t1 in enumerate(targets_1):
         w1 = periodized_cauchy(lam - t1, gamma)
         for j, t2 in enumerate(targets_2):
@@ -576,12 +564,13 @@ def net_dominance_given_rotation(delta, gamma: float, steps: int, threshold: flo
     return float(out) if out.ndim == 0 else out
 
 
-def _discarded_winding_mass(spec: PathSpec, rotations: np.ndarray) -> float:
-    """Share of the endpoint weight outside the kept `rotations`, against the
-    closed-form sum over all windings of both families."""
+def discarded_winding_mass(spec: PathSpec) -> float:
+    """Share of the endpoint weight that `endpoint_targets` leaves out beyond
+    its winding cut-off, against the closed-form sum over all windings of
+    both families."""
     d0 = float(spec.theta2) - float(spec.theta1)
     full = periodized_cauchy(d0, spec.gamma) + periodized_cauchy(d0 + HALF_PI, spec.gamma)
-    kept = float(np.sum(net_rotation_density(rotations, spec.gamma)))
+    kept = float(np.sum(net_rotation_density(endpoint_targets(spec)[0], spec.gamma)))
     return max(0.0, 1.0 - kept / full)
 
 
@@ -624,5 +613,5 @@ def expected_net_dominance(spec: PathSpec, threshold: float = 0.99) -> Dominance
     return DominancePrediction(
         value=value,
         overcount=overcount,
-        discarded_winding_mass=_discarded_winding_mass(spec, rotations),
+        discarded_winding_mass=discarded_winding_mass(spec),
     )

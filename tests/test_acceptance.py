@@ -148,8 +148,7 @@ def test_criterion_07_two_photon_limit():
     exactly 1/4 (see the README "Tests" section).
     """
     gamma = 1e-4
-    res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma,
-                           grid_size=int(math.ceil(8 * PI / gamma)))
+    res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma)
     diff = res.joint.max_abs_diff(qm_joint(0.0, PI / 8))
 
     windows = res.atom_window_masses(3.0 * gamma)

@@ -7,14 +7,15 @@ import re
 import threading
 import tracemalloc
 from concurrent.futures import Executor, Future
+from pathlib import Path
 
 import pytest
 
 from belllab import cli, schulman
 from belllab.cli import (
     UsageError,
+    build_parser,
     fmt_float,
-    load_config_file,
     main,
     parse_angle,
     parse_settings,
@@ -46,33 +47,6 @@ class TestParsing:
     def test_fmt_float_17_digits(self):
         assert fmt_float(1 / 3) == "0.33333333333333331"
         assert fmt_float(2.0) == "2"
-
-
-class TestConfigFile:
-    def test_parse(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("# comment\nmodel=hall\nsamples=1000  # inline\n\nseed=7\n")
-        assert load_config_file(str(path)) == {
-            "model": "hall",
-            "samples": "1000",
-            "seed": "7",
-        }
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("model hall\n")
-        with pytest.raises(UsageError):
-            load_config_file(str(path))
-
-    def test_flags_override_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("command=run-chsh\nmodel=hall\nsamples=2000\nseed=5\n")
-        out = tmp_path / "r.json"
-        assert main(["--config", str(cfg), "run-chsh", "--seed", "8",
-                     "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["config"]["seed"] == 8
-        assert report["config"]["samples"] == 2000
 
 
 class TestReports:
@@ -112,19 +86,15 @@ class TestReports:
         # 17 significant digits survive the round trip
         assert fmt_float(s) == values["s_value"]
 
-    def test_env_var_seed(self, tmp_path, monkeypatch):
+    def test_default_seed_is_zero_whatever_the_environment(self, tmp_path, monkeypatch):
+        # --seed is the seed's one source: no environment variable sets it
         monkeypatch.setenv("BELLLAB_DEFAULT_SEED", "77")
-        out = tmp_path / "r.json"
-        assert self.run(["run-chsh", "--model", "hall", "--samples", "5000",
-                         "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 77
-
-    def test_explicit_seed_beats_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BELLLAB_DEFAULT_SEED", "77")
-        out = tmp_path / "r.json"
-        assert self.run(["run-chsh", "--model", "hall", "--samples", "5000",
-                         "--seed", "1", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 1
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["run-chsh", "--model", "hall", "--samples", "5000"]
+        assert self.run(argv + ["--out", str(out1)]) == 0
+        assert self.run(argv + ["--seed", "0", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["config"]["seed"] == 0
 
 
 class TestSubcommands:
@@ -135,6 +105,14 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["s_value"] == 4.0
         assert report["s_standard_error"] == 0.0
+        # the box has no hidden angle, so only hidden-variable models get this residual
+        assert list(report["residuals"]) == ["screening"]
+
+    def test_run_chsh_hall_reports_lambda_independence(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "hall", "--samples", "2000",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["residuals"]["lambda_independence"] > 0.0
 
     def test_run_chsh_schulman2_analytic(self, tmp_path):
         out = tmp_path / "r.json"
@@ -283,7 +261,8 @@ class TestSubcommands:
         assert shares == pytest.approx([0.25] * 4, abs=0.01)
 
     def test_two_photon_grid_passes_its_own_resolution_check(self, tmp_path):
-        # gamma / (pi / 211) rounds to 7.999999999999999 at this gamma
+        # gamma / (pi / 211) rounds to 7.999999999999999 at this gamma, and the
+        # grid still has the 211 points of 8 per gamma width
         out = tmp_path / "r.json"
         assert main(["two-photon", "--gamma", "0.11911251767165092", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["lambda_grid"] == 211
@@ -348,6 +327,21 @@ class TestReportPath:
 
 
 class TestParser:
+    def test_readme_option_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE))
+        common = re.search(r"Every subcommand also takes ([^.]*)\.", readme).group(1)
+        flag = r"`(--[a-z][a-z0-9-]*)"
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(rows) == sorted(subparsers.choices)
+        for command, parser in subparsers.choices.items():
+            documented = set(re.findall(flag, rows[command])) | set(re.findall(flag, common))
+            options = {o for action in parser._actions for o in action.option_strings}
+            assert documented == options - {"-h", "--help"}, command
+
     def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
@@ -392,6 +386,7 @@ class TestExitCodes:
         ["scan-settings", "--model", "hall", "--settings", "0,1,2,3"],
         ["two-photon", "--gamma", "1e-3", "--workers", "2"],
         ["two-photon", "--gamma", "1e-3", "--lambda-grid", "64"],
+        ["run-chsh", "--model", "hall", "--config", "x.txt"],
     ])
     def test_options_no_subcommand_reads_are_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -414,6 +409,24 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("argv", [
+        ["schulman-paths", "--gamma", "1e-3", "--steps", "5", "--samples", "10", "--theta1={}"],
+        ["schulman-paths", "--gamma", "1e-3", "--steps", "5", "--samples", "10", "--theta2={}"],
+        ["run-chsh", "--model", "hall", "--samples", "1000", "--settings={},0,0,0"],
+        ["two-photon", "--gamma", "1e-2", "--pair={},0"],
+    ], ids=["theta1", "theta2", "settings", "pair"])
+    def test_angles_must_be_finite(self, argv, value, capsys):
+        argv = [arg.format(value) for arg in argv]
+        if argv[0] == "two-photon":
+            # the subcommand parses --pair, so main reports the usage error
+            assert main(argv) == 2
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert value in capsys.readouterr().err
 
     def test_schulman_models_require_gamma(self, capsys):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2

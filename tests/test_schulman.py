@@ -15,7 +15,6 @@ from belllab.schulman import (
     BridgeSamplingError,
     FamilySumConfig,
     PathSpec,
-    ResolutionError,
     _conditional_step,
     dominant_kick_stats,
     endpoint_targets,
@@ -173,16 +172,16 @@ class TestSequentialChain:
 
 class TestTwoPhoton:
     def test_matches_qm_at_small_width(self):
-        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3, 30_000)
+        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3)
         assert res.joint.max_abs_diff(qm_joint(0.0, PI / 8)) < 1e-3
 
     def test_posterior_masses_sum_to_one(self):
-        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3, 30_000)
+        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3)
         assert res.posterior_mass.sum() == pytest.approx(1.0)
         assert res.mass_by_outcome.sum() == pytest.approx(1.0)
 
     def test_posterior_concentrates_on_four_atoms(self):
-        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3, 30_000)
+        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3)
         windows = res.atom_window_masses(3e-3)
         assert len(windows) == 4
         shares = np.array(list(windows.values()))
@@ -196,7 +195,7 @@ class TestTwoPhoton:
     @pytest.mark.parametrize("gamma", [1e-2, 1e-3, 1e-4])
     @pytest.mark.parametrize("a, b", [(0.0, PI / 8), (0.3, 1.2), (0.0, 0.0), (0.0, HALF_PI)])
     def test_closed_form_matches_grid(self, a, b, gamma):
-        res = two_photon_joint(PolAngle(a), PolAngle(b), gamma, math.ceil(8 * PI / gamma))
+        res = two_photon_joint(PolAngle(a), PolAngle(b), gamma)
         closed = two_photon_outcome_joint(a, b, gamma)
         np.testing.assert_allclose(
             [[closed.p_pp, closed.p_pm], [closed.p_mp, closed.p_mm]],
@@ -210,20 +209,21 @@ class TestTwoPhoton:
         with pytest.raises(ValueError):
             two_photon_outcome_joint(0.0, PI / 8, 0.0)
 
-    def test_grid_resolution_guard(self):
-        with pytest.raises(ResolutionError):
-            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-4, 1000)
+    def test_joint_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 0.0, 1000)
+            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 0.0)
 
     @pytest.mark.parametrize("n", [131, 211, 290, 522])
     def test_grid_of_ceil_8pi_over_gamma_is_fine_enough(self, n):
-        # one ulp below 8 pi / n, gamma / (pi / n) rounds to just under 8
+        # one ulp below 8 pi / n, gamma / (pi / n) rounds to just under 8, and
+        # the grid still has 8 points per gamma width
         gamma = math.nextafter(8 * PI / n, 0.0)
         assert math.ceil(8 * PI / gamma) == n
-        assert two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma, n).lam.size == n
-        with pytest.raises(ResolutionError, match=f"\\({n} total\\)"):
-            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma, n - 1)
+        assert two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma).lam.size == n
+
+    def test_wide_kicks_use_the_smallest_grid(self):
+        # ceil(8 pi / 1) = 26 points is below the grid's floor of 64
+        assert two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1.0).lam.size == 64
 
 
 class TestBridges:

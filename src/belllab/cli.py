@@ -10,7 +10,8 @@ Subcommands map one-to-one onto library pipelines:
 
 Reports are written as JSON or CSV with 17 significant digits; identical
 configurations (including the seed) reproduce reports byte for byte, so
-wall-clock timing is printed to stdout only and kept out of the files.
+wall-clock timing goes to the summary line on stderr and is kept out of the
+reports.  Without --out, stdout carries the report and nothing else.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import stats
@@ -156,6 +157,7 @@ def write_report(report: dict, out: str | None, fmt: str) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside `main`
 
 
 def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -163,7 +165,7 @@ def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns (report body from "config" on, stdout summary);
+# Subcommands: each returns (report body from "config" on, stderr summary);
 # `main` adds the header, writes the report and prints the summary's time.
 # ---------------------------------------------------------------------------
 
@@ -255,18 +257,11 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
     )
     rng = RngStream(args.seed)
-    # the stability sample is drawn on one helper thread while the bridges are
-    # sampled; it has its own substream, so reports do not depend on the timing
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending_sums = pool.submit(
-            free_kick_sums, spec.gamma, spec.steps, args.samples, rng.substream(1)
-        )
-        paths = sample_bridges(spec, args.samples, rng.substream(0))
-        kicks = dominant_kick_stats(paths, spec.gamma)
-        n_paths = paths.shape[0]
-        del paths  # peak memory stays one path array
-        sums = pending_sums.result()
-
+    paths = sample_bridges(spec, args.samples, rng.substream(0))
+    kicks = dominant_kick_stats(paths, spec.gamma)
+    n_paths = paths.shape[0]
+    del paths  # peak memory stays one path array
+    sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
     ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
 
     hist = kicks.kick_time_histogram
@@ -427,7 +422,12 @@ def main(argv: list[str] | None = None) -> int:
     except BridgeSamplingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    print(f"{summary}, {elapsed:.2f}s")
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop as `yes | head` does, with
+        # 128 + SIGPIPE, and point stdout at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    print(f"{summary}, {elapsed:.2f}s", file=sys.stderr)
     return 0
 
 

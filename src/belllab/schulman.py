@@ -34,9 +34,9 @@ DOMINANCE_FLOOR = 1e-3
 #: describe the sampled paths.
 N_WINDINGS = 200
 
-#: Rows per block in which `sample_bridges`, `dominant_kick_stats` and
-#: `free_kick_sums` process their (n, steps) arrays.  Every row sees the
-#: same arithmetic in any block, so results do not depend on it.
+#: Rows per block in which `dominant_kick_stats` and `free_kick_sums`
+#: process their (n, steps) arrays.  Every row sees the same arithmetic in
+#: any block, so results do not depend on it.
 ROW_BLOCK = 4096
 
 
@@ -339,6 +339,20 @@ def endpoint_targets(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
     return rotations, weights / weights.sum()
 
 
+def _cauchy_by_inversion(v: np.ndarray) -> np.ndarray:
+    """Standard Cauchy variates from uniforms v on [0, 1], in place, by
+    inversion of the CDF: z = tan(pi (v - 1/2)) (L. Devroye, Non-Uniform
+    Random Variate Generation, 1986, section 2.1).
+
+    The result is finite for every v in [0, 1]: at v = 0 it is
+    tan(-pi/2 rounded) = -1.6e16.  Rounding pi (v - 1/2) by about 1e-16
+    gives the tails a relative error of about 1e-16 |z|, 1e-10 at |z| = 1e6.
+    """
+    v -= 0.5
+    v *= PI
+    return np.tan(v, out=v)
+
+
 def _conditional_step(
     residual: np.ndarray, d1: float, d2: float, gen: np.random.Generator,
     max_rounds: int,
@@ -346,8 +360,10 @@ def _conditional_step(
     """Draw one increment per path from f(e) ~ C_d1(e) * C_d2(residual - e).
 
     Exact rejection sampling.  Proposal: the mixture
-    g(e) = w C_d1(e) + (1 - w) C_d2(r - e), w = sqrt(d2) / (sqrt(d1) + sqrt(d2)),
-    of which only the chosen Cauchy variate is drawn.  g / f = pi Q(e) with
+    g(e) = w C_d1(e) + (1 - w) C_d2(r - e), w = sqrt(d2) / (sqrt(d1) + sqrt(d2)).
+    One uniform u per proposal picks the component (u < w) and, rescaled
+    within it to v = u / w or (u - w) / (1 - w), gives the Cauchy variate by
+    `_cauchy_by_inversion`; a second uniform decides acceptance.  g / f = pi Q(e) with
     Q(e) = alpha ((r - e)^2 + d2^2) + beta (e^2 + d1^2), alpha = w / d2,
     beta = (1 - w) / d1, a quadratic whose minimum
     Q_min = alpha beta / (alpha + beta) r^2 + alpha d2^2 + beta d1^2 is exact,
@@ -355,29 +371,47 @@ def _conditional_step(
     pi Q_min C_{d1+d2}(r): (d1 + d2) / (sqrt(d1) + sqrt(d2))^2 for |r| >> d2,
     between 1/2 (equal widths) and 1 (one width dominant), against exactly 1/2
     for an equal mixture.
+
+    Every path is pending in the first round, which therefore works on whole
+    arrays; later rounds index the rejected paths.
     """
-    n = residual.size
     w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))
     alpha = w / d2
     beta = (1.0 - w) / d1
     q_floor = alpha * d2 * d2 + beta * d1 * d1
-    q_min = (alpha * beta / (alpha + beta)) * residual**2 + q_floor
-    out = np.empty(n)
-    todo = np.arange(n)
-    for _ in range(max_rounds):
-        m = todo.size
-        r = residual[todo]
-        z = gen.standard_cauchy(m)
-        eps = np.where(gen.random(m) < w, d1 * z, r + d2 * z)
-        q = alpha * (r - eps) ** 2 + beta * eps**2 + q_floor
-        accept = gen.random(m) * q <= q_min[todo]
+    q_min = residual * residual
+    q_min *= alpha * beta / (alpha + beta)
+    q_min += q_floor
+
+    def propose(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One proposal e per residual in r, and u Q(e) for it, which
+        accepts e when it is <= Q_min."""
+        u = gen.random(r.size)
+        from_d1 = u < w
+        v = np.where(from_d1, u / w, (u - w) / (1.0 - w))
+        z = _cauchy_by_inversion(v)
+        eps = np.where(from_d1, d1 * z, r + d2 * z)
+        q = np.subtract(r, eps, out=v)
+        q *= q
+        q *= alpha
+        q += beta * (eps * eps)
+        q += q_floor
+        q *= gen.random(r.size)
+        return eps, q
+
+    out, q = propose(residual)
+    todo = np.flatnonzero(q > q_min)
+    for _ in range(max_rounds - 1):
+        if todo.size == 0:
+            break
+        eps, q = propose(residual[todo])
         # a rejected entry is overwritten in a later round; integer indexing
         # is cheaper here than scattering through the boolean mask
         out[todo] = eps
-        todo = todo[np.flatnonzero(~accept)]
-        if todo.size == 0:
-            return out
-    raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+        todo = todo[q > q_min[todo]]
+    if todo.size:
+        raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+    return out
 
 
 def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
@@ -390,9 +424,10 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     step may take max(64, 10**6 // n_paths) proposal rounds before it raises
     `BridgeSamplingError`.
 
-    The increments are written into the returned array and summed there in
-    place, ROW_BLOCK rows at a time, so the sampler holds one
-    (n_paths, steps + 1) array; the paths do not depend on ROW_BLOCK.
+    The returned array is column-major (Fortran order), so each step's
+    increments are written to contiguous memory and summed there in place,
+    one column onto the next.  The sampler holds one (n_paths, steps + 1)
+    array, and the paths are bit for bit those of a row-wise cumsum.
     """
     gen = rng.generator
     rotations, weights = endpoint_targets(spec)
@@ -400,7 +435,7 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
 
     steps = spec.steps
     d_step = spec.step_width
-    paths = np.empty((n_paths, steps + 1))
+    paths = np.empty((n_paths, steps + 1), order="F")
     residual = targets.copy()
     retry_budget = 10**6
     max_rounds = max(64, retry_budget // max(1, n_paths))
@@ -415,11 +450,10 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     paths[:, steps] = residual
 
     theta1 = float(spec.theta1)
-    # cumsum adds along each row in order, so row blocks change no bit
-    for start in range(0, n_paths, ROW_BLOCK):
-        block = paths[start : start + ROW_BLOCK, 1:]
-        block[...] = np.cumsum(block, axis=1)
-        block += theta1
+    # cumsum adds along a row in order, so adding column onto column changes no bit
+    for i in range(2, steps + 1):
+        paths[:, i] += paths[:, i - 1]
+    paths[:, 1:] += theta1
     paths[:, 0] = theta1
     # enforce the endpoint constraint exactly against cumulative rounding
     paths[:, -1] = theta1 + targets
@@ -430,16 +464,17 @@ def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarr
     """Unconditioned sums of `steps` iid Cauchy(gamma/steps) kicks.
 
     By Cauchy stability these are distributed as Cauchy(gamma); used as
-    the stability check against net_rotation_density.  The kicks are drawn
-    ROW_BLOCK rows at a time, in the stream order of one (n, steps) draw, and
-    scaled and summed in place, so at most one (ROW_BLOCK, steps) array is
-    held and the sums do not depend on ROW_BLOCK.
+    the stability check against net_rotation_density.  The kicks are
+    uniforms turned into Cauchy variates in place by `_cauchy_by_inversion`,
+    drawn ROW_BLOCK rows at a time in the stream order of one (n, steps)
+    draw, then scaled and summed in place, so at most one (ROW_BLOCK, steps)
+    array is held and the sums do not depend on ROW_BLOCK.
     """
     gen = rng.generator
     out = np.empty(n)
     for start in range(0, n, ROW_BLOCK):
         rows = min(ROW_BLOCK, n - start)
-        kicks = gen.standard_cauchy((rows, steps))
+        kicks = _cauchy_by_inversion(gen.random((rows, steps)))
         kicks *= gamma / steps
         kicks.sum(axis=1, out=out[start : start + rows])
     return out
@@ -464,9 +499,10 @@ def dominant_kick_stats(paths: np.ndarray, gamma: float) -> KickStats:
 
     Paths with total absolute increment below DOMINANCE_FLOOR * gamma have
     no collapse kick (aligned boundaries) and are excluded from ratios.
-    Increments are taken ROW_BLOCK rows at a time, so beside `paths` only
-    (ROW_BLOCK, steps) temporaries are held; each row is reduced as one
-    contiguous row, so the statistics do not depend on ROW_BLOCK.
+    Increments are taken ROW_BLOCK rows at a time into one row-major
+    (ROW_BLOCK, steps) buffer, the only temporary held beside `paths`.  Each
+    row is reduced as one contiguous row, so the statistics depend neither on
+    ROW_BLOCK nor on the memory layout of `paths`.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     n = paths.shape[0]
@@ -475,10 +511,13 @@ def dominant_kick_stats(paths: np.ndarray, gamma: float) -> KickStats:
     largest = np.empty(n)
     total = np.empty(n)
     argmax = np.empty(n, dtype=np.intp)
+    buf = np.empty((min(n, ROW_BLOCK), paths.shape[1] - 1))
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        inc = np.diff(paths[rows], axis=1)
-        abs_inc = np.abs(inc, out=inc)
+        block = paths[rows]
+        abs_inc = buf[: block.shape[0]]
+        np.subtract(block[:, 1:], block[:, :-1], out=abs_inc)
+        np.abs(abs_inc, out=abs_inc)
         largest[rows] = abs_inc.max(axis=1)
         total[rows] = abs_inc.sum(axis=1)
         argmax[rows] = abs_inc.argmax(axis=1)

@@ -3,10 +3,12 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
-from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import pytest
@@ -183,36 +185,29 @@ class TestSubcommands:
         # row-block temporaries are a larger share of fewer paths: keep 50000
         assert peak < 1.5 * 50_000 * 101 * 8
 
-    def test_schulman_paths_draws_free_kicks_on_a_helper_thread(self, tmp_path, monkeypatch):
+    def test_schulman_paths_draws_on_the_main_thread(self, tmp_path, monkeypatch):
         draws = []
 
-        def recording(*args):
-            draws.append(threading.current_thread())
-            return schulman.free_kick_sums(*args)
+        def recording(name):
+            def call(*args):
+                draws.append((name, threading.current_thread(), threading.active_count()))
+                return getattr(schulman, name)(*args)
 
-        class SerialPool(Executor):
-            """Runs each submitted call at once, in the caller's thread."""
+            return call
 
-            def __init__(self, max_workers):
-                pass
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "free_kick_sums", recording)
+        for name in ("sample_bridges", "dominant_kick_stats", "free_kick_sums"):
+            monkeypatch.setattr(cli, name, recording(name))
+        threads_before = threading.active_count()
         # more than one row block of paths and of free kicks
-        argv = ["schulman-paths", "--gamma", "1e-3", "--steps", "20",
-                "--samples", "5000", "--seed", "3"]
-        overlapped = tmp_path / "overlapped.json"
-        assert main([*argv, "--out", str(overlapped)]) == 0
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
-        serial = tmp_path / "serial.json"
-        assert main([*argv, "--out", str(serial)]) == 0
-        assert draws[0] is not threading.main_thread()
-        assert draws[1] is threading.main_thread()
-        assert overlapped.read_bytes() == serial.read_bytes()
+        assert main(["schulman-paths", "--gamma", "1e-3", "--steps", "20", "--samples",
+                     "5000", "--seed", "3", "--out", str(tmp_path / "r.json")]) == 0
+        assert [name for name, _, _ in draws] == [
+            "sample_bridges", "dominant_kick_stats", "free_kick_sums",
+        ]
+        for _, thread, threads in draws:
+            assert thread is threading.main_thread()
+            assert threads == threads_before
+        assert threading.active_count() == threads_before
 
     def test_mutual_info_echoes_its_default_grid(self, tmp_path):
         out = tmp_path / "r.json"
@@ -311,10 +306,35 @@ class TestReportPath:
         report = json.loads(out.read_text())
         assert report["command"] == argv[0]
         assert report["version"] == cli.__version__
-        line = capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the summary goes to stderr, not beside a report
+        line = captured.err
         assert line.startswith(argv[0] + " ")
         assert re.search(r", \d+\.\d\ds\n\Z", line)
         assert writes == [argv[0]]
+
+    def test_stdout_without_out_is_the_report_alone(self, capsys):
+        assert main(["two-photon", "--gamma", "1e-2"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["command"] == "two-photon"
+        assert captured.err.startswith("two-photon gamma=0.01 ")
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # as `| head -1` does once it has its line
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "belllab.cli", "run-chsh", "--model", "hall",
+                 "--samples", "100"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     def test_no_report_is_written_on_failure(self, writes, monkeypatch):
         def fail(spec, n_paths, rng):

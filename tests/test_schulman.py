@@ -15,6 +15,7 @@ from belllab.schulman import (
     BridgeSamplingError,
     FamilySumConfig,
     PathSpec,
+    _cauchy_by_inversion,
     _conditional_step,
     dominant_kick_stats,
     endpoint_targets,
@@ -317,17 +318,24 @@ def exact_acceptance(r, d1, d2):
 
 
 class CountingGenerator:
-    """Forwards the draws `_conditional_step` makes and counts its proposals."""
+    """Forwards the draws `_conditional_step` makes and counts its proposals.
+
+    Each round draws two uniform arrays, the proposals' and then the
+    acceptance test's, so the first `random` call of each round counts.
+    """
 
     def __init__(self, seed):
         self.gen = RngStream(seed).generator
         self.proposals = 0
+        self.calls = 0
 
     def standard_cauchy(self, size):
-        self.proposals += size
-        return self.gen.standard_cauchy(size)
+        raise AssertionError("proposals are drawn by inversion of uniforms")
 
     def random(self, size):
+        if self.calls % 2 == 0:
+            self.proposals += size
+        self.calls += 1
         return self.gen.random(size)
 
 
@@ -413,10 +421,41 @@ class TestRowBlocks:
     def test_free_kick_sums_match_one_draw(self):
         gamma, steps = 1e-3, 6
         sums = free_kick_sums(gamma, steps, self.n, RngStream(15).substream(1))
-        kicks = (gamma / steps) * RngStream(15).substream(1).generator.standard_cauchy(
-            (self.n, steps)
-        )
+        uniforms = RngStream(15).substream(1).generator.random((self.n, steps))
+        kicks = (gamma / steps) * _cauchy_by_inversion(uniforms)
         assert sums.tobytes() == kicks.sum(axis=1).tobytes()
+
+    def test_kick_stats_do_not_depend_on_the_memory_layout(self):
+        # above 8 steps numpy sums a contiguous row pairwise, a strided one in order
+        spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=40)
+        paths = sample_bridges(spec, self.n, RngStream(16))
+        assert paths.flags.f_contiguous
+        by_layout = [
+            dominant_kick_stats(np.array(paths, order=order), spec.gamma) for order in "CF"
+        ]
+        for name in ("kick_time_histogram", "dominance_fraction", "net_dominance"):
+            c_order, f_order = (getattr(stats_, name) for stats_ in by_layout)
+            assert c_order.tobytes() == f_order.tobytes(), name
+
+
+class TestCauchyByInversion:
+    def test_tail_mass(self):
+        z = _cauchy_by_inversion(RngStream(17).generator.random(10**6))
+        # P(|Z| > t) = 1 - 2 arctan(t) / pi = 2 / (pi t) (1 - 1 / (3 t^2) + ...)
+        p = 2.0 / (1e3 * PI)
+        se = math.sqrt(p * (1.0 - p) / z.size)
+        assert abs(np.mean(np.abs(z) > 1e3) - p) < 5 * se
+
+    def test_edges_are_finite_and_the_centre_is_zero(self):
+        z = _cauchy_by_inversion(np.array([0.0, 1.0 - 2.0**-53, 0.5]))
+        assert np.all(np.isfinite(z))
+        assert z[0] < -1e15 and z[1] > 1e15
+        assert z[2] == 0.0
+
+    def test_transforms_in_place(self):
+        v = np.array([0.25, 0.75])
+        assert _cauchy_by_inversion(v) is v
+        np.testing.assert_allclose(v, [-1.0, 1.0], rtol=1e-15)
 
 
 class TestKickStatistics:

@@ -44,9 +44,11 @@ from .qm import qm_correlator, qm_joint
 from .schulman import (
     BridgeSamplingError,
     PathSpec,
+    bridge_shards,
     discarded_winding_mass,
     dominant_kick_stats,
     free_kick_sums,
+    merge_kick_stats,
     sample_bridges,
     two_photon_joint,
     two_photon_outcome_joint,
@@ -257,10 +259,17 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
     )
     rng = RngStream(args.seed)
-    paths = sample_bridges(spec, args.samples, rng.substream(0))
-    kicks = dominant_kick_stats(paths, spec.gamma)
-    n_paths = paths.shape[0]
-    del paths  # peak memory stays one path array
+    shard_stats = []
+    for index, (size, shard_rng) in enumerate(bridge_shards(args.samples, rng.substream(0))):
+        try:
+            paths = sample_bridges(spec, size, shard_rng)
+        except BridgeSamplingError as exc:
+            raise BridgeSamplingError(
+                f"{exc.reason} in bridge shard {index}", exc.step, exc.attempts
+            ) from None
+        shard_stats.append(dominant_kick_stats(paths, spec.gamma))
+        del paths  # peak memory stays one shard's path array
+    kicks = merge_kick_stats(shard_stats)
     sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
     ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
 
@@ -274,7 +283,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "config": _config_echo(
             args, ["gamma", "steps", "samples", "seed", "theta1", "theta2"]
         ),
-        "paths": n_paths,
+        "paths": args.samples,
         "excluded_paths": kicks.excluded_paths,
         # endpoint weight the sampler's winding cut-off leaves out
         "discarded_winding_mass": discarded_winding_mass(spec),
@@ -315,7 +324,10 @@ def cmd_mutual_info(args: argparse.Namespace) -> tuple[dict, str]:
 
 def cmd_two_photon(args: argparse.Namespace) -> tuple[dict, str]:
     a, b = parse_settings(args.pair, count=2)
-    result = two_photon_joint(a, b, args.gamma)
+    try:
+        result = two_photon_joint(a, b, args.gamma)
+    except ValueError as exc:  # a lambda grid too fine to size
+        raise UsageError(str(exc)) from None
     windows = result.atom_window_masses(3.0 * args.gamma)
     total_window = sum(windows.values())
     diff = result.joint.max_abs_diff(qm_joint(a, b))

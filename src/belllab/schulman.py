@@ -39,6 +39,11 @@ N_WINDINGS = 200
 #: any block, so results do not depend on it.
 ROW_BLOCK = 4096
 
+#: Paths per shard of a bridge ensemble (see `bridge_shards`).  One shard's
+#: (BRIDGE_SHARD, steps + 1) path array is what `schulman-paths` holds at a
+#: time: 19 MiB at 100 steps.
+BRIDGE_SHARD = 25_000
+
 
 class AlignedPoleError(ZeroDivisionError):
     """Family sum requested exactly at its pole (aligned boundary angles)."""
@@ -49,6 +54,8 @@ class BridgeSamplingError(RuntimeError):
 
     def __init__(self, message: str, step: int, attempts: int) -> None:
         super().__init__(f"{message} (step {step}, {attempts} proposal rounds)")
+        #: the message without its step and round count, for re-raising
+        self.reason = message
         self.step = step
         self.attempts = attempts
 
@@ -289,11 +296,15 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
     family weights; normalizing over (lambda, A, B) on the grid yields the
     lambda posterior.  The joint is `two_photon_outcome_joint`, exact; the
     grid is needed only for the posterior.  It has 8 points per gamma width,
-    max(64, ceil(8 pi / gamma)) in all.
+    max(64, ceil(8 pi / gamma)) in all; a gamma below about 1.4e-307, for
+    which 8 pi / gamma is not finite, is refused.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    points = max(64, math.ceil(8 * PI / gamma))
+    cells = 8 * PI / gamma
+    if not math.isfinite(cells):
+        raise ValueError(f"lambda grid of 8 pi / gamma points is not finite at gamma = {gamma!r}")
+    points = max(64, math.ceil(cells))
     spacing = PI / points
     a = PolAngle(a)
     b = PolAngle(b)
@@ -422,7 +433,9 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     exact conditional densities given the remaining rotation and remaining
     Cauchy width.  The endpoint constraint is satisfied bit-exactly.  Each
     step may take max(64, 10**6 // n_paths) proposal rounds before it raises
-    `BridgeSamplingError`.
+    `BridgeSamplingError`.  An ensemble drawn shard by shard (`bridge_shards`)
+    sets this budget per shard from the shard's size, so it is 64 rounds for
+    any shard of more than 15 625 paths, and more only for a short last shard.
 
     The returned array is column-major (Fortran order), so each step's
     increments are written to contiguous memory and summed there in place,
@@ -444,7 +457,7 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
         try:
             eps = _conditional_step(residual, d_step, remaining_width, gen, max_rounds)
         except BridgeSamplingError as exc:
-            raise BridgeSamplingError(str(exc), i, exc.attempts) from None
+            raise BridgeSamplingError(exc.reason, i, exc.attempts) from None
         paths[:, i + 1] = eps
         residual -= eps
     paths[:, steps] = residual
@@ -458,6 +471,21 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     # enforce the endpoint constraint exactly against cumulative rounding
     paths[:, -1] = theta1 + targets
     return paths
+
+
+def bridge_shards(n_paths: int, rng: RngStream) -> list[tuple[int, RngStream]]:
+    """Split an ensemble of n_paths bridges into shards of BRIDGE_SHARD paths.
+
+    Returns (size, stream) per shard: shard i holds paths
+    [i * BRIDGE_SHARD, (i + 1) * BRIDGE_SHARD), cut short at n_paths, and is
+    drawn as `sample_bridges(spec, size, rng.substream(i))`.  The split
+    depends on n_paths alone, so the ensemble's paths are the shards'
+    paths in order, whoever draws them.
+    """
+    return [
+        (min(BRIDGE_SHARD, n_paths - start), rng.substream(i))
+        for i, start in enumerate(range(0, n_paths, BRIDGE_SHARD))
+    ]
 
 
 def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarray:
@@ -531,6 +559,21 @@ def dominant_kick_stats(paths: np.ndarray, gamma: float) -> KickStats:
         dominance_fraction=largest[defined] / total[defined],
         net_dominance=net_dom,
         excluded_paths=int(np.sum(~defined)),
+    )
+
+
+def merge_kick_stats(parts: list[KickStats]) -> KickStats:
+    """KickStats of consecutive path ensembles taken together: histograms and
+    exclusions summed, per-path vectors concatenated in order.
+
+    `dominant_kick_stats` reduces each path on its own, so this equals, bit
+    for bit, `dominant_kick_stats` of the concatenated paths.
+    """
+    return KickStats(
+        kick_time_histogram=np.sum([part.kick_time_histogram for part in parts], axis=0),
+        dominance_fraction=np.concatenate([part.dominance_fraction for part in parts]),
+        net_dominance=np.concatenate([part.net_dominance for part in parts]),
+        excluded_paths=sum(part.excluded_paths for part in parts),
     )
 
 

@@ -35,6 +35,7 @@ from belllab.qm import TSIRELSON_BOUND, qm_correlator, qm_joint, tsirelson_setti
 from belllab.schulman import (
     FamilySumConfig,
     PathSpec,
+    bridge_shards,
     dominant_kick_stats,
     endpoint_targets,
     expected_net_dominance,
@@ -180,7 +181,8 @@ def test_criterion_08_path_statistics():
     """
     spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=100)
     rng = RngStream(2029)
-    paths = sample_bridges(spec, 10**5, rng.substream(0))
+    shards = bridge_shards(10**5, rng.substream(0))
+    paths = np.concatenate([sample_bridges(spec, size, stream) for size, stream in shards])
 
     rotations, _ = endpoint_targets(spec)
     endpoint_ok = bool(np.isin(paths[:, -1], float(spec.theta1) + rotations).all())

@@ -11,6 +11,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from belllab import cli, schulman
@@ -184,6 +185,18 @@ class TestSubcommands:
             tracemalloc.stop()
         # row-block temporaries are a larger share of fewer paths: keep 50000
         assert peak < 1.5 * 50_000 * 101 * 8
+
+    def test_schulman_paths_memory_is_flat_in_samples(self, tmp_path):
+        argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--steps", "10", "--samples", "100"]) == 0  # imports and caches
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--steps", "100", "--samples", "200000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 25000-path shard (19.3 MiB) and n-length vectors, not 154 MiB of paths
+        assert peak < 40 * 2**20
 
     def test_schulman_paths_draws_on_the_main_thread(self, tmp_path, monkeypatch):
         draws = []
@@ -467,6 +480,12 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be finite and > 0" in capsys.readouterr().err
 
+    def test_two_photon_refuses_a_grid_size_that_is_not_finite(self, capsys):
+        assert main(["two-photon", "--gamma", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: lambda grid of 8 pi / gamma points is not finite" in captured.err
+
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size
         with pytest.raises(SystemExit) as exc:
@@ -485,6 +504,25 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "numerical failure" in err and "step 0" in err
+
+    def test_bridge_stall_in_a_later_shard_names_it(self, capsys, monkeypatch):
+        budgets = []
+
+        def stall_in_shard_1(residual, d1, d2, gen, max_rounds):
+            budgets.append(max_rounds)
+            if len(budgets) == 2:  # 2 steps: one conditional step per shard
+                raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+            return np.zeros_like(residual)
+
+        monkeypatch.setattr(schulman, "_conditional_step", stall_in_shard_1)
+        code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "2",
+                     "--samples", str(schulman.BRIDGE_SHARD + 1), "--seed", "1"])
+        assert code == 1
+        # the retry budget is set per shard: 64 rounds for 25000 paths, 10**6 for one
+        assert budgets == [64, 10**6]
+        err = capsys.readouterr().err
+        assert ("numerical failure: conditional increment sampling stalled in bridge "
+                "shard 1 (step 0, 1000000 proposal rounds)") in err
 
     def test_bridge_failure_leaves_no_helper_thread(self, capsys, monkeypatch):
         def fail(spec, n_paths, rng):

@@ -17,11 +17,13 @@ from belllab.schulman import (
     PathSpec,
     _cauchy_by_inversion,
     _conditional_step,
+    bridge_shards,
     dominant_kick_stats,
     endpoint_targets,
     exact_family_sum,
     expected_net_dominance,
     free_kick_sums,
+    merge_kick_stats,
     net_dominance_given_rotation,
     net_rotation_density,
     periodized_cauchy,
@@ -214,6 +216,10 @@ class TestTwoPhoton:
         with pytest.raises(ValueError):
             two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 0.0)
 
+    def test_joint_refuses_a_grid_size_that_is_not_finite(self):
+        with pytest.raises(ValueError, match="lambda grid"):
+            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 5e-324)
+
     @pytest.mark.parametrize("n", [131, 211, 290, 522])
     def test_grid_of_ceil_8pi_over_gamma_is_fine_enough(self, n):
         # one ulp below 8 pi / n, gamma / (pi / n) rounds to just under 8, and
@@ -283,7 +289,7 @@ class TestBridges:
         assert exc.value.step == 2
         # the retry budget of 10**6 proposals per step, over 200 paths
         assert exc.value.attempts == calls[-1] == 5000
-        assert "step 2" in str(exc.value)
+        assert str(exc.value) == "stalled (step 2, 5000 proposal rounds)"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -436,6 +442,43 @@ class TestRowBlocks:
         for name in ("kick_time_histogram", "dominance_fraction", "net_dominance"):
             c_order, f_order = (getattr(stats_, name) for stats_ in by_layout)
             assert c_order.tobytes() == f_order.tobytes(), name
+
+
+class TestShards:
+    """An ensemble drawn shard by shard, with a partial last shard of one path."""
+
+    n = 2 * schulman.BRIDGE_SHARD + 1
+    # above 8 steps numpy sums a row pairwise
+    spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=12)
+
+    def draw(self, seed):
+        shards = bridge_shards(self.n, RngStream(seed))
+        return [sample_bridges(self.spec, size, rng) for size, rng in shards]
+
+    def test_split_depends_on_the_count_alone(self):
+        shards = bridge_shards(self.n, RngStream(3).substream(0))
+        assert [size for size, _ in shards] == [schulman.BRIDGE_SHARD] * 2 + [1]
+        assert [rng.stream for _, rng in shards] == [
+            RngStream(3).substream(0).substream(i).stream for i in range(3)
+        ]
+        assert [size for size, _ in bridge_shards(1, RngStream(3))] == [1]
+
+    def test_a_shard_drawn_alone_is_its_slice_of_the_ensemble(self):
+        ensemble = np.concatenate(self.draw(21))
+        for i, size in ((1, schulman.BRIDGE_SHARD), (2, 1)):
+            alone = sample_bridges(self.spec, size, RngStream(21).substream(i))
+            start = i * schulman.BRIDGE_SHARD
+            assert alone.tobytes(order="C") == ensemble[start : start + size].tobytes(order="C")
+
+    def test_merged_stats_are_those_of_the_concatenated_paths(self):
+        shards = self.draw(22)
+        shards[-1][:] = 0.3  # the last shard's one path is flat, so excluded
+        merged = merge_kick_stats([dominant_kick_stats(p, self.spec.gamma) for p in shards])
+        whole = dominant_kick_stats(np.concatenate(shards), self.spec.gamma)
+        assert merged.excluded_paths == whole.excluded_paths == 1
+        for name in ("kick_time_histogram", "dominance_fraction", "net_dominance"):
+            have, want = getattr(merged, name), getattr(whole, name)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
 
 
 class TestCauchyByInversion:

@@ -8,8 +8,6 @@ A model can violate the CHSH bound while keeping screening and signal
 locality; what it must give up is lambda-independence.
 """
 
-import math
-
 import belllab as bl
 
 SETTINGS = bl.tsirelson_settings()
@@ -20,14 +18,13 @@ print(f"{'model':16s} {'screening':>10s} {'lambda-dep (TV)':>16s} {'marginal P(A
 for i, model in enumerate(
     (bl.LocalBaselineModel(), bl.DeltaMixtureModel(), bl.HallModel())
 ):
-    screen = bl.screening_residual(model, a, b, 200_000, lambda_bins=64,
-                                   rng=rng.substream(i))
+    screen = bl.screening_residual(model, a, b, 200_000, rng.substream(i))
     dep = bl.lambda_independence_residual(model, (a, b), (a, SETTINGS[3]))
     marg = model.joint_dist(a, b).marginal_1()[0]
     print(f"{model.name:16s} {screen.value:10.4f} {dep:16.4f} {marg:17.4f}")
 
 pr = bl.PRBoxModel(SETTINGS)
-screen = bl.screening_residual(pr, a, b, 200_000, lambda_bins=64, rng=rng.substream(9))
+screen = bl.screening_residual(pr, a, b, 200_000, rng.substream(9))
 marg = pr.joint_dist(a, b).marginal_1()[0]
 print(f"{pr.name:16s} {screen.value:10.4f} {'(no mediator)':>16s} {marg:17.4f}")
 print()

@@ -15,9 +15,8 @@ from scipy import stats
 import belllab as bl
 
 print("1. Winding-sum identity: sum_n 1/(d + n*pi)^2 = 1/sin(d)^2")
-cfg = bl.FamilySumConfig()
 for d in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
-    print(f"   d = {d/math.pi:.3f}*pi:  truncated sum = {bl.truncated_family_sum(d, cfg):.12f}"
+    print(f"   d = {d/math.pi:.3f}*pi:  truncated sum = {bl.truncated_family_sum(d):.12f}"
           f"   closed form = {bl.exact_family_sum(d):.12f}")
 print()
 
@@ -35,7 +34,7 @@ spec = bl.PathSpec(theta1=bl.PolAngle(0.0), theta2=bl.PolAngle(math.pi / 8),
 paths = bl.sample_bridges(spec, 20_000, bl.RngStream(1))
 kicks = bl.dominant_kick_stats(paths, spec.gamma)
 frac = float(np.mean(kicks.net_dominance > 0.99))
-pred = bl.expected_net_dominance(spec, threshold=0.99)
+pred = bl.expected_net_dominance(spec)
 print(f"   paths whose largest kick covers > 99% of the net rotation: {frac:.1%}"
       f" (exact expectation {pred.value:.1%})")
 chi2_p = stats.chisquare(kicks.kick_time_histogram).pvalue

@@ -17,7 +17,6 @@ reports.  Without --out, stdout carries the report and nothing else.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -33,7 +32,6 @@ from .core import PI, PolAngle, RngStream
 from .estimator import (
     chsh_pvalue_log10,
     chsh_value,
-    estimate_correlator,
     lambda_independence_residual,
     mutual_information_hall,
     run_chsh_experiment,
@@ -42,6 +40,7 @@ from .estimator import (
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
 from .qm import qm_correlator, qm_joint
 from .schulman import (
+    DOMINANCE_THRESHOLD,
     BridgeSamplingError,
     PathSpec,
     bridge_shards,
@@ -193,8 +192,7 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
         chsh = run_chsh_experiment(model, settings, args.samples, rng, workers=args.workers)
         residuals = {
             "screening": screening_residual(
-                model, settings[0], settings[2], min(args.samples, 200_000),
-                lambda_bins=64, rng=rng.substream(100),
+                model, settings[0], settings[2], min(args.samples, 200_000), rng.substream(100)
             ).value
         }
         if isinstance(model, HiddenVariableModel):
@@ -290,7 +288,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),
-        "net_dominance_over_0.99_fraction": float(np.mean(net_dom > 0.99))
+        "net_dominance_over_0.99_fraction": float(np.mean(net_dom > DOMINANCE_THRESHOLD))
         if net_dom.size
         else None,
         "dominance_fraction_quantiles": {

@@ -14,11 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PI, PolAngle, RngStream, canonical_diff
-from .models import AnyModel, HiddenVariableModel, PRBoxModel, hall_density
-from .qm import JointDist
+from .core import PI, PolAngle, RngStream
+from .models import AnyModel, HiddenVariableModel, hall_density
 
 SHARD_SIZE = 250_000
+
+#: Equal bins of [0, pi) in which `screening_residual` groups a continuous lambda.
+SCREENING_BINS = 64
+
+#: Fewest samples a `screening_residual` bin needs to be used, not excluded.
+MIN_BIN_COUNT = 100
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,6 @@ class CorrelatorEstimate:
 class ChshReport:
     """The four correlators entering the CHSH combination and its value S."""
 
-    settings: tuple[PolAngle, PolAngle, PolAngle, PolAngle]
     correlators: tuple[
         CorrelatorEstimate, CorrelatorEstimate, CorrelatorEstimate, CorrelatorEstimate
     ]
@@ -128,7 +132,6 @@ def run_chsh_experiment(
     s = chsh_value(*(e.value for e in estimates))
     s_err = math.sqrt(sum(e.standard_error**2 for e in estimates))
     return ChshReport(
-        settings=(a, a_p, b, b_p),
         correlators=estimates,
         s_value=s,
         s_standard_error=s_err,
@@ -155,20 +158,16 @@ def peres_identity_check(a1: int, a2: int, b1: int, b2: int) -> int:
 
 
 def screening_residual(
-    model: AnyModel,
-    a: float,
-    b: float,
-    n: int,
-    lambda_bins: int,
-    rng: RngStream,
-    min_bin_count: int = 100,
+    model: AnyModel, a: float, b: float, n: int, rng: RngStream
 ) -> ScreeningResult:
     """Empirical check that outcomes factorize given (binned) lambda.
 
     Returns the worst |P(A,B | bin) - P(A | bin) P(B | bin)| over occupied
-    bins and outcome pairs.  Bins with fewer than min_bin_count samples are
-    excluded and counted.  Models without a hidden angle are treated as a
-    single trivial bin, which measures the raw outcome correlation.
+    bins and outcome pairs.  A continuous lambda is binned into
+    SCREENING_BINS equal bins, an atom-valued one by atom.  Bins with fewer
+    than MIN_BIN_COUNT samples are excluded and counted.  Models without a
+    hidden angle are treated as a single trivial bin, which measures the raw
+    outcome correlation.
     """
     lams, a_out, b_out = model.sample_runs(a, b, n, rng)
     dist = None if lams is None else model.lambda_distribution(a, b)
@@ -179,15 +178,15 @@ def screening_residual(
         bins = np.searchsorted(dist.points, lams)
         n_bins = dist.points.size
     else:
-        bins = np.minimum((np.asarray(lams) / PI * lambda_bins).astype(int), lambda_bins - 1)
-        n_bins = lambda_bins
+        n_bins = SCREENING_BINS
+        bins = np.minimum((np.asarray(lams) / PI * n_bins).astype(int), n_bins - 1)
 
     # counts[bin, A == -1, B == -1], from one pass over the samples
     codes = 4 * bins + 2 * (a_out != 1) + (b_out != 1)
     counts = np.bincount(codes, minlength=4 * n_bins).reshape(n_bins, 2, 2)
     total = counts.sum(axis=(1, 2))
-    excluded = int(np.count_nonzero((total > 0) & (total < min_bin_count)))
-    kept = total >= min_bin_count
+    excluded = int(np.count_nonzero((total > 0) & (total < MIN_BIN_COUNT)))
+    kept = total >= MIN_BIN_COUNT
     occupied = int(np.count_nonzero(kept))
     counts, total = counts[kept], total[kept]
     # the same divisions as per-bin means of the boolean outcome masks

@@ -44,6 +44,23 @@ ROW_BLOCK = 4096
 #: time: 19 MiB at 100 steps.
 BRIDGE_SHARD = 25_000
 
+#: Windings |n| <= N_FAMILY_TERMS that `truncated_family_sum` and
+#: `periodized_cauchy_truncated` sum term by term before their integral tails.
+N_FAMILY_TERMS = 10_000
+
+#: Share of the net rotation the largest kick must exceed to count as the
+#: single dominant kick, in criterion 8 and the schulman-paths report.
+DOMINANCE_THRESHOLD = 0.99
+
+#: Proposal rounds a conditional step may take before it raises
+#: `BridgeSamplingError`.  A round accepts a pending path with probability
+#: pi Q_min C_{d1+d2}(r) (see `_conditional_step`), monotone in r^2, from
+#: 1 - t / (1 + t^2) at r = 0 (t = sqrt(d1 / d2)) to
+#: (d1 + d2) / (sqrt(d1) + sqrt(d2))^2 as |r| -> infinity.  Both bounds are
+#: >= 1/2, so a path survives 64 rounds with probability at most 2**-64, at
+#: every gamma.
+MAX_ROUNDS = 64
+
 
 class AlignedPoleError(ZeroDivisionError):
     """Family sum requested exactly at its pole (aligned boundary angles)."""
@@ -58,18 +75,6 @@ class BridgeSamplingError(RuntimeError):
         self.reason = message
         self.step = step
         self.attempts = attempts
-
-
-@dataclass(frozen=True)
-class FamilySumConfig:
-    """Truncation policy for the winding sums."""
-
-    n_max: int = 10_000
-    tail_correction: bool = True
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,19 +122,18 @@ def exact_family_sum(delta_theta: float) -> float:
     return 1.0 / (s * s)
 
 
-def truncated_family_sum(delta_theta: float, cfg: FamilySumConfig) -> float:
-    """Direct winding sum, optionally with an integral tail correction.
+def truncated_family_sum(delta_theta: float) -> float:
+    """Direct winding sum over |n| <= N_FAMILY_TERMS plus an integral tail.
 
-    The tail of sum_{|n| > n_max} 1/(x + n*pi)^2 is approximated by the
-    midpoint-rule integral 1/(pi*(x + (n_max + 1/2)*pi)) on each side,
-    accurate to O(n_max^-3).
+    The tail of sum_{|n| > N} 1/(x + n*pi)^2 is approximated by the
+    midpoint-rule integral 1/(pi*(x + (N + 1/2)*pi)) on each side,
+    accurate to O(N^-3).
     """
-    n = np.arange(-cfg.n_max, cfg.n_max + 1)
-    total = float(np.sum(1.0 / (delta_theta + n * PI) ** 2))
-    if cfg.tail_correction:
-        edge = (cfg.n_max + 0.5) * PI
-        total += 1.0 / (PI * (edge + delta_theta)) + 1.0 / (PI * (edge - delta_theta))
-    return total
+    n = np.arange(-N_FAMILY_TERMS, N_FAMILY_TERMS + 1)
+    edge = (N_FAMILY_TERMS + 0.5) * PI
+    return float(np.sum(1.0 / (delta_theta + n * PI) ** 2)) + (
+        1.0 / (PI * (edge + delta_theta)) + 1.0 / (PI * (edge - delta_theta))
+    )
 
 
 def periodized_cauchy(x, gamma: float):
@@ -167,20 +171,18 @@ def periodized_cauchy(x, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def periodized_cauchy_truncated(x: float, gamma: float, cfg: FamilySumConfig) -> float:
+def periodized_cauchy_truncated(x: float, gamma: float) -> float:
     """Winding-by-winding evaluation of the wrapped Cauchy density.
 
-    Reference path used to validate the closed form; the tail integral is
-    exact for the Lorentzian, evaluated with arctan.
+    Reference path used to validate the closed form: |n| <= N_FAMILY_TERMS
+    term by term, then the tail integral, exact for the Lorentzian,
+    evaluated with arctan.
     """
-    n = np.arange(-cfg.n_max, cfg.n_max + 1)
-    total = float(np.sum(net_rotation_density(x + n * PI, gamma)))
-    if cfg.tail_correction:
-        edge = (cfg.n_max + 0.5) * PI
-        total += (
-            HALF_PI - math.atan((edge + x) / gamma) + HALF_PI - math.atan((edge - x) / gamma)
-        ) / PI**2
-    return total
+    n = np.arange(-N_FAMILY_TERMS, N_FAMILY_TERMS + 1)
+    edge = (N_FAMILY_TERMS + 0.5) * PI
+    return float(np.sum(net_rotation_density(x + n * PI, gamma))) + (
+        HALF_PI - math.atan((edge + x) / gamma) + HALF_PI - math.atan((edge - x) / gamma)
+    ) / PI**2
 
 
 def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> float:
@@ -242,7 +244,6 @@ class TwoPhotonResult:
     joint: JointDist
     a: PolAngle
     b: PolAngle
-    gamma: float
     lam: np.ndarray = field(repr=False)
     #: posterior mass per grid cell, by outcome pair, shape (2, 2, M);
     #: index 0 = +1, index 1 = -1 on each axis.  Sums to 1 overall.
@@ -296,8 +297,9 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
     family weights; normalizing over (lambda, A, B) on the grid yields the
     lambda posterior.  The joint is `two_photon_outcome_joint`, exact; the
     grid is needed only for the posterior.  It has 8 points per gamma width,
-    max(64, ceil(8 pi / gamma)) in all; a gamma below about 1.4e-307, for
-    which 8 pi / gamma is not finite, is refused.
+    max(64, ceil(8 pi / gamma)) in all.  A grid whose size is not finite
+    (gamma below about 1.4e-307) or that numpy refuses to allocate (2.5e14
+    points at gamma = 1e-13) raises ValueError naming the grid.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -308,10 +310,15 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
     spacing = PI / points
     a = PolAngle(a)
     b = PolAngle(b)
-    lam = (np.arange(points) + 0.5) * spacing
+    try:
+        lam = (np.arange(points) + 0.5) * spacing
+        mass = np.empty((2, 2, points))
+    except (ValueError, MemoryError):  # numpy's refusals to allocate
+        raise ValueError(
+            f"lambda grid of {cells:.3g} points cannot be allocated at gamma = {gamma!r}"
+        ) from None
     targets_1 = (float(a), float(a.perpendicular()))  # A = +1, -1
     targets_2 = (float(b), float(b.perpendicular()))
-    mass = np.empty((2, 2, points))
     for i, t1 in enumerate(targets_1):
         w1 = periodized_cauchy(lam - t1, gamma)
         for j, t2 in enumerate(targets_2):
@@ -322,7 +329,6 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
         joint=two_photon_outcome_joint(a, b, gamma),
         a=a,
         b=b,
-        gamma=gamma,
         lam=lam,
         mass_by_outcome=mass,
     )
@@ -365,8 +371,7 @@ def _cauchy_by_inversion(v: np.ndarray) -> np.ndarray:
 
 
 def _conditional_step(
-    residual: np.ndarray, d1: float, d2: float, gen: np.random.Generator,
-    max_rounds: int,
+    residual: np.ndarray, d1: float, d2: float, gen: np.random.Generator
 ) -> np.ndarray:
     """Draw one increment per path from f(e) ~ C_d1(e) * C_d2(residual - e).
 
@@ -378,7 +383,9 @@ def _conditional_step(
     Q(e) = alpha ((r - e)^2 + d2^2) + beta (e^2 + d1^2), alpha = w / d2,
     beta = (1 - w) / d1, a quadratic whose minimum
     Q_min = alpha beta / (alpha + beta) r^2 + alpha d2^2 + beta d1^2 is exact,
-    so e is accepted when u Q(e) <= Q_min.  The acceptance rate is
+    so e is accepted when u Q(e) <= Q_min.  Its r^2 coefficient is computed
+    as its equal 1 / (sqrt(d1) + sqrt(d2))^2: alpha beta ~ 1 / (d1 d2)
+    overflows below gamma ~ 1e-153.  The acceptance rate is
     pi Q_min C_{d1+d2}(r): (d1 + d2) / (sqrt(d1) + sqrt(d2))^2 for |r| >> d2,
     between 1/2 (equal widths) and 1 (one width dominant), against exactly 1/2
     for an equal mixture.
@@ -391,7 +398,7 @@ def _conditional_step(
     beta = (1.0 - w) / d1
     q_floor = alpha * d2 * d2 + beta * d1 * d1
     q_min = residual * residual
-    q_min *= alpha * beta / (alpha + beta)
+    q_min *= 1.0 / (math.sqrt(d1) + math.sqrt(d2)) ** 2
     q_min += q_floor
 
     def propose(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +419,7 @@ def _conditional_step(
 
     out, q = propose(residual)
     todo = np.flatnonzero(q > q_min)
-    for _ in range(max_rounds - 1):
+    for _ in range(MAX_ROUNDS - 1):
         if todo.size == 0:
             break
         eps, q = propose(residual[todo])
@@ -421,7 +428,7 @@ def _conditional_step(
         out[todo] = eps
         todo = todo[q > q_min[todo]]
     if todo.size:
-        raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+        raise BridgeSamplingError("conditional increment sampling stalled", -1, MAX_ROUNDS)
     return out
 
 
@@ -432,10 +439,8 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     normalized net-rotation weights; increments are then drawn from their
     exact conditional densities given the remaining rotation and remaining
     Cauchy width.  The endpoint constraint is satisfied bit-exactly.  Each
-    step may take max(64, 10**6 // n_paths) proposal rounds before it raises
-    `BridgeSamplingError`.  An ensemble drawn shard by shard (`bridge_shards`)
-    sets this budget per shard from the shard's size, so it is 64 rounds for
-    any shard of more than 15 625 paths, and more only for a short last shard.
+    step may take MAX_ROUNDS proposal rounds before it raises
+    `BridgeSamplingError`.
 
     The returned array is column-major (Fortran order), so each step's
     increments are written to contiguous memory and summed there in place,
@@ -450,12 +455,10 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
     d_step = spec.step_width
     paths = np.empty((n_paths, steps + 1), order="F")
     residual = targets.copy()
-    retry_budget = 10**6
-    max_rounds = max(64, retry_budget // max(1, n_paths))
     for i in range(steps - 1):
         remaining_width = (steps - 1 - i) * d_step
         try:
-            eps = _conditional_step(residual, d_step, remaining_width, gen, max_rounds)
+            eps = _conditional_step(residual, d_step, remaining_width, gen)
         except BridgeSamplingError as exc:
             raise BridgeSamplingError(exc.reason, i, exc.attempts) from None
         paths[:, i + 1] = eps
@@ -602,15 +605,16 @@ class DominancePrediction:
         return self.overcount + self.discarded_winding_mass * (1.0 - self.value)
 
 
-def net_dominance_given_rotation(delta, gamma: float, steps: int, threshold: float = 0.99):
-    """Expected number of increments with |e| > threshold * |delta| in a bridge
-    of `steps` Cauchy kicks (total width gamma) whose net rotation is delta.
+def net_dominance_given_rotation(delta, gamma: float, steps: int):
+    """Expected number of increments with |e| > DOMINANCE_THRESHOLD * |delta|
+    in a bridge of `steps` Cauchy kicks (total width gamma) whose net
+    rotation is delta.
 
     The increments are exchangeable, each distributed as
     C_a(e) C_b(delta - e) / C_gamma(delta) with a = gamma/steps and
     b = gamma - a, so the count is steps times the mass of that density
-    beyond +-c, c = threshold * |delta|.  Partial fractions give the mass
-    in closed form:
+    beyond +-c, c = DOMINANCE_THRESHOLD * |delta|.  Partial fractions give
+    the mass in closed form:
 
         1 / ((e^2 + a^2)((delta - e)^2 + b^2))
             = (A e + B) / (e^2 + a^2) + (-A (e - delta) + D) / ((e - delta)^2 + b^2)
@@ -620,7 +624,7 @@ def net_dominance_given_rotation(delta, gamma: float, steps: int, threshold: flo
     antiderivative is a log term plus two arctan terms.  A single step, or a
     net rotation of exactly 0 (the ratio is infinite), counts as 1.
     Leading order in gamma/|delta| is
-    1/2 + arctan((1 - threshold) |delta| / gamma) / pi.
+    1/2 + arctan((1 - DOMINANCE_THRESHOLD) |delta| / gamma) / pi.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -633,7 +637,7 @@ def net_dominance_given_rotation(delta, gamma: float, steps: int, threshold: flo
     a = gamma / steps
     b = gamma - a
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = threshold * delta
+        c = DOMINANCE_THRESHOLD * delta
         m = (delta**2 + (a + b) ** 2) * (delta**2 + (a - b) ** 2)
         log_term = delta / m * np.log(((c - delta) ** 2 + b * b) / ((c + delta) ** 2 + b * b))
         # arctan(a / c) = pi/2 - arctan(c / a) without the cancellation for c >> a
@@ -656,34 +660,33 @@ def discarded_winding_mass(spec: PathSpec) -> float:
     return max(0.0, 1.0 - kept / full)
 
 
-def expected_net_dominance(spec: PathSpec, threshold: float = 0.99) -> DominancePrediction:
+def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
     """Expected share of `sample_bridges(spec, ...)` paths whose largest
-    |increment| exceeds threshold * |net rotation| (the quantity
-    `dominant_kick_stats(...).net_dominance > threshold` estimates).
+    |increment| exceeds DOMINANCE_THRESHOLD * |net rotation| (the quantity
+    `dominant_kick_stats(...).net_dominance > DOMINANCE_THRESHOLD` estimates).
 
     Averages `net_dominance_given_rotation` over the same truncated winding
     weights the sampler draws endpoints from.  That average counts kicks,
     not paths, so it over-counts paths with two kicks beyond the threshold.
-    For threshold > 1/2 these need opposite signs, x > (1 + threshold)|delta|
+    Because the threshold exceeds 1/2, two same-sign kicks cannot both pass
+    it, so such pairs have opposite signs, x > (1 + threshold)|delta|
     and y = delta - x; summing the Cauchy tails a^2 / (pi^2 x^2 y^2) over the
     steps * (steps - 1) ordered pairs of kicks and dividing by
     C_gamma(delta) gives, to leading order in gamma/|delta|,
 
         (1 - 1/steps) gamma / (pi |delta|) * (1/u + 1/(u - 1) - 2 log(u / (u - 1))),
-        u = 1 + threshold,
+        u = 1 + DOMINANCE_THRESHOLD,
 
     which is reported as `overcount` together with the discarded winding mass.
     The prediction covers every path; `dominant_kick_stats` can exclude one
     only if its |net rotation| is below DOMINANCE_FLOOR * gamma, so the two
     agree whenever no winding lies that close to 0.
     """
-    if threshold <= 0.5:
-        raise ValueError("threshold must exceed 1/2 (two same-sign kicks could both exceed it)")
     rotations, weights = endpoint_targets(spec)
-    per_winding = net_dominance_given_rotation(rotations, spec.gamma, spec.steps, threshold)
+    per_winding = net_dominance_given_rotation(rotations, spec.gamma, spec.steps)
     value = float(np.sum(weights * per_winding))
 
-    u = 1.0 + threshold
+    u = 1.0 + DOMINANCE_THRESHOLD
     two_kick = 1.0 / u + 1.0 / (u - 1.0) - 2.0 * math.log(u / (u - 1.0))
     delta = np.abs(rotations)
     with np.errstate(divide="ignore"):

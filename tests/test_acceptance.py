@@ -33,7 +33,6 @@ from belllab.models import (
 )
 from belllab.qm import TSIRELSON_BOUND, qm_correlator, qm_joint, tsirelson_settings
 from belllab.schulman import (
-    FamilySumConfig,
     PathSpec,
     bridge_shards,
     dominant_kick_stats,
@@ -113,9 +112,8 @@ def test_criterion_04_peres_identity():
 
 def test_criterion_05_family_sum():
     """Truncated-plus-tail winding sum reproduces 1/sin^2 to 1e-10."""
-    cfg = FamilySumConfig()
     worst = max(
-        abs(truncated_family_sum(d, cfg) - 1.0 / math.sin(d) ** 2)
+        abs(truncated_family_sum(d) - 1.0 / math.sin(d) ** 2)
         for d in (PI / 8, PI / 4, 3 * PI / 8, HALF_PI)
     )
     verdict(5, worst < 1e-10, f"max |sum - 1/sin^2| over four angles: {worst:.2e} (tol 1e-10)")
@@ -192,7 +190,7 @@ def test_criterion_08_path_statistics():
 
     kicks = dominant_kick_stats(paths, spec.gamma)
     dominance = float(np.mean(kicks.net_dominance > 0.99))
-    expected = expected_net_dominance(spec, threshold=0.99)
+    expected = expected_net_dominance(spec)
     se = math.sqrt(expected.value * (1.0 - expected.value) / kicks.net_dominance.size)
     dominance_ok = abs(dominance - expected.value) < 5 * se and expected.error_bound < se
     chi2_p = float(stats.chisquare(kicks.kick_time_histogram).pvalue)
@@ -233,14 +231,12 @@ def test_criterion_10_locality_properties():
         (HallModel(), 400_000, 1 / (4 * 64)),
         (LocalBaselineModel(), 400_000, 1 / 64),
     )):
-        res = screening_residual(model, a, b, n, lambda_bins=64,
-                                 rng=rng.substream(idx))
+        res = screening_residual(model, a, b, n, rng.substream(idx))
         bound = 6 * math.sqrt(0.25 / (n * min_mass))
         screen_ok &= res.value < bound
         screen_report.append(f"{model.name}={res.value:.4f}<{bound:.4f}")
 
-    pr_res = screening_residual(PRBoxModel(TSIRELSON), a, b, 200_000,
-                                lambda_bins=64, rng=rng.substream(99))
+    pr_res = screening_residual(PRBoxModel(TSIRELSON), a, b, 200_000, rng.substream(99))
     pr_ok = abs(pr_res.value - 0.25) < 0.01
 
     base_dep = lambda_independence_residual(

@@ -174,6 +174,16 @@ class TestSubcommands:
         mass = json.loads(out.read_text())["discarded_winding_mass"]
         assert 9.8e-4 < mass < 1.06e-3
 
+    def test_schulman_paths_at_a_tiny_gamma(self, tmp_path):
+        # below gamma ~ 1e-153 the rejection step once overflowed and accepted
+        # every proposal, which moved the dominant kick to the early steps
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", "1e-160", "--steps", "100",
+                     "--samples", "20000", "--seed", "2029", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert sum(report["kick_time_histogram"]) == 20000
+        assert report["kick_time_chi2_pvalue"] > 0.01
+
     def test_schulman_paths_holds_one_path_array(self, tmp_path):
         argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert main([*argv, "--steps", "10", "--samples", "100"]) == 0  # imports and caches
@@ -486,6 +496,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: lambda grid of 8 pi / gamma points is not finite" in captured.err
 
+    @pytest.mark.parametrize("gamma", ["1e-13", "1e-300"])
+    def test_two_photon_refuses_a_grid_numpy_cannot_allocate(self, gamma, capsys):
+        # 2.5e14 and 2.5e301 points: numpy refuses before touching memory
+        assert main(["two-photon", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"points cannot be allocated at gamma = {float(gamma)!r}" in captured.err
+        assert captured.err.startswith("error: lambda grid of ")
+
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size
         with pytest.raises(SystemExit) as exc:
@@ -495,8 +514,8 @@ class TestExitCodes:
         assert "--lambda-grid" in capsys.readouterr().err
 
     def test_bridge_sampling_failure(self, capsys, monkeypatch):
-        def stall(residual, d1, d2, gen, max_rounds):
-            raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+        def stall(residual, d1, d2, gen):
+            raise BridgeSamplingError("conditional increment sampling stalled", -1, 64)
 
         monkeypatch.setattr(schulman, "_conditional_step", stall)
         code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "10",
@@ -506,23 +525,24 @@ class TestExitCodes:
         assert "numerical failure" in err and "step 0" in err
 
     def test_bridge_stall_in_a_later_shard_names_it(self, capsys, monkeypatch):
-        budgets = []
+        sizes = []
 
-        def stall_in_shard_1(residual, d1, d2, gen, max_rounds):
-            budgets.append(max_rounds)
-            if len(budgets) == 2:  # 2 steps: one conditional step per shard
-                raise BridgeSamplingError("conditional increment sampling stalled", -1, max_rounds)
+        def stall_in_shard_1(residual, d1, d2, gen):
+            sizes.append(residual.size)
+            if len(sizes) == 2:  # 2 steps: one conditional step per shard
+                raise BridgeSamplingError(
+                    "conditional increment sampling stalled", -1, schulman.MAX_ROUNDS
+                )
             return np.zeros_like(residual)
 
         monkeypatch.setattr(schulman, "_conditional_step", stall_in_shard_1)
         code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "2",
                      "--samples", str(schulman.BRIDGE_SHARD + 1), "--seed", "1"])
         assert code == 1
-        # the retry budget is set per shard: 64 rounds for 25000 paths, 10**6 for one
-        assert budgets == [64, 10**6]
+        assert sizes == [schulman.BRIDGE_SHARD, 1]
         err = capsys.readouterr().err
         assert ("numerical failure: conditional increment sampling stalled in bridge "
-                "shard 1 (step 0, 1000000 proposal rounds)") in err
+                "shard 1 (step 0, 64 proposal rounds)") in err
 
     def test_bridge_failure_leaves_no_helper_thread(self, capsys, monkeypatch):
         def fail(spec, n_paths, rng):

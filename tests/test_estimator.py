@@ -8,6 +8,8 @@ from scipy import integrate
 
 from belllab.core import PI, RngStream
 from belllab.estimator import (
+    MIN_BIN_COUNT,
+    SCREENING_BINS,
     analytic_chsh,
     chsh_pvalue,
     chsh_pvalue_log10,
@@ -22,6 +24,7 @@ from belllab.estimator import (
 from belllab.models import (
     DeltaMixtureModel,
     HallModel,
+    LambdaDistribution,
     LocalBaselineModel,
     PRBoxModel,
     hall_breakpoints,
@@ -106,7 +109,7 @@ class TestPeresIdentity:
             peres_identity_check(0, 1, 1, 1)
 
 
-def masked_loop_screening(model, a, b, n, lambda_bins, rng, min_bin_count=100):
+def masked_loop_screening(model, a, b, n, rng):
     """Reference for screening_residual: one boolean mask per lambda bin."""
     lams, a_out, b_out = model.sample_runs(a, b, n, rng)
     if lams is None:
@@ -115,15 +118,15 @@ def masked_loop_screening(model, a, b, n, lambda_bins, rng, min_bin_count=100):
         points = model.lambda_distribution(a, b).points
         bins, n_bins = np.searchsorted(points, lams), points.size
     else:
-        bins = np.minimum((lams / PI * lambda_bins).astype(int), lambda_bins - 1)
-        n_bins = lambda_bins
+        bins = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
+        n_bins = SCREENING_BINS
     worst, occupied, excluded = 0.0, 0, 0
     for idx in range(n_bins):
         mask = bins == idx
         count = int(mask.sum())
         if count == 0:
             continue
-        if count < min_bin_count:
+        if count < MIN_BIN_COUNT:
             excluded += 1
             continue
         occupied += 1
@@ -137,56 +140,68 @@ def masked_loop_screening(model, a, b, n, lambda_bins, rng, min_bin_count=100):
     return float(worst), occupied, excluded
 
 
+class SteppedModel(LocalBaselineModel):
+    """Malus outcomes with lambda dense on [0, pi/2), sparse on [pi/2, 3pi/4)
+    and absent from [3pi/4, pi): at 6400 samples its 64 screening bins are
+    32 occupied (about 190 samples each), 16 excluded (about 20) and 16 empty."""
+
+    def lambda_distribution(self, a, b):
+        edges = np.array([0.0, PI / 2, 3 * PI / 4, PI])
+        return LambdaDistribution(0.5 * (edges[:-1] + edges[1:]), np.array([0.95, 0.05, 0.0]), edges)
+
+    def sample_lambdas(self, a, b, n, rng):
+        return self.lambda_distribution(a, b).sample(n, rng)
+
+
 class TestScreening:
     def test_hall_screens(self):
-        res = screening_residual(
-            HallModel(), 0.0, PI / 8, 400_000, lambda_bins=64, rng=RngStream(4)
-        )
+        res = screening_residual(HallModel(), 0.0, PI / 8, 400_000, RngStream(4))
         assert res.occupied_bins > 0
         # binomial fluctuation scale for the worst of ~64 bins
         assert res.value < 6 * math.sqrt(0.25 / (400_000 / (4 * 64)))
 
     def test_delta_mixture_screens(self):
-        res = screening_residual(
-            DeltaMixtureModel(), 0.0, PI / 8, 200_000, lambda_bins=64, rng=RngStream(5)
-        )
+        res = screening_residual(DeltaMixtureModel(), 0.0, PI / 8, 200_000, RngStream(5))
         assert res.occupied_bins == 4
         assert res.value < 6 * math.sqrt(0.25 / (200_000 / 4))
 
     def test_pr_box_does_not_screen(self):
         res = screening_residual(
-            PRBoxModel(TSIRELSON), TSIRELSON[0], TSIRELSON[2], 100_000,
-            lambda_bins=64, rng=RngStream(6),
+            PRBoxModel(TSIRELSON), TSIRELSON[0], TSIRELSON[2], 100_000, RngStream(6)
         )
         # no lambda to condition on: the raw correlation survives, |0.5 - 0.25|
         assert float(res) == pytest.approx(0.25, abs=0.01)
 
     @pytest.mark.parametrize(
-        "model, a, b, n, min_bin_count",
+        "model, a, b, n",
         [
-            (HallModel(), 0.0, PI / 8, 200_000, 100),
-            # ~100 samples per bin: some fall below min_bin_count
-            (HallModel(), 0.0, PI / 8, 6_400, 100),
-            # ~5 per bin: some bins are empty, which count as neither
-            (HallModel(), 0.0, PI / 8, 300, 5),
+            (HallModel(), 0.0, PI / 8, 200_000),
+            # ~100 samples per bin: some fall below MIN_BIN_COUNT
+            (HallModel(), 0.0, PI / 8, 6_400),
+            # occupied, excluded and empty bins at once (see the test below)
+            (SteppedModel(), 0.0, PI / 8, 6_400),
             # a perpendicular to b: Hall's agreement segments carry no mass
-            (HallModel(), 0.3, 0.3 + PI / 2, 12_800, 100),
-            (DeltaMixtureModel(), 0.0, PI / 8, 20_000, 100),
-            (LocalBaselineModel(), 0.0, PI / 8, 6_400, 100),
-            (PRBoxModel(TSIRELSON), TSIRELSON[1], TSIRELSON[3], 1_000, 100),
+            (HallModel(), 0.3, 0.3 + PI / 2, 12_800),
+            (DeltaMixtureModel(), 0.0, PI / 8, 20_000),
+            (LocalBaselineModel(), 0.0, PI / 8, 6_400),
+            (PRBoxModel(TSIRELSON), TSIRELSON[1], TSIRELSON[3], 1_000),
         ],
     )
-    def test_matches_masked_loop_bit_for_bit(self, model, a, b, n, min_bin_count):
+    def test_matches_masked_loop_bit_for_bit(self, model, a, b, n):
         for seed in (0, 1, 2029):
-            got = screening_residual(model, a, b, n, lambda_bins=64, rng=RngStream(seed),
-                                     min_bin_count=min_bin_count)
-            ref = masked_loop_screening(model, a, b, n, 64, RngStream(seed), min_bin_count)
+            got = screening_residual(model, a, b, n, RngStream(seed))
+            ref = masked_loop_screening(model, a, b, n, RngStream(seed))
             assert (got.value, got.occupied_bins, got.excluded_bins) == ref
 
+    def test_empty_bins_count_as_neither_occupied_nor_excluded(self):
+        for seed in (0, 1, 2029):
+            res = screening_residual(SteppedModel(), 0.0, PI / 8, 6_400, RngStream(seed))
+            # the 16 bins beyond 3pi/4 are empty
+            assert (res.occupied_bins, res.excluded_bins) == (32, 16)
+            assert res.value > 0.0
+
     def test_result_is_float_like(self):
-        res = screening_residual(
-            LocalBaselineModel(), 0.0, 0.0, 50_000, lambda_bins=16, rng=RngStream(7)
-        )
+        res = screening_residual(LocalBaselineModel(), 0.0, 0.0, 50_000, RngStream(7))
         assert float(res) == res.value
 
 

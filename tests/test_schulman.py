@@ -13,7 +13,6 @@ from belllab.qm import qm_joint
 from belllab.schulman import (
     AlignedPoleError,
     BridgeSamplingError,
-    FamilySumConfig,
     PathSpec,
     _cauchy_by_inversion,
     _conditional_step,
@@ -36,13 +35,11 @@ from belllab.schulman import (
     two_photon_outcome_joint,
 )
 
-CFG = FamilySumConfig()
-
 
 class TestFamilySums:
     @pytest.mark.parametrize("d", [PI / 8, PI / 4, 3 * PI / 8, PI / 2, 0.3, 1.1])
     def test_truncated_matches_closed_form(self, d):
-        assert truncated_family_sum(d, CFG) == pytest.approx(
+        assert truncated_family_sum(d) == pytest.approx(
             1.0 / math.sin(d) ** 2, abs=1e-10
         )
         assert exact_family_sum(d) == 1.0 / math.sin(d) ** 2
@@ -53,18 +50,6 @@ class TestFamilySums:
         with pytest.raises(AlignedPoleError):
             exact_family_sum(PI)
 
-    def test_tail_correction_matters(self):
-        no_tail = FamilySumConfig(n_max=100, tail_correction=False)
-        with_tail = FamilySumConfig(n_max=100, tail_correction=True)
-        exact = exact_family_sum(0.7)
-        assert abs(truncated_family_sum(0.7, with_tail) - exact) < abs(
-            truncated_family_sum(0.7, no_tail) - exact
-        )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FamilySumConfig(n_max=0)
-
 
 class TestPeriodizedCauchy:
     @given(
@@ -74,7 +59,7 @@ class TestPeriodizedCauchy:
     @hyp_settings(max_examples=40, deadline=None)
     def test_closed_form_matches_winding_sum(self, x, gamma):
         assert periodized_cauchy(x, gamma) == pytest.approx(
-            periodized_cauchy_truncated(x, gamma, CFG), rel=1e-9
+            periodized_cauchy_truncated(x, gamma), rel=1e-9
         )
 
     def test_normalized_over_a_period(self):
@@ -123,8 +108,8 @@ class TestSinglePhoton:
 
     def test_truncated_route_agrees_with_closed_form(self):
         d = PI / 8
-        w_plus = periodized_cauchy_truncated(d, 1e-3, CFG)
-        w_minus = periodized_cauchy_truncated(d + HALF_PI, 1e-3, CFG)
+        w_plus = periodized_cauchy_truncated(d, 1e-3)
+        w_minus = periodized_cauchy_truncated(d + HALF_PI, 1e-3)
         assert single_photon_outcome_prob(0.0, d, 1e-3) == pytest.approx(
             w_plus / (w_plus + w_minus), rel=1e-9
         )
@@ -277,19 +262,18 @@ class TestBridges:
     def test_stalled_step_reports_its_index(self, monkeypatch):
         calls = []
 
-        def stall_on_third_step(residual, d1, d2, gen, max_rounds):
-            calls.append(max_rounds)
+        def stall_on_third_step(residual, d1, d2, gen):
+            calls.append(d1)
             if len(calls) == 3:
-                raise BridgeSamplingError("stalled", -1, max_rounds)
+                raise BridgeSamplingError("stalled", -1, schulman.MAX_ROUNDS)
             return np.zeros_like(residual)
 
         monkeypatch.setattr(schulman, "_conditional_step", stall_on_third_step)
         with pytest.raises(BridgeSamplingError) as exc:
             sample_bridges(self.spec, 200, RngStream(2))
         assert exc.value.step == 2
-        # the retry budget of 10**6 proposals per step, over 200 paths
-        assert exc.value.attempts == calls[-1] == 5000
-        assert str(exc.value) == "stalled (step 2, 5000 proposal rounds)"
+        assert exc.value.attempts == 64
+        assert str(exc.value) == "stalled (step 2, 64 proposal rounds)"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -361,7 +345,7 @@ class TestConditionalStep:
     def test_matches_exact_conditional(self, seed, regime):
         r, d1, d2 = regime
         n = 20_000
-        eps = _conditional_step(np.full(n, r), d1, d2, RngStream(seed).generator, 64)
+        eps = _conditional_step(np.full(n, r), d1, d2, RngStream(seed).generator)
         assert stats.kstest(eps, lambda x: conditional_cdf(x, r, d1, d2)).pvalue > 0.01
 
     @pytest.mark.parametrize("seed, regime", enumerate(STEP_REGIMES, start=41))
@@ -369,11 +353,40 @@ class TestConditionalStep:
         r, d1, d2 = regime
         n = 50_000
         gen = CountingGenerator(seed)
-        _conditional_step(np.full(n, r), d1, d2, gen, 64)
+        _conditional_step(np.full(n, r), d1, d2, gen)
         # proposals per path are geometric with success probability p
         p = exact_acceptance(r, d1, d2)
         se = math.sqrt((1.0 - p) / n) / p
         assert abs(gen.proposals / n - 1.0 / p) < 5 * se
+
+    def test_tiny_widths_keep_the_law_and_the_acceptance(self):
+        # the gate's first step scaled by 1e-157: alpha * beta ~ 1 / (d1 d2)
+        # overflows here, which once accepted every proposal
+        r, d1, d2 = PI / 8, 1e-162, 9.9e-161
+        n = 50_000
+        gen = CountingGenerator(47)
+        eps = _conditional_step(np.full(n, r), d1, d2, gen)
+        # at |r| >> d2 an increment jumps to r with probability d1 / (d1 + d2)
+        jump = d1 / (d1 + d2)
+        share = np.mean(np.abs(eps) > r / 2)
+        assert abs(share - jump) < 5 * math.sqrt(jump * (1.0 - jump) / n)
+        # the acceptance depends on width ratios only, and at |r| >> d2 not on r
+        p = exact_acceptance(1e6, d1 / (d1 + d2), d2 / (d1 + d2))
+        assert abs(gen.proposals / n - 1.0 / p) < 5 * math.sqrt((1.0 - p) / n) / p
+
+    def test_stalls_after_max_rounds(self):
+        class Rejecting(CountingGenerator):
+            def random(self, size):
+                u = super().random(size)
+                # acceptance uniforms of 1 reject every proposal off Q's minimum
+                return u if self.calls % 2 == 1 else np.ones(size)
+
+        n = 10
+        gen = Rejecting(48)
+        with pytest.raises(BridgeSamplingError) as exc:
+            _conditional_step(np.full(n, PI / 8), 1e-5, 9.9e-4, gen)
+        assert exc.value.attempts == schulman.MAX_ROUNDS == 64
+        assert gen.proposals == 64 * n
 
 
 class TestRowBlocks:
@@ -386,7 +399,7 @@ class TestRowBlocks:
         kick_gen = RngStream(12).generator
         residuals, kicks = [], []
 
-        def fixed_step(residual, d1, d2, gen, max_rounds):
+        def fixed_step(residual, d1, d2, gen):
             residuals.append(residual.copy())
             kicks.append(1e-3 * kick_gen.standard_cauchy(residual.size))
             return kicks[-1]
@@ -530,9 +543,9 @@ class TestKickStatistics:
 
     @pytest.mark.parametrize("delta", [PI / 8, -3 * PI / 8, 5 * PI / 8 + 4 * PI, 2e-3, 4e-4])
     def test_closed_form_matches_quadrature(self, delta):
-        gamma, steps, threshold = 1e-3, 100, 0.99
+        gamma, steps = 1e-3, 100
         a = gamma / steps
-        c = threshold * abs(delta)
+        c = 0.99 * abs(delta)
 
         def density(e):
             return net_rotation_density(e, a) * net_rotation_density(delta - e, gamma - a)
@@ -549,7 +562,7 @@ class TestKickStatistics:
             for lo, hi in pieces
         )
         expected = steps * mass / net_rotation_density(delta, gamma)
-        assert net_dominance_given_rotation(delta, gamma, steps, threshold) == pytest.approx(
+        assert net_dominance_given_rotation(delta, gamma, steps) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -591,8 +604,3 @@ class TestKickStatistics:
         assert net_dominance_given_rotation(0.3, 1e-3, 1) == 1.0
         assert net_dominance_given_rotation(0.0, 1e-3, 100) == 1.0
         assert expected_net_dominance(PathSpec(PolAngle(0.0), PolAngle(0.3), 1e-3, 1)).overcount == 0.0
-
-    def test_threshold_below_half_refused(self):
-        spec = PathSpec(PolAngle(0.0), PolAngle(PI / 8), 1e-3, 100)
-        with pytest.raises(ValueError):
-            expected_net_dominance(spec, threshold=0.5)

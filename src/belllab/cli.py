@@ -253,9 +253,12 @@ def cmd_scan_settings(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
-    spec = PathSpec(
-        theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
-    )
+    try:
+        spec = PathSpec(
+            theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
+        )
+    except ValueError as exc:  # a subnormal step width
+        raise UsageError(str(exc)) from None
     rng = RngStream(args.seed)
     shard_stats = []
     for index, (size, shard_rng) in enumerate(bridge_shards(args.samples, rng.substream(0))):

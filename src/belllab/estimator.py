@@ -89,9 +89,8 @@ def estimate_correlator(
 
     def run_shard(args):
         index, size = args
-        _, a_out, b_out = model.sample_runs(a, b, size, rng.substream(index))
         # A*B is +-1: the sum is the count of agreements minus disagreements
-        return float(size - 2 * np.count_nonzero(a_out != b_out))
+        return float(size - 2 * model.count_disagreements(a, b, size, rng.substream(index)))
 
     jobs = list(enumerate(sizes))
     if workers > 1 and len(jobs) > 1:

@@ -100,12 +100,30 @@ class LambdaDistribution:
         Returns ``(index, lams)``: ``index[i]`` is the atom or segment
         ``lams[i]`` was drawn from.
         """
-        gen = rng.generator
-        index = gen.choice(self.mass.size, size=n, p=self.mass / self.mass.sum())
+        index = self.piece_index(n, rng)
         if self.edges is None:
             return index, self.points[index]
         lengths = np.diff(self.edges)
-        return index, self.edges[index] + lengths[index] * gen.random(n)
+        return index, self.edges[index] + lengths[index] * rng.generator.random(n)
+
+    def piece_index(self, n: int, rng: RngStream) -> np.ndarray:
+        """n atom or segment indices drawn by mass, in the smallest unsigned dtype.
+
+        The indices, and the stream position after them, are those of
+        ``Generator.choice(mass.size, n, p=mass / mass.sum())``: one uniform
+        per draw, and the number of CDF entries at or below it, which
+        ``choice`` finds with ``searchsorted(cdf, u, side="right")``.  For a
+        few pieces, adding ``u >= c`` per entry is faster.  The last entry,
+        1.0, is never at or below u.
+        """
+        p = self.mass / self.mass.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        u = rng.generator.random(n)
+        index = np.zeros(n, dtype=np.min_scalar_type(self.mass.size - 1))
+        for c in cdf[:-1]:
+            index += u >= c
+        return index
 
 
 class HiddenVariableModel(ABC):
@@ -153,6 +171,30 @@ class HiddenVariableModel(ABC):
         )
         return JointDist(*probs).validate(atol=1e-9)
 
+    def _plus_masks(
+        self, a: float, b: float, at: np.ndarray, index: np.ndarray | None, rng: RngStream
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Draw whether A and B are +1, independently given each lambda (screening).
+
+        The outcome probabilities are evaluated at ``at``: each run's lambda,
+        or with ``index`` (each run's atom or segment) the pieces' points.
+        A run is +1 where its uniform falls below its probability, A's
+        uniforms drawn before B's; deterministic models draw none.
+
+        Returns ``(a_plus, b_plus, take)``.  With ``take`` None the masks
+        hold one entry per run.  Otherwise (deterministic outcomes, given
+        ``index``) they hold one per piece, and ``take`` maps them onto the
+        runs.
+        """
+        p1 = self.outcome_prob(a, at)
+        p2 = self.outcome_prob(b, at)
+        if self.deterministic_outcomes:
+            return p1 == 1.0, p2 == 1.0, index
+        if index is not None:
+            p1, p2 = p1[index], p2[index]
+        gen = rng.generator
+        return gen.random(p1.size) < p1, gen.random(p2.size) < p2, None
+
     def sample_outcomes(
         self,
         a: float,
@@ -169,17 +211,24 @@ class HiddenVariableModel(ABC):
         before B's; deterministic models draw none.
         """
         at = lams if index is None else self.lambda_distribution(a, b).points
-        p1 = self.outcome_prob(a, at)
-        p2 = self.outcome_prob(b, at)
-        if self.deterministic_outcomes:
-            a_out, b_out = _outcomes(p1 == 1.0), _outcomes(p2 == 1.0)
-            return (a_out, b_out) if index is None else (a_out[index], b_out[index])
-        if index is not None:
-            p1, p2 = p1[index], p2[index]
-        gen = rng.generator
-        a_out = _outcomes(gen.random(lams.size) < p1)
-        b_out = _outcomes(gen.random(lams.size) < p2)
-        return a_out, b_out
+        a_plus, b_plus, take = self._plus_masks(a, b, at, index, rng)
+        a_out, b_out = _outcomes(a_plus), _outcomes(b_plus)
+        return (a_out, b_out) if take is None else (a_out[take], b_out[take])
+
+    def count_disagreements(self, a: float, b: float, n: int, rng: RngStream) -> int:
+        """How many of the n runs ``sample_runs(a, b, n, rng)`` draws have A != B.
+
+        Draws what ``sample_runs`` draws, in order, except each lambda's
+        position within its piece, which the outcomes do not read.  Skipping
+        it moves no later draw: atoms have no position draw, and Hall's is
+        the last, since its outcomes draw no uniforms.  The local baseline,
+        whose outcomes do read the position, overrides this.
+        """
+        dist = self.lambda_distribution(a, b)
+        index = dist.piece_index(n, rng)
+        a_plus, b_plus, take = self._plus_masks(a, b, dist.points, index, rng)
+        disagree = a_plus != b_plus
+        return int(np.count_nonzero(disagree if take is None else disagree[take]))
 
     def sample_runs(
         self, a: float, b: float, n: int, rng: RngStream
@@ -265,6 +314,12 @@ class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
         # probabilities vary within them, so no piece index is returned
         return None, rng.generator.random(n) * PI
 
+    def count_disagreements(self, a, b, n, rng):
+        # outcome probabilities vary within a segment, so each run needs its lambda
+        _, lams = self.sample_lambdas(a, b, n, rng)
+        a_plus, b_plus, _ = self._plus_masks(a, b, lams, None, rng)
+        return int(np.count_nonzero(a_plus != b_plus))
+
 
 class PRBoxModel:
     """Popescu-Rohrlich nonlocal box, saturating the algebraic CHSH maximum 4.
@@ -310,6 +365,11 @@ class PRBoxModel:
         a_out = _outcomes(rng.generator.random(n) < 0.5)
         b_out = -a_out if x & y else a_out.copy()
         return None, a_out, b_out
+
+    def count_disagreements(self, a, b, n, rng):
+        # the box anticorrelates exactly when x = y = 1, whatever its coin flips
+        x, y = self.box_inputs(a, b)
+        return n if x & y else 0
 
 
 AnyModel = HiddenVariableModel | PRBoxModel

@@ -17,6 +17,7 @@ drawn from their exact conditional distributions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,12 @@ class PathSpec:
             raise ValueError("steps must be >= 1")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
+        if self.step_width < sys.float_info.min:
+            # subnormal widths overflow the conditional step's 1 / width terms
+            raise ValueError(
+                f"step width gamma / steps = {self.step_width!r} is below the "
+                f"smallest normal float, {sys.float_info.min!r}"
+            )
         object.__setattr__(self, "theta1", PolAngle(self.theta1))
         object.__setattr__(self, "theta2", PolAngle(self.theta2))
 

@@ -505,6 +505,17 @@ class TestExitCodes:
         assert f"points cannot be allocated at gamma = {float(gamma)!r}" in captured.err
         assert captured.err.startswith("error: lambda grid of ")
 
+    @pytest.mark.parametrize("gamma, width", [("1e-310", "1e-311"), ("5e-324", "0.0")])
+    def test_schulman_paths_refuses_a_subnormal_step_width(self, gamma, width, capsys):
+        # widths below the smallest normal float overflow the conditional step:
+        # 1e-310 once gave a wrong report, 5e-324 a ZeroDivisionError traceback
+        assert main(["schulman-paths", "--gamma", gamma, "--steps", "10",
+                     "--samples", "1000", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: step width gamma / steps = {width} is below the "
+                                f"smallest normal float, {sys.float_info.min!r}\n")
+
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from belllab.core import PI, RngStream
 from belllab.estimator import (
     MIN_BIN_COUNT,
     SCREENING_BINS,
+    SHARD_SIZE,
     analytic_chsh,
     chsh_pvalue,
     chsh_pvalue_log10,
@@ -49,6 +50,21 @@ class TestEstimateCorrelator:
         serial = estimate_correlator(model, a, b, 600_000, RngStream(1), workers=1)
         parallel = estimate_correlator(model, a, b, 600_000, RngStream(1), workers=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "model", [HallModel(), DeltaMixtureModel(), LocalBaselineModel(), PRBoxModel(TSIRELSON)],
+        ids=lambda m: m.name,
+    )
+    def test_shard_sums_are_those_of_sample_runs(self, model):
+        # a full shard and a partial one, each from its own substream
+        a, b = TSIRELSON[1], TSIRELSON[3]
+        sizes = (SHARD_SIZE, 1001)
+        sums = []
+        for i, size in enumerate(sizes):
+            _, a_out, b_out = model.sample_runs(a, b, size, RngStream(8).substream(i))
+            sums.append(float(np.sum(a_out.astype(int) * b_out)))
+        est = estimate_correlator(model, a, b, sum(sizes), RngStream(8))
+        assert est.value == math.fsum(sums) / sum(sizes)
 
     def test_convergence_rate(self):
         # error shrinks roughly as 1/sqrt(N) toward the analytic correlator

@@ -11,6 +11,7 @@ from belllab.core import PI, HALF_PI, PolAngle, RngStream
 from belllab.models import (
     DeltaMixtureModel,
     HallModel,
+    LambdaDistribution,
     LocalBaselineModel,
     PRBoxModel,
     hall_breakpoints,
@@ -262,6 +263,108 @@ class TestPiecewiseRuns:
         index, lams = LocalBaselineModel().sample_lambdas(0.0, PI / 8, 1000, RngStream(2))
         assert index is None
         assert lams.shape == (1000,) and np.all((0.0 <= lams) & (lams < PI))
+
+
+class StubStream:
+    """An RngStream stand-in whose generator returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.generator = self
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, n):
+        assert n == self.uniforms.size
+        return self.uniforms
+
+
+class TestPieceIndex:
+    """`LambdaDistribution.piece_index` counts CDF crossings in place of
+    `Generator.choice`; indices and stream position must equal choice's."""
+
+    MASSES = [
+        [1.0],
+        [0.25, 0.75],
+        [0.0, 1.0],
+        [0.5, 0.0, 0.5],
+        [0.25, 0.25, 0.5, 0.0],
+        [0.1, 0.2, 0.3, 0.15, 0.25],
+        [0.0, 0.3, 0.0, 0.7, 0.0],
+    ]
+
+    @staticmethod
+    def distributions():
+        for mass in TestPieceIndex.MASSES:
+            mass = np.array(mass)
+            yield LambdaDistribution(np.arange(mass.size, dtype=float), mass)
+        for a, b in TestPiecewiseRuns.settings_pairs():
+            for model in (HallModel(), DeltaMixtureModel()):
+                yield model.lambda_distribution(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2029])
+    def test_indices_and_stream_equal_choice(self, seed):
+        for k, dist in enumerate(self.distributions()):
+            ours, theirs = RngStream(seed, k), RngStream(seed, k)
+            index = dist.piece_index(50_000, ours)
+            reference = theirs.generator.choice(
+                dist.mass.size, size=50_000, p=dist.mass / dist.mass.sum()
+            )
+            np.testing.assert_array_equal(index, reference, err_msg=f"mass {dist.mass}")
+            assert ours.generator.random() == theirs.generator.random()
+            assert index.dtype == np.uint8
+
+    def test_a_uniform_on_a_cdf_entry_goes_to_the_next_piece(self):
+        # choice's searchsorted(cdf, u, side="right") counts the entries <= u
+        dist = LambdaDistribution(np.arange(5.0), np.array([0.25, 0.0, 0.25, 0.25, 0.25]))
+        cdf = np.array([0.25, 0.25, 0.5, 0.75, 1.0])
+        u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf[:-1], 0.0), [np.nextafter(1.0, 0.0)]])
+        index = dist.piece_index(u.size, StubStream(u))
+        np.testing.assert_array_equal(index, np.searchsorted(cdf, u, side="right"))
+        np.testing.assert_array_equal(index[1:5], [2, 2, 3, 4])
+
+
+class TestCountDisagreements:
+    """`count_disagreements` must equal the A != B count of `sample_runs` on
+    the same substream, for every model and at the edge settings."""
+
+    MODELS = [HallModel(), DeltaMixtureModel(), LocalBaselineModel(), PRBoxModel(TSIRELSON)]
+
+    @staticmethod
+    def settings_pairs(model):
+        if isinstance(model, PRBoxModel):
+            a, a_p, b, b_p = (float(x) for x in TSIRELSON)
+            return [(a, b), (a_p, b), (a, b_p), (a_p, b_p)]
+        return list(TestPiecewiseRuns.settings_pairs())
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", [0, 1, 2029])
+    def test_count_equals_sample_runs(self, model, seed):
+        for k, (a, b) in enumerate(self.settings_pairs(model)):
+            count = model.count_disagreements(a, b, 20_001, RngStream(seed, k))
+            _, a_out, b_out = model.sample_runs(a, b, 20_001, RngStream(seed, k))
+            assert count == np.count_nonzero(a_out != b_out), (a, b)
+            assert type(count) is int
+
+    @pytest.mark.parametrize("model", [DeltaMixtureModel(), LocalBaselineModel()],
+                             ids=lambda m: m.name)
+    def test_count_draws_what_sample_runs_draws(self, model):
+        a, b = 0.0, PI / 8
+        counted, sampled = RngStream(6), RngStream(6)
+        model.count_disagreements(a, b, 1000, counted)
+        model.sample_runs(a, b, 1000, sampled)
+        assert counted.generator.random() == sampled.generator.random()
+
+    def test_hall_count_skips_only_the_last_draw(self):
+        # the uniforms after the count are those that place each lambda in its segment
+        a, b = 0.0, PI / 8
+        counted, sampled = RngStream(6), RngStream(6)
+        HallModel().count_disagreements(a, b, 1000, counted)
+        index, lams = HallModel().sample_lambdas(a, b, 1000, sampled)
+        dist = HallModel().lambda_distribution(a, b)
+        within = counted.generator.random(1000)
+        np.testing.assert_array_equal(
+            lams, dist.edges[index] + np.diff(dist.edges)[index] * within
+        )
+        assert counted.generator.random() == sampled.generator.random()
 
 
 class TestExactLambdaSums:

@@ -1,6 +1,7 @@
 """Levy-flight polarization model: family sums, outcome probabilities, bridges."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -280,6 +281,14 @@ class TestBridges:
             PathSpec(theta1=0.0, theta2=0.0, gamma=-1.0)
         with pytest.raises(ValueError):
             PathSpec(theta1=0.0, theta2=0.0, gamma=1e-3, steps=0)
+
+    def test_spec_refuses_a_subnormal_step_width(self):
+        tiny = sys.float_info.min
+        assert PathSpec(theta1=0.0, theta2=0.0, gamma=tiny, steps=1).step_width == tiny
+        with pytest.raises(ValueError, match="step width gamma / steps = 1.1125"):
+            PathSpec(theta1=0.0, theta2=0.0, gamma=tiny, steps=2)
+        with pytest.raises(ValueError, match="step width gamma / steps = 0.0 "):
+            PathSpec(theta1=0.0, theta2=0.0, gamma=5e-324, steps=10)
 
 
 def conditional_cdf(x, r, d1, d2):

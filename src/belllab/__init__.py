@@ -7,7 +7,7 @@ density, and a Levy-flight kicked-polarization model), and estimators for
 CHSH values, locality residuals and hidden-variable information content.
 """
 
-from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, malus_prob
+from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, malus_prob, outcome_axes
 from .estimator import (
     ChshReport,
     CorrelatorEstimate,
@@ -16,7 +16,6 @@ from .estimator import (
     analytic_chsh,
     chsh_pvalue,
     chsh_pvalue_log10,
-    chsh_value,
     estimate_correlator,
     lambda_independence_residual,
     mutual_information_hall,
@@ -39,6 +38,8 @@ from .models import (
 from .qm import (
     TSIRELSON_BOUND,
     JointDist,
+    chsh_pairs,
+    chsh_value,
     qm_chsh,
     qm_correlator,
     qm_joint,
@@ -72,67 +73,3 @@ from .schulman import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignedPoleError",
-    "BridgeSamplingError",
-    "ChshReport",
-    "CorrelatorEstimate",
-    "DeltaMixtureModel",
-    "DominancePrediction",
-    "HALF_PI",
-    "HallModel",
-    "HiddenVariableModel",
-    "JointDist",
-    "KickStats",
-    "LambdaDistribution",
-    "LocalBaselineModel",
-    "MIEstimate",
-    "OUTCOMES",
-    "PI",
-    "PRBoxModel",
-    "PathSpec",
-    "PolAngle",
-    "RngStream",
-    "ScreeningResult",
-    "TSIRELSON_BOUND",
-    "TwoPhotonResult",
-    "analytic_chsh",
-    "bridge_shards",
-    "canonical_diff",
-    "chsh_pvalue",
-    "chsh_pvalue_log10",
-    "chsh_value",
-    "discarded_winding_mass",
-    "dominant_kick_stats",
-    "endpoint_targets",
-    "estimate_correlator",
-    "exact_family_sum",
-    "expected_net_dominance",
-    "free_kick_sums",
-    "hall_breakpoints",
-    "hall_density",
-    "joint_outcome_dist",
-    "lambda_independence_residual",
-    "malus_prob",
-    "merge_kick_stats",
-    "mutual_information_hall",
-    "net_dominance_given_rotation",
-    "net_rotation_density",
-    "periodized_cauchy",
-    "periodized_cauchy_truncated",
-    "peres_identity_check",
-    "qm_chsh",
-    "qm_correlator",
-    "qm_joint",
-    "run_chsh_experiment",
-    "sample_bridges",
-    "sample_run",
-    "screening_residual",
-    "sequential_outcome_probs",
-    "single_photon_outcome_prob",
-    "tsirelson_settings",
-    "truncated_family_sum",
-    "two_photon_joint",
-    "two_photon_outcome_joint",
-]

@@ -31,14 +31,13 @@ from . import __version__
 from .core import PI, PolAngle, RngStream
 from .estimator import (
     chsh_pvalue_log10,
-    chsh_value,
     lambda_independence_residual,
     mutual_information_hall,
     run_chsh_experiment,
     screening_residual,
 )
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
-from .qm import qm_correlator, qm_joint
+from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint
 from .schulman import (
     DOMINANCE_THRESHOLD,
     BridgeSamplingError,
@@ -177,10 +176,9 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
     if args.model == "schulman-2":
         if args.gamma is None:
             raise UsageError("--gamma is required for schulman-2")
-        a, a_p, b, b_p = settings
         values = [
             two_photon_outcome_joint(x, y, args.gamma).correlator()
-            for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))
+            for x, y in chsh_pairs(settings)
         ]
         config = ["model", "gamma"]
         correlators = [(c, 0.0, 0) for c in values]
@@ -257,7 +255,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         spec = PathSpec(
             theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
         )
-    except ValueError as exc:  # a subnormal step width
+    except ValueError as exc:  # a step width or gamma out of range
         raise UsageError(str(exc)) from None
     rng = RngStream(args.seed)
     shard_stats = []

@@ -38,7 +38,13 @@ class PolAngle(float):
 
     def perpendicular(self) -> "PolAngle":
         """The orthogonal polarization axis."""
-        return PolAngle(float(self) + HALF_PI)
+        return outcome_axes(self)[1]
+
+
+def outcome_axes(setting: float) -> tuple[PolAngle, PolAngle]:
+    """The axes a photon leaves a polarizer at ``setting`` on, in the order of
+    OUTCOMES: the setting itself (+1) and its perpendicular (-1)."""
+    return PolAngle(setting), PolAngle(setting + HALF_PI)
 
 
 def canonical_diff(x: float, y: float) -> float:

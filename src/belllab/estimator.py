@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import PI, PolAngle, RngStream
 from .models import AnyModel, HiddenVariableModel, hall_density
+from .qm import chsh_pairs, chsh_value
 
 SHARD_SIZE = 250_000
 
@@ -109,11 +110,6 @@ def estimate_correlator(
     )
 
 
-def chsh_value(c1: float, c2: float, c3: float, c4: float) -> float:
-    """|c1 + c2 + c3 - c4|, the CHSH combination of four correlators."""
-    return abs(c1 + c2 + c3 - c4)
-
-
 def run_chsh_experiment(
     model: AnyModel,
     settings: tuple[float, float, float, float],
@@ -122,8 +118,7 @@ def run_chsh_experiment(
     workers: int = 1,
 ) -> ChshReport:
     """Estimate all four CHSH correlators and combine them into S."""
-    a, a_p, b, b_p = (PolAngle(s) for s in settings)
-    pairs = [(a, b), (a_p, b), (a, b_p), (a_p, b_p)]
+    pairs = chsh_pairs(tuple(PolAngle(s) for s in settings))
     estimates = tuple(
         estimate_correlator(model, x, y, n_per_correlator, rng.substream(i), workers)
         for i, (x, y) in enumerate(pairs)
@@ -139,13 +134,7 @@ def run_chsh_experiment(
 
 def analytic_chsh(model: AnyModel, settings: tuple[float, float, float, float]) -> float:
     """CHSH value from the model's exact joint distributions."""
-    a, a_p, b, b_p = settings
-    return chsh_value(
-        model.joint_dist(a, b).correlator(),
-        model.joint_dist(a_p, b).correlator(),
-        model.joint_dist(a, b_p).correlator(),
-        model.joint_dist(a_p, b_p).correlator(),
-    )
+    return chsh_value(*(model.joint_dist(x, y).correlator() for x, y in chsh_pairs(settings)))
 
 
 def peres_identity_check(a1: int, a2: int, b1: int, b2: int) -> int:

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff
+from .core import PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .qm import JointDist
 
 
-def _sign_plus(x: np.ndarray | float) -> np.ndarray | float:
-    """sign(cos-argument) with the tie cos(.) == 0 resolved to +1."""
-    return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
+def _hall_plus(setting: float, lam: np.ndarray) -> np.ndarray:
+    """Hall's deterministic outcome is +1: cos(2 setting - 2 lam) >= 0, the
+    tie going to +1."""
+    return np.cos(2.0 * (setting - np.asarray(lam, dtype=float))) >= 0.0
 
 
 def _outcomes(plus: np.ndarray) -> np.ndarray:
@@ -49,12 +50,9 @@ def hall_density(a: float, b: float, lam: np.ndarray | float) -> np.ndarray | fl
     almost everywhere when a == b (the disagreement set then has measure
     zero and the 0/0 value on it is never used).
     """
-    lam = np.asarray(lam, dtype=float)
-    a_hat = _sign_plus(np.cos(2.0 * (a - lam)))
-    b_hat = _sign_plus(np.cos(2.0 * (b - lam)))
     d = abs(canonical_diff(a, b))
     z = (2.0 / PI) * 2.0 * d
-    s = a_hat * b_hat
+    s = np.where(_hall_plus(a, lam) == _hall_plus(b, lam), 1.0, -1.0)
     num = 1.0 + s * math.cos(2.0 * d)
     den = 1.0 + s * (1.0 - z)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,9 +254,8 @@ class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
     name = "delta-mixture"
 
     def lambda_distribution(self, a, b):
-        raw = [PolAngle(a), PolAngle(a + HALF_PI), PolAngle(b), PolAngle(b + HALF_PI)]
         merged: dict[float, float] = {}
-        for atom in raw:
+        for atom in (*outcome_axes(a), *outcome_axes(b)):
             merged[float(atom)] = merged.get(float(atom), 0.0) + 0.25
         atoms = np.array(sorted(merged))
         return LambdaDistribution(atoms, np.array([merged[x] for x in atoms]))
@@ -287,8 +284,7 @@ class HallModel(HiddenVariableModel):
         return self.lambda_distribution(a, b).sample(n, rng)
 
     def outcome_prob(self, setting, lam):
-        # +1 where cos(2 setting - 2 lam) >= 0, the tie going to +1 as in hall_density
-        return (np.cos(2.0 * (setting - np.asarray(lam, dtype=float))) >= 0.0).astype(float)
+        return _hall_plus(setting, lam).astype(float)
 
 
 class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
@@ -321,6 +317,15 @@ class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
         return int(np.count_nonzero(a_plus != b_plus))
 
 
+def _box_input(side: int, setting: float, choices: tuple[PolAngle, PolAngle]) -> int:
+    """The box input, 0 or 1, of one side's setting: its index in that side's
+    two configured settings."""
+    setting = PolAngle(setting)
+    if setting not in choices:
+        raise ValueError(f"side-{side} setting {float(setting)!r} not in the configured quadruple")
+    return choices.index(setting)
+
+
 class PRBoxModel:
     """Popescu-Rohrlich nonlocal box, saturating the algebraic CHSH maximum 4.
 
@@ -337,22 +342,7 @@ class PRBoxModel:
         self.settings = tuple(PolAngle(s) for s in settings)
 
     def box_inputs(self, a: float, b: float) -> tuple[int, int]:
-        a0, a1, b0, b1 = self.settings
-        a = PolAngle(a)
-        b = PolAngle(b)
-        if a == a0:
-            x = 0
-        elif a == a1:
-            x = 1
-        else:
-            raise ValueError(f"side-1 setting {float(a)!r} not in the configured quadruple")
-        if b == b0:
-            y = 0
-        elif b == b1:
-            y = 1
-        else:
-            raise ValueError(f"side-2 setting {float(b)!r} not in the configured quadruple")
-        return x, y
+        return _box_input(1, a, self.settings[:2]), _box_input(2, b, self.settings[2:])
 
     def joint_dist(self, a: float, b: float) -> JointDist:
         x, y = self.box_inputs(a, b)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import OUTCOMES, PI, PolAngle, canonical_diff, check_outcome
+from .core import PI, PolAngle, canonical_diff, check_outcome
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -85,24 +85,19 @@ def tsirelson_settings() -> tuple[PolAngle, PolAngle, PolAngle, PolAngle]:
     )
 
 
+def chsh_pairs(settings: tuple[float, float, float, float]) -> tuple[tuple[float, float], ...]:
+    """The four (side-1, side-2) settings pairs of a CHSH quadruple (a, a', b, b'),
+    in the order of the combination <AB> + <A'B> + <AB'> - <A'B'>."""
+    a, a_p, b, b_p = settings
+    return (a, b), (a_p, b), (a, b_p), (a_p, b_p)
+
+
+def chsh_value(c1: float, c2: float, c3: float, c4: float) -> float:
+    """|c1 + c2 + c3 - c4|, the CHSH combination of four correlators taken
+    at the `chsh_pairs` of a quadruple."""
+    return abs(c1 + c2 + c3 - c4)
+
+
 def qm_chsh(settings: tuple[float, float, float, float]) -> float:
     """|<AB> + <A'B> + <AB'> - <A'B'>| for the Bell state at these settings."""
-    a, a_p, b, b_p = settings
-    return abs(
-        qm_correlator(a, b)
-        + qm_correlator(a_p, b)
-        + qm_correlator(a, b_p)
-        - qm_correlator(a_p, b_p)
-    )
-
-
-# re-exported for convenience in outcome loops
-__all__ = [
-    "JointDist",
-    "OUTCOMES",
-    "TSIRELSON_BOUND",
-    "qm_chsh",
-    "qm_correlator",
-    "qm_joint",
-    "tsirelson_settings",
-]
+    return chsh_value(*(qm_correlator(x, y) for x, y in chsh_pairs(settings)))

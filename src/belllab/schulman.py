@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff
+from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .qm import JointDist
 
 #: Paths whose total absolute rotation is below this multiple of gamma have
@@ -101,6 +101,13 @@ class PathSpec:
             raise ValueError(
                 f"step width gamma / steps = {self.step_width!r} is below the "
                 f"smallest normal float, {sys.float_info.min!r}"
+            )
+        if not 0.0 < PI * (self.gamma * self.gamma) < math.inf:
+            # the endpoint weights gamma / (pi (x^2 + gamma^2)) overflow, or
+            # divide by 0 at x = 0, so their normalization is not finite
+            raise ValueError(
+                f"gamma = {self.gamma!r} is outside the range where pi * gamma**2 is a "
+                f"positive finite float, about 1.57e-162 to 7.56e153"
             )
         object.__setattr__(self, "theta1", PolAngle(self.theta1))
         object.__setattr__(self, "theta2", PolAngle(self.theta2))
@@ -229,10 +236,7 @@ def sequential_outcome_probs(
         new_realized: dict[tuple[int, ...], PolAngle] = {}
         for seq, prob in dists.items():
             p_plus = single_photon_outcome_prob(realized[seq], theta, gamma)
-            for outcome, p, axis in (
-                (+1, p_plus, theta),
-                (-1, 1.0 - p_plus, theta.perpendicular()),
-            ):
+            for outcome, p, axis in zip(OUTCOMES, (p_plus, 1.0 - p_plus), outcome_axes(theta)):
                 new_dists[seq + (outcome,)] = prob * p
                 new_realized[seq + (outcome,)] = axis
         dists, realized = new_dists, new_realized
@@ -263,15 +267,9 @@ class TwoPhotonResult:
 
     def atom_window_masses(self, half_width: float) -> dict[float, float]:
         """Posterior mass within +-half_width (mod pi) of each delta-mixture atom."""
-        atoms = [
-            PolAngle(self.a),
-            PolAngle(self.a).perpendicular(),
-            PolAngle(self.b),
-            PolAngle(self.b).perpendicular(),
-        ]
         mass = self.posterior_mass
         out = {}
-        for atom in atoms:
+        for atom in (*outcome_axes(self.a), *outcome_axes(self.b)):
             dist = np.abs(
                 (self.lam - float(atom) + HALF_PI) % PI - HALF_PI
             )
@@ -324,13 +322,12 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
         raise ValueError(
             f"lambda grid of {cells:.3g} points cannot be allocated at gamma = {gamma!r}"
         ) from None
-    targets_1 = (float(a), float(a.perpendicular()))  # A = +1, -1
-    targets_2 = (float(b), float(b.perpendicular()))
-    for i, t1 in enumerate(targets_1):
-        w1 = periodized_cauchy(lam - t1, gamma)
-        for j, t2 in enumerate(targets_2):
-            w2 = periodized_cauchy(lam - t2, gamma)
-            mass[i, j] = w1 * w2 * spacing
+    # each photon's family weight per outcome, in the order of OUTCOMES
+    w2 = [periodized_cauchy(lam - t, gamma) for t in outcome_axes(b)]
+    for i, t in enumerate(outcome_axes(a)):
+        w1 = periodized_cauchy(lam - t, gamma)
+        for j, w in enumerate(w2):
+            mass[i, j] = w1 * w * spacing
     mass /= mass.sum()
     return TwoPhotonResult(
         joint=two_photon_outcome_joint(a, b, gamma),

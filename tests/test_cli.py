@@ -1,6 +1,8 @@
 """Command-line front end: parsing, report formats, reproducibility, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from belllab import cli, schulman
 from belllab.cli import (
@@ -24,7 +27,13 @@ from belllab.cli import (
     parse_settings,
 )
 from belllab.core import PI
-from belllab.schulman import BridgeSamplingError, PathSpec, expected_net_dominance
+from belllab.qm import chsh_pairs
+from belllab.schulman import (
+    BridgeSamplingError,
+    PathSpec,
+    expected_net_dominance,
+    two_photon_outcome_joint,
+)
 
 
 class TestParsing:
@@ -63,9 +72,11 @@ class TestReports:
         assert self.run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_does_not_change_report(self, tmp_path):
+    @pytest.mark.parametrize("model", ["hall", "delta-mixture", "local-baseline", "pr-box"])
+    def test_worker_count_does_not_change_report(self, model, tmp_path):
+        # three shards per correlator, the last one partial
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        base = ["run-chsh", "--model", "hall", "--samples", "600000", "--seed", "3"]
+        base = ["run-chsh", "--model", model, "--samples", "600001", "--seed", "3"]
         assert self.run(base + ["--workers", "1", "--out", str(out1)]) == 0
         assert self.run(base + ["--workers", "4", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -126,6 +137,17 @@ class TestSubcommands:
         assert all(c["standard_error"] == 0.0 for c in report["correlators"])
         # nothing is drawn, so samples and seed are not echoed
         assert report["config"] == {"model": "schulman-2", "gamma": 0.002}
+
+    def test_run_chsh_schulman2_reports_correlators_in_chsh_pairs_order(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "schulman-2", "--gamma", "1e-3",
+                     "--settings", "0,0.1,0.5,1.3", "--out", str(out)]) == 0
+        values = [c["value"] for c in json.loads(out.read_text())["correlators"]]
+        settings = parse_settings("0,0.1,0.5,1.3")
+        a, a_p, b, b_p = settings
+        pairs = [(a, b), (a_p, b), (a, b_p), (a_p, b_p)]
+        assert list(chsh_pairs(settings)) == pairs
+        assert values == [two_photon_outcome_joint(x, y, 1e-3).correlator() for x, y in pairs]
 
     def test_run_chsh_schulman2_builds_no_grid(self, tmp_path, monkeypatch):
         # a lambda grid at gamma = 1e-6 would hold 25M points per correlator
@@ -515,6 +537,47 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (f"error: step width gamma / steps = {width} is below the "
                                 f"smallest normal float, {sys.float_info.min!r}\n")
+
+    @pytest.mark.parametrize("gamma, extra", [
+        ("8e153", []),
+        ("1e300", []),
+        ("1.5e-162", ["--theta2", "0"]),
+        ("1e-170", ["--theta2", "0.5pi"]),
+        ("3e-306", ["--steps", "100"]),
+    ], ids=["8e153", "1e300", "1.5e-162-aligned", "1e-170-perpendicular", "3e-306-100-steps"])
+    def test_schulman_paths_refuses_a_gamma_whose_square_is_out_of_range(
+        self, gamma, extra, capsys
+    ):
+        # pi * gamma**2 overflows or underflows to 0: these once ended in an
+        # OverflowError or ValueError traceback, or in a stalled bridge step
+        assert main(["schulman-paths", "--gamma", gamma, "--samples", "300", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: gamma = {float(gamma)!r} is outside the range")
+        assert "Traceback" not in captured.err
+
+    @hyp_settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        exponent=st.floats(min_value=math.log10(5e-324), max_value=math.log10(1.7e308)),
+        theta2=st.sampled_from(["0", "0.125pi", "0.5pi"]),
+        steps=st.sampled_from(["1", "2", "100"]),
+    )
+    def test_schulman_commands_run_or_refuse_at_any_gamma(self, exponent, theta2, steps):
+        # gamma log-uniform over the positive floats: every run ends in a
+        # report (0) or a usage error (2), never in an exception or a stall
+        gamma = repr(max(10.0**exponent, 5e-324))
+
+        def exit_status(argv):
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return main([*argv, "--out", os.devnull])
+                except SystemExit as exc:  # argparse's usage errors
+                    return exc.code
+
+        assert exit_status(["schulman-paths", "--gamma", gamma, "--steps", steps,
+                            "--theta2", theta2, "--samples", "300"]) in (0, 2)
+        assert exit_status(["run-chsh", "--model", "schulman-2", "--gamma", gamma,
+                            "--settings", f"0,0.25pi,{theta2},0.125pi"]) in (0, 2)
 
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size

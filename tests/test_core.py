@@ -15,6 +15,7 @@ from belllab.core import (
     canonical_diff,
     check_outcome,
     malus_prob,
+    outcome_axes,
 )
 
 angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -34,6 +35,11 @@ class TestPolAngle:
     @given(angles)
     def test_idempotent(self, x):
         assert PolAngle(PolAngle(x)) == PolAngle(x)
+
+    @pytest.mark.parametrize("setting", [0.3, -0.3, 3.0, 7.5])
+    def test_outcome_axes_are_the_setting_then_its_perpendicular(self, setting):
+        # the -1 axis wraps setting + pi/2 itself, so it is exact outside [0, pi) too
+        assert outcome_axes(setting) == (PolAngle(setting), PolAngle(setting + HALF_PI))
 
     def test_perpendicular_is_involution(self):
         a = PolAngle(0.3)

@@ -9,6 +9,8 @@ from belllab.core import PI, PolAngle
 from belllab.qm import (
     TSIRELSON_BOUND,
     JointDist,
+    chsh_pairs,
+    chsh_value,
     qm_chsh,
     qm_correlator,
     qm_joint,
@@ -92,6 +94,11 @@ class TestTsirelson:
         assert (float(a), float(a_p), float(b)) == (0.0, PI / 4, PI / 8)
         assert float(b_p) == pytest.approx(7 * PI / 8)  # canonical form of -pi/8
         assert all(isinstance(s, PolAngle) for s in (a, a_p, b, b_p))
+
+    def test_chsh_pairs_follow_the_combination(self):
+        # <AB> + <A'B> + <AB'> - <A'B'> for the quadruple (a, a', b, b')
+        assert chsh_pairs((1, 2, 3, 4)) == ((1, 3), (2, 3), (1, 4), (2, 4))
+        assert chsh_value(1.0, 2.0, 4.0, 8.0) == 1.0
 
     def test_chsh_saturates_bound(self):
         assert qm_chsh(tsirelson_settings()) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)

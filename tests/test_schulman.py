@@ -1,6 +1,7 @@
 """Levy-flight polarization model: family sums, outcome probabilities, bridges."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy import integrate, stats
 
 from belllab import schulman
-from belllab.core import PI, HALF_PI, PolAngle, RngStream
+from belllab.core import PI, HALF_PI, PolAngle, RngStream, canonical_diff
 from belllab.qm import qm_joint
 from belllab.schulman import (
     AlignedPoleError,
@@ -181,7 +182,7 @@ class TestTwoPhoton:
             2 / PI * math.atan(3.0), abs=0.01
         )
 
-    @pytest.mark.parametrize("gamma", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-3, 1e-4, 0.5])
     @pytest.mark.parametrize("a, b", [(0.0, PI / 8), (0.3, 1.2), (0.0, 0.0), (0.0, HALF_PI)])
     def test_closed_form_matches_grid(self, a, b, gamma):
         res = two_photon_joint(PolAngle(a), PolAngle(b), gamma)
@@ -193,6 +194,18 @@ class TestTwoPhoton:
             atol=1e-12,
         )
         assert res.joint == closed
+
+    @pytest.mark.parametrize("a, b", [(0.0, PI / 8), (0.3, 1.2)])
+    def test_outcome_pairs_are_labelled_by_their_axes(self, a, b):
+        # index 0 is +1, the polarizer's own axis; index 1 is -1, its perpendicular.
+        # The grid sums above cannot tell: p_pp = p_mm and p_pm = p_mp.
+        gamma = 1e-3
+        res = two_photon_joint(PolAngle(a), PolAngle(b), gamma)
+        for i, axis_a in enumerate((a, a + HALF_PI)):
+            for j, axis_b in enumerate((b, b + HALF_PI)):
+                peak = res.lam[np.argmax(res.mass_by_outcome[i, j])]
+                off = min(abs(canonical_diff(peak, axis_a)), abs(canonical_diff(peak, axis_b)))
+                assert off < 3 * gamma, (i, j)
 
     def test_closed_form_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -284,11 +297,25 @@ class TestBridges:
 
     def test_spec_refuses_a_subnormal_step_width(self):
         tiny = sys.float_info.min
-        assert PathSpec(theta1=0.0, theta2=0.0, gamma=tiny, steps=1).step_width == tiny
+        # the smallest accepted width; gamma = tiny itself is refused for its gamma**2
+        spec = PathSpec(theta1=0.0, theta2=0.0, gamma=tiny * 2.0**600, steps=2**600)
+        assert spec.step_width == tiny
         with pytest.raises(ValueError, match="step width gamma / steps = 1.1125"):
             PathSpec(theta1=0.0, theta2=0.0, gamma=tiny, steps=2)
         with pytest.raises(ValueError, match="step width gamma / steps = 0.0 "):
             PathSpec(theta1=0.0, theta2=0.0, gamma=5e-324, steps=10)
+
+    @pytest.mark.parametrize("gamma", [1.5e-162, 3e-306, sys.float_info.min, 8e153, 1e300])
+    def test_spec_refuses_a_gamma_whose_square_is_not_a_positive_finite_float(self, gamma):
+        # pi * gamma**2 underflows to 0 below about 1.57e-162 and overflows
+        # above about 7.56e153, and the endpoint weights are then not finite
+        with pytest.raises(ValueError, match=re.escape(f"gamma = {gamma!r} is outside")):
+            PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1)
+
+    @pytest.mark.parametrize("gamma", [1.6e-162, 7e153])
+    def test_spec_accepts_the_gammas_at_the_ends_of_its_range(self, gamma):
+        _, weights = endpoint_targets(PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1))
+        assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
 
 
 def conditional_cdf(x, r, d1, d2):

@@ -47,6 +47,7 @@ from .qm import (
 )
 from .schulman import (
     AlignedPoleError,
+    BridgeKicks,
     BridgeSamplingError,
     DominancePrediction,
     KickStats,
@@ -59,13 +60,10 @@ from .schulman import (
     exact_family_sum,
     expected_net_dominance,
     free_kick_sums,
-    merge_kick_stats,
     net_dominance_given_rotation,
     net_rotation_density,
     periodized_cauchy,
-    periodized_cauchy_truncated,
     sample_bridges,
-    sequential_outcome_probs,
     single_photon_outcome_prob,
     truncated_family_sum,
     two_photon_joint,

@@ -25,7 +25,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .core import PI, PolAngle, RngStream
@@ -42,11 +41,9 @@ from .schulman import (
     DOMINANCE_THRESHOLD,
     BridgeSamplingError,
     PathSpec,
-    bridge_shards,
     discarded_winding_mass,
     dominant_kick_stats,
     free_kick_sums,
-    merge_kick_stats,
     sample_bridges,
     two_photon_joint,
     two_photon_outcome_joint,
@@ -251,6 +248,9 @@ def cmd_scan_settings(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
+    # scipy.stats takes most of a cold start, and no other subcommand uses it
+    from scipy import stats
+
     try:
         spec = PathSpec(
             theta1=args.theta1, theta2=args.theta2, gamma=args.gamma, steps=args.steps
@@ -258,17 +258,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     except ValueError as exc:  # a step width or gamma out of range
         raise UsageError(str(exc)) from None
     rng = RngStream(args.seed)
-    shard_stats = []
-    for index, (size, shard_rng) in enumerate(bridge_shards(args.samples, rng.substream(0))):
-        try:
-            paths = sample_bridges(spec, size, shard_rng)
-        except BridgeSamplingError as exc:
-            raise BridgeSamplingError(
-                f"{exc.reason} in bridge shard {index}", exc.step, exc.attempts
-            ) from None
-        shard_stats.append(dominant_kick_stats(paths, spec.gamma))
-        del paths  # peak memory stays one shard's path array
-    kicks = merge_kick_stats(shard_stats)
+    kicks = dominant_kick_stats(sample_bridges(spec, args.samples, rng.substream(0)), spec.gamma)
     sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
     ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, outcome_axes
+from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .qm import JointDist
 
 #: Paths whose total absolute rotation is below this multiple of gamma have
@@ -35,18 +35,18 @@ DOMINANCE_FLOOR = 1e-3
 #: describe the sampled paths.
 N_WINDINGS = 200
 
-#: Rows per block in which `dominant_kick_stats` and `free_kick_sums`
-#: process their (n, steps) arrays.  Every row sees the same arithmetic in
-#: any block, so results do not depend on it.
-ROW_BLOCK = 4096
+#: Kicks per block in which `free_kick_sums` draws its (n, steps) kicks, as
+#: max(1, KICK_BLOCK // steps) whole rows.  Every row sees the same
+#: arithmetic in any block, so results do not depend on it.
+KICK_BLOCK = 2**15
 
-#: Paths per shard of a bridge ensemble (see `bridge_shards`).  One shard's
-#: (BRIDGE_SHARD, steps + 1) path array is what `schulman-paths` holds at a
-#: time: 19 MiB at 100 steps.
+#: Paths per shard of a bridge ensemble (see `bridge_shards`).  The
+#: conditional step's temporaries are shard vectors, whatever the ensemble
+#: size.
 BRIDGE_SHARD = 25_000
 
-#: Windings |n| <= N_FAMILY_TERMS that `truncated_family_sum` and
-#: `periodized_cauchy_truncated` sum term by term before their integral tails.
+#: Windings |n| <= N_FAMILY_TERMS that `truncated_family_sum` sums term by
+#: term before its integral tails.
 N_FAMILY_TERMS = 10_000
 
 #: Share of the net rotation the largest kick must exceed to count as the
@@ -185,20 +185,6 @@ def periodized_cauchy(x, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def periodized_cauchy_truncated(x: float, gamma: float) -> float:
-    """Winding-by-winding evaluation of the wrapped Cauchy density.
-
-    Reference path used to validate the closed form: |n| <= N_FAMILY_TERMS
-    term by term, then the tail integral, exact for the Lorentzian,
-    evaluated with arctan.
-    """
-    n = np.arange(-N_FAMILY_TERMS, N_FAMILY_TERMS + 1)
-    edge = (N_FAMILY_TERMS + 0.5) * PI
-    return float(np.sum(net_rotation_density(x + n * PI, gamma))) + (
-        HALF_PI - math.atan((edge + x) / gamma) + HALF_PI - math.atan((edge - x) / gamma)
-    ) / PI**2
-
-
 def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> float:
     """Probability that the photon aligns with the second polarizer.
 
@@ -215,32 +201,6 @@ def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> fl
     w_plus = periodized_cauchy(d, gamma)
     w_minus = periodized_cauchy(d + HALF_PI, gamma)
     return w_plus / (w_plus + w_minus)
-
-
-def sequential_outcome_probs(
-    angles: list[float] | tuple[float, ...], gamma: float
-) -> dict[tuple[int, ...], float]:
-    """Distribution over +-1 outcome sequences for a chain of polarizers.
-
-    The first angle is the preparation; each measurement leaves the photon
-    in the realized axis (the polarizer angle for +1, its perpendicular
-    for -1), which becomes the boundary for the next segment.
-    """
-    angles = [PolAngle(t) for t in angles]
-    if len(angles) < 2:
-        raise ValueError("need a preparation angle and at least one polarizer")
-    dists: dict[tuple[int, ...], float] = {(): 1.0}
-    realized: dict[tuple[int, ...], PolAngle] = {(): angles[0]}
-    for theta in angles[1:]:
-        new_dists: dict[tuple[int, ...], float] = {}
-        new_realized: dict[tuple[int, ...], PolAngle] = {}
-        for seq, prob in dists.items():
-            p_plus = single_photon_outcome_prob(realized[seq], theta, gamma)
-            for outcome, p, axis in zip(OUTCOMES, (p_plus, 1.0 - p_plus), outcome_axes(theta)):
-                new_dists[seq + (outcome,)] = prob * p
-                new_realized[seq + (outcome,)] = axis
-        dists, realized = new_dists, new_realized
-    return dists
 
 
 # ---------------------------------------------------------------------------
@@ -436,58 +396,82 @@ def _conditional_step(
     return out
 
 
-def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> np.ndarray:
-    """Sample boundary-conditioned kick paths, shape (n_paths, steps + 1).
+@dataclass(frozen=True)
+class BridgeKicks:
+    """Per-path kick summaries of a bridge ensemble, all that the dominance
+    statistics and the endpoint check read from a path."""
+
+    theta1: float
+    steps: int
+    #: theta1 + net rotation, bit-equal to theta1 + an `endpoint_targets` rotation
+    endpoints: np.ndarray = field(repr=False)
+    #: largest |increment|
+    largest: np.ndarray = field(repr=False)
+    #: step of the first largest |increment|, in [0, steps)
+    kick_step: np.ndarray = field(repr=False)
+    #: sum of |increment| in step order
+    total: np.ndarray = field(repr=False)
+
+
+def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
+    """Sample n_paths boundary-conditioned kick paths, reduced as they are drawn.
 
     The endpoint (alignment family and winding) is drawn first from the
     normalized net-rotation weights; increments are then drawn from their
     exact conditional densities given the remaining rotation and remaining
-    Cauchy width.  The endpoint constraint is satisfied bit-exactly.  Each
-    step may take MAX_ROUNDS proposal rounds before it raises
-    `BridgeSamplingError`.
+    Cauchy width, and the last increment is the rotation left.  Each step's
+    increments are folded into per-path running values as soon as they are
+    drawn, so memory is a few vectors of n_paths whatever `steps` is.  A tie
+    for the largest |increment| goes to the earlier step, as in `np.argmax`.
 
-    The returned array is column-major (Fortran order), so each step's
-    increments are written to contiguous memory and summed there in place,
-    one column onto the next.  The sampler holds one (n_paths, steps + 1)
-    array, and the paths are bit for bit those of a row-wise cumsum.
+    The paths are drawn in the shards of `bridge_shards`, shard i from
+    rng.substream(i).  Each step may take MAX_ROUNDS proposal rounds before
+    it raises `BridgeSamplingError`, which names the shard and the step.
     """
-    gen = rng.generator
-    rotations, weights = endpoint_targets(spec)
-    targets = rotations[gen.choice(rotations.size, size=n_paths, p=weights)]
-
+    theta1 = float(spec.theta1)
     steps = spec.steps
     d_step = spec.step_width
-    paths = np.empty((n_paths, steps + 1), order="F")
-    residual = targets.copy()
-    for i in range(steps - 1):
-        remaining_width = (steps - 1 - i) * d_step
-        try:
-            eps = _conditional_step(residual, d_step, remaining_width, gen)
-        except BridgeSamplingError as exc:
-            raise BridgeSamplingError(exc.reason, i, exc.attempts) from None
-        paths[:, i + 1] = eps
-        residual -= eps
-    paths[:, steps] = residual
-
-    theta1 = float(spec.theta1)
-    # cumsum adds along a row in order, so adding column onto column changes no bit
-    for i in range(2, steps + 1):
-        paths[:, i] += paths[:, i - 1]
-    paths[:, 1:] += theta1
-    paths[:, 0] = theta1
-    # enforce the endpoint constraint exactly against cumulative rounding
-    paths[:, -1] = theta1 + targets
-    return paths
+    rotations, weights = endpoint_targets(spec)
+    endpoints = np.empty(n_paths)
+    largest = np.zeros(n_paths)
+    kick_step = np.zeros(n_paths, dtype=np.intp)
+    total = np.zeros(n_paths)
+    start = 0
+    for index, (size, shard_rng) in enumerate(bridge_shards(n_paths, rng)):
+        rows = slice(start, start + size)
+        start += size
+        gen = shard_rng.generator
+        residual = rotations[gen.choice(rotations.size, size=size, p=weights)]
+        endpoints[rows] = theta1 + residual
+        # views of this shard's rows, updated in place
+        shard_largest, shard_step, shard_total = largest[rows], kick_step[rows], total[rows]
+        for step in range(steps):
+            if step == steps - 1:
+                eps = residual
+            else:
+                remaining_width = (steps - 1 - step) * d_step
+                try:
+                    eps = _conditional_step(residual, d_step, remaining_width, gen)
+                except BridgeSamplingError as exc:
+                    raise BridgeSamplingError(
+                        f"{exc.reason} in bridge shard {index}", step, exc.attempts
+                    ) from None
+                residual -= eps
+            np.abs(eps, out=eps)  # eps is already taken off the residual
+            shard_total += eps
+            larger = eps > shard_largest
+            shard_largest[larger] = eps[larger]
+            shard_step[larger] = step
+    return BridgeKicks(theta1, steps, endpoints, largest, kick_step, total)
 
 
 def bridge_shards(n_paths: int, rng: RngStream) -> list[tuple[int, RngStream]]:
     """Split an ensemble of n_paths bridges into shards of BRIDGE_SHARD paths.
 
     Returns (size, stream) per shard: shard i holds paths
-    [i * BRIDGE_SHARD, (i + 1) * BRIDGE_SHARD), cut short at n_paths, and is
-    drawn as `sample_bridges(spec, size, rng.substream(i))`.  The split
-    depends on n_paths alone, so the ensemble's paths are the shards'
-    paths in order, whoever draws them.
+    [i * BRIDGE_SHARD, (i + 1) * BRIDGE_SHARD), cut short at n_paths, and
+    `sample_bridges` draws it from rng.substream(i).  The split depends on
+    n_paths alone.
     """
     return [
         (min(BRIDGE_SHARD, n_paths - start), rng.substream(i))
@@ -501,14 +485,16 @@ def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarr
     By Cauchy stability these are distributed as Cauchy(gamma); used as
     the stability check against net_rotation_density.  The kicks are
     uniforms turned into Cauchy variates in place by `_cauchy_by_inversion`,
-    drawn ROW_BLOCK rows at a time in the stream order of one (n, steps)
-    draw, then scaled and summed in place, so at most one (ROW_BLOCK, steps)
-    array is held and the sums do not depend on ROW_BLOCK.
+    drawn max(1, KICK_BLOCK // steps) rows at a time in the stream order of
+    one (n, steps) draw, then scaled and summed in place, so at most
+    KICK_BLOCK kicks, or one row of them, are held and the sums do not
+    depend on KICK_BLOCK.
     """
     gen = rng.generator
     out = np.empty(n)
-    for start in range(0, n, ROW_BLOCK):
-        rows = min(ROW_BLOCK, n - start)
+    block = max(1, KICK_BLOCK // steps)
+    for start in range(0, n, block):
+        rows = min(block, n - start)
         kicks = _cauchy_by_inversion(gen.random((rows, steps)))
         kicks *= gamma / steps
         kicks.sum(axis=1, out=out[start : start + rows])
@@ -529,58 +515,24 @@ class KickStats:
     excluded_paths: int
 
 
-def dominant_kick_stats(paths: np.ndarray, gamma: float) -> KickStats:
-    """Dominance statistics for an ensemble of paths (n_paths, steps + 1).
+def dominant_kick_stats(bridges: BridgeKicks, gamma: float) -> KickStats:
+    """Dominance statistics of a bridge ensemble.
 
     Paths with total absolute increment below DOMINANCE_FLOOR * gamma have
     no collapse kick (aligned boundaries) and are excluded from ratios.
-    Increments are taken ROW_BLOCK rows at a time into one row-major
-    (ROW_BLOCK, steps) buffer, the only temporary held beside `paths`.  Each
-    row is reduced as one contiguous row, so the statistics depend neither on
-    ROW_BLOCK nor on the memory layout of `paths`.
     """
-    paths = np.atleast_2d(np.asarray(paths, dtype=float))
-    n = paths.shape[0]
-    if n == 0:
+    if bridges.endpoints.size == 0:
         raise ValueError("empty path collection")
-    largest = np.empty(n)
-    total = np.empty(n)
-    argmax = np.empty(n, dtype=np.intp)
-    buf = np.empty((min(n, ROW_BLOCK), paths.shape[1] - 1))
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        block = paths[rows]
-        abs_inc = buf[: block.shape[0]]
-        np.subtract(block[:, 1:], block[:, :-1], out=abs_inc)
-        np.abs(abs_inc, out=abs_inc)
-        largest[rows] = abs_inc.max(axis=1)
-        total[rows] = abs_inc.sum(axis=1)
-        argmax[rows] = abs_inc.argmax(axis=1)
-    net = np.abs(paths[:, -1] - paths[:, 0])
-    defined = total >= DOMINANCE_FLOOR * gamma
-    hist = np.bincount(argmax[defined], minlength=paths.shape[1] - 1)
+    net = np.abs(bridges.endpoints - bridges.theta1)
+    defined = bridges.total >= DOMINANCE_FLOOR * gamma
+    largest = bridges.largest[defined]
     with np.errstate(invalid="ignore", divide="ignore"):
-        net_dom = largest[defined] / net[defined]
+        net_dom = largest / net[defined]
     return KickStats(
-        kick_time_histogram=hist,
-        dominance_fraction=largest[defined] / total[defined],
+        kick_time_histogram=np.bincount(bridges.kick_step[defined], minlength=bridges.steps),
+        dominance_fraction=largest / bridges.total[defined],
         net_dominance=net_dom,
         excluded_paths=int(np.sum(~defined)),
-    )
-
-
-def merge_kick_stats(parts: list[KickStats]) -> KickStats:
-    """KickStats of consecutive path ensembles taken together: histograms and
-    exclusions summed, per-path vectors concatenated in order.
-
-    `dominant_kick_stats` reduces each path on its own, so this equals, bit
-    for bit, `dominant_kick_stats` of the concatenated paths.
-    """
-    return KickStats(
-        kick_time_histogram=np.sum([part.kick_time_histogram for part in parts], axis=0),
-        dominance_fraction=np.concatenate([part.dominance_fraction for part in parts]),
-        net_dominance=np.concatenate([part.net_dominance for part in parts]),
-        excluded_paths=sum(part.excluded_paths for part in parts),
     )
 
 

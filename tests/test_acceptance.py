@@ -34,7 +34,6 @@ from belllab.models import (
 from belllab.qm import TSIRELSON_BOUND, qm_correlator, qm_joint, tsirelson_settings
 from belllab.schulman import (
     PathSpec,
-    bridge_shards,
     dominant_kick_stats,
     endpoint_targets,
     expected_net_dominance,
@@ -179,16 +178,15 @@ def test_criterion_08_path_statistics():
     """
     spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=100)
     rng = RngStream(2029)
-    shards = bridge_shards(10**5, rng.substream(0))
-    paths = np.concatenate([sample_bridges(spec, size, stream) for size, stream in shards])
+    bridges = sample_bridges(spec, 10**5, rng.substream(0))
 
     rotations, _ = endpoint_targets(spec)
-    endpoint_ok = bool(np.isin(paths[:, -1], float(spec.theta1) + rotations).all())
+    endpoint_ok = bool(np.isin(bridges.endpoints, float(spec.theta1) + rotations).all())
 
     sums = free_kick_sums(spec.gamma, spec.steps, 10**5, rng.substream(1))
     ks_p = float(stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf).pvalue)
 
-    kicks = dominant_kick_stats(paths, spec.gamma)
+    kicks = dominant_kick_stats(bridges, spec.gamma)
     dominance = float(np.mean(kicks.net_dominance > 0.99))
     expected = expected_net_dominance(spec)
     se = math.sqrt(expected.value * (1.0 - expected.value) / kicks.net_dominance.size)

@@ -206,17 +206,19 @@ class TestSubcommands:
         assert sum(report["kick_time_histogram"]) == 20000
         assert report["kick_time_chi2_pvalue"] > 0.01
 
-    def test_schulman_paths_holds_one_path_array(self, tmp_path):
+    def test_schulman_paths_memory_is_flat_in_steps(self, tmp_path):
         argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert main([*argv, "--steps", "10", "--samples", "100"]) == 0  # imports and caches
-        tracemalloc.start()
-        try:
-            assert main([*argv, "--steps", "100", "--samples", "50000"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # row-block temporaries are a larger share of fewer paths: keep 50000
-        assert peak < 1.5 * 50_000 * 101 * 8
+        peaks = []
+        for steps in ("10", "1000"):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--steps", steps, "--samples", "2000"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # no array has a dimension of steps beyond one block of free kicks
+        assert peaks[1] - peaks[0] < 2**20
 
     def test_schulman_paths_memory_is_flat_in_samples(self, tmp_path):
         argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
@@ -227,8 +229,8 @@ class TestSubcommands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 25000-path shard (19.3 MiB) and n-length vectors, not 154 MiB of paths
-        assert peak < 40 * 2**20
+        # vectors of one number per path (about 17 MiB), not 154 MiB of paths
+        assert peak < 24 * 2**20
 
     def test_schulman_paths_draws_on_the_main_thread(self, tmp_path, monkeypatch):
         draws = []
@@ -243,7 +245,7 @@ class TestSubcommands:
         for name in ("sample_bridges", "dominant_kick_stats", "free_kick_sums"):
             monkeypatch.setattr(cli, name, recording(name))
         threads_before = threading.active_count()
-        # more than one row block of paths and of free kicks
+        # more than one block of free kicks
         assert main(["schulman-paths", "--gamma", "1e-3", "--steps", "20", "--samples",
                      "5000", "--seed", "3", "--out", str(tmp_path / "r.json")]) == 0
         assert [name for name, _, _ in draws] == [
@@ -308,6 +310,13 @@ class TestSubcommands:
         assert json.loads(out.read_text())["lambda_grid"] == 211
 
 
+def fresh_env() -> dict:
+    """Environment for a fresh interpreter that imports this checkout's belllab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 #: One small invocation of each subcommand.
 SMALL_RUNS = [
     ["run-chsh", "--model", "hall", "--samples", "2000"],
@@ -367,14 +376,11 @@ class TestReportPath:
     def test_closed_stdout_exits_141_without_a_traceback(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # as `| head -1` does once it has its line
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "belllab.cli", "run-chsh", "--model", "hall",
                  "--samples", "100"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=fresh_env(), timeout=120,
             )
         finally:
             os.close(write_end)
@@ -389,6 +395,24 @@ class TestReportPath:
         assert main(SMALL_RUNS[2]) == 1
         assert main(["run-chsh", "--model", "schulman-2"]) == 2
         assert writes == []
+
+
+def test_only_schulman_paths_imports_scipy_stats(tmp_path):
+    # scipy.stats takes most of a cold start; only schulman-paths' p-values need it
+    runs = [argv for argv in SMALL_RUNS if argv[0] != "schulman-paths"]
+    code = (
+        "import sys\n"
+        "from belllab.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=fresh_env(), timeout=120,
+    )
+    assert [argv[0] for argv in runs] == ["run-chsh", "scan-settings", "mutual-info", "two-photon"]
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 """Levy-flight polarization model: family sums, outcome probabilities, bridges."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -10,10 +11,11 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy import integrate, stats
 
 from belllab import schulman
-from belllab.core import PI, HALF_PI, PolAngle, RngStream, canonical_diff
+from belllab.core import OUTCOMES, PI, HALF_PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from belllab.qm import qm_joint
 from belllab.schulman import (
     AlignedPoleError,
+    BridgeKicks,
     BridgeSamplingError,
     PathSpec,
     _cauchy_by_inversion,
@@ -24,18 +26,70 @@ from belllab.schulman import (
     exact_family_sum,
     expected_net_dominance,
     free_kick_sums,
-    merge_kick_stats,
     net_dominance_given_rotation,
     net_rotation_density,
     periodized_cauchy,
-    periodized_cauchy_truncated,
     sample_bridges,
-    sequential_outcome_probs,
     single_photon_outcome_prob,
     truncated_family_sum,
     two_photon_joint,
     two_photon_outcome_joint,
 )
+
+
+def periodized_cauchy_truncated(x: float, gamma: float) -> float:
+    """Winding-by-winding evaluation of the wrapped Cauchy density, the
+    reference for its closed form: |n| <= N_FAMILY_TERMS term by term, then
+    the tail integral, exact for the Lorentzian, evaluated with arctan."""
+    n = np.arange(-schulman.N_FAMILY_TERMS, schulman.N_FAMILY_TERMS + 1)
+    edge = (schulman.N_FAMILY_TERMS + 0.5) * PI
+    return float(np.sum(net_rotation_density(x + n * PI, gamma))) + (
+        HALF_PI - math.atan((edge + x) / gamma) + HALF_PI - math.atan((edge - x) / gamma)
+    ) / PI**2
+
+
+def sequential_outcome_probs(angles, gamma):
+    """Distribution over +-1 outcome sequences for a chain of polarizers.
+
+    The first angle is the preparation; each measurement leaves the photon
+    in the realized axis (the polarizer angle for +1, its perpendicular
+    for -1), which becomes the boundary for the next segment.
+    """
+    angles = [PolAngle(t) for t in angles]
+    if len(angles) < 2:
+        raise ValueError("need a preparation angle and at least one polarizer")
+    dists = {(): 1.0}
+    realized = {(): angles[0]}
+    for theta in angles[1:]:
+        new_dists, new_realized = {}, {}
+        for seq, prob in dists.items():
+            p_plus = single_photon_outcome_prob(realized[seq], theta, gamma)
+            for outcome, p, axis in zip(OUTCOMES, (p_plus, 1.0 - p_plus), outcome_axes(theta)):
+                new_dists[seq + (outcome,)] = prob * p
+                new_realized[seq + (outcome,)] = axis
+        dists, realized = new_dists, new_realized
+    return dists
+
+
+def kicks_of(increments, theta1=0.0):
+    """`BridgeKicks` of paths with these (n, steps) increments, by the
+    whole-array formula."""
+    abs_inc = np.abs(increments)
+    return BridgeKicks(
+        theta1=theta1,
+        steps=increments.shape[1],
+        endpoints=theta1 + increments.sum(axis=1),
+        largest=abs_inc.max(axis=1),
+        kick_step=abs_inc.argmax(axis=1),
+        total=abs_inc.sum(axis=1),
+    )
+
+
+def assert_same_kicks(have, want):
+    assert (have.theta1, have.steps) == (want.theta1, want.steps)
+    for name in ("endpoints", "largest", "kick_step", "total"):
+        a, b = getattr(have, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestFamilySums:
@@ -236,26 +290,29 @@ class TestBridges:
     spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=50)
 
     def test_shapes_and_boundary(self):
-        paths = sample_bridges(self.spec, 200, RngStream(2))
-        assert paths.shape == (200, 51)
-        np.testing.assert_array_equal(paths[:, 0], 0.0)
+        bridges = sample_bridges(self.spec, 200, RngStream(2))
+        assert (bridges.theta1, bridges.steps) == (0.0, 50)
+        for vector in (bridges.endpoints, bridges.largest, bridges.kick_step, bridges.total):
+            assert vector.shape == (200,)
+        assert np.all((0 <= bridges.kick_step) & (bridges.kick_step < 50))
+        assert np.all(bridges.largest <= bridges.total)
 
     def test_endpoints_exactly_on_families(self):
-        paths = sample_bridges(self.spec, 500, RngStream(3))
-        # every endpoint is bit-equal to one of the enumerated family targets
-        rotations, _ = endpoint_targets(self.spec)
-        assert np.isin(paths[:, -1], float(self.spec.theta1) + rotations).all()
+        spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=50)
+        bridges = sample_bridges(spec, 500, RngStream(3))
+        # every endpoint is bit-equal to theta1 plus one of the enumerated family targets
+        rotations, _ = endpoint_targets(spec)
+        assert np.isin(bridges.endpoints, 0.3 + rotations).all()
 
     def test_reproducible(self):
-        p1 = sample_bridges(self.spec, 50, RngStream(9))
-        p2 = sample_bridges(self.spec, 50, RngStream(9))
-        np.testing.assert_array_equal(p1, p2)
+        assert_same_kicks(
+            sample_bridges(self.spec, 50, RngStream(9)), sample_bridges(self.spec, 50, RngStream(9))
+        )
 
     def test_net_rotation_distribution(self):
         # endpoint weights follow the Cauchy net-rotation density: compare
         # the aligned-family share against the analytic family ratio
-        paths = sample_bridges(self.spec, 20_000, RngStream(4))
-        ends = paths[:, -1]
+        ends = sample_bridges(self.spec, 20_000, RngStream(4)).endpoints
         # aligned family iff the endpoint differs from theta2 by a multiple
         # of pi (rather than an odd multiple of pi/2)
         residue = (ends - float(self.spec.theta2)) % PI
@@ -268,10 +325,12 @@ class TestBridges:
 
     def test_single_step_bridge(self):
         spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=1)
-        paths = sample_bridges(spec, 1, RngStream(5))
-        assert paths.shape == (1, 2)
+        bridges = sample_bridges(spec, 1, RngStream(5))
         rotations, _ = endpoint_targets(spec)
-        assert paths[0, 1] - paths[0, 0] in rotations
+        # the one increment is the whole rotation
+        assert bridges.endpoints[0] in rotations
+        assert bridges.largest[0] == bridges.total[0] == abs(bridges.endpoints[0])
+        assert bridges.kick_step[0] == 0
 
     def test_stalled_step_reports_its_index(self, monkeypatch):
         calls = []
@@ -287,7 +346,7 @@ class TestBridges:
             sample_bridges(self.spec, 200, RngStream(2))
         assert exc.value.step == 2
         assert exc.value.attempts == 64
-        assert str(exc.value) == "stalled (step 2, 64 proposal rounds)"
+        assert str(exc.value) == "stalled in bridge shard 0 (step 2, 64 proposal rounds)"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -426,83 +485,82 @@ class TestConditionalStep:
 
 
 class TestRowBlocks:
-    """Row-blocked results equal the one-shot whole-array arithmetic, bit for bit."""
+    """Folded and blocked results equal the one-shot whole-array arithmetic,
+    bit for bit."""
 
-    n = schulman.ROW_BLOCK + 3
+    # below 8 steps numpy sums a row in order, as the fold does
     spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=6)
+    # a partial last block of free kicks
+    n = schulman.KICK_BLOCK // 6 + 3
 
-    def test_bridges_are_the_cumulative_increments(self, monkeypatch):
-        kick_gen = RngStream(12).generator
+    def sample_fixed_kicks(self, monkeypatch, seed):
+        """Bridges whose conditional steps return fixed Cauchy kicks; returns
+        them with their endpoint targets and (n, steps) increments.  Row 0's
+        kicks tie for the largest at steps 1 and 3 and cancel."""
+        kick_gen = RngStream(seed).generator
         residuals, kicks = [], []
 
         def fixed_step(residual, d1, d2, gen):
             residuals.append(residual.copy())
-            kicks.append(1e-3 * kick_gen.standard_cauchy(residual.size))
-            return kicks[-1]
+            kick = 1e-3 * kick_gen.standard_cauchy(residual.size)
+            if len(kicks) in (1, 3):
+                kick[0] = 1e3 if len(kicks) == 1 else -1e3
+            kicks.append(kick)
+            return kick.copy()
 
         monkeypatch.setattr(schulman, "_conditional_step", fixed_step)
-        paths = sample_bridges(self.spec, self.n, RngStream(13))
-        targets = residuals[0]
+        bridges = sample_bridges(self.spec, self.n, RngStream(seed + 1))
         increments = np.column_stack([*kicks, residuals[-1] - kicks[-1]])
+        return bridges, residuals[0], increments
+
+    def test_folded_kicks_match_the_whole_array_formula(self, monkeypatch):
+        bridges, targets, increments = self.sample_fixed_kicks(monkeypatch, 12)
         theta1 = float(self.spec.theta1)
-        expected = np.empty((self.n, self.spec.steps + 1))
-        expected[:, 0] = theta1
-        expected[:, 1:] = theta1 + np.cumsum(increments, axis=1)
-        expected[:, -1] = theta1 + targets
-        assert paths.tobytes() == expected.tobytes()
+        want = dataclasses.replace(kicks_of(increments, theta1), endpoints=theta1 + targets)
+        assert_same_kicks(bridges, want)
+
+    def test_a_tie_for_the_largest_kick_takes_the_first_step(self, monkeypatch):
+        bridges, _, increments = self.sample_fixed_kicks(monkeypatch, 13)
+        assert np.abs(increments[0]).max() == abs(increments[0, 1]) == abs(increments[0, 3])
+        assert bridges.kick_step[0] == 1
+        assert bridges.largest[0] == 1e3
 
     def test_kick_stats_match_the_whole_array_formula(self):
-        paths = sample_bridges(self.spec, self.n, RngStream(14))
-        paths[-2:] = 0.3  # two flat paths in the last, partial block are excluded
+        increments = 1e-3 * RngStream(14).generator.standard_cauchy((self.n, self.spec.steps))
+        increments[-2:] = 0.0  # two flat paths, which are excluded
+        bridges = kicks_of(increments, 0.3)
         gamma = self.spec.gamma
-        abs_inc = np.abs(np.diff(paths, axis=1))
-        largest = abs_inc.max(axis=1)
-        total = abs_inc.sum(axis=1)
-        net = np.abs(paths[:, -1] - paths[:, 0])
+        largest, total = bridges.largest, bridges.total
+        net = np.abs(bridges.endpoints - 0.3)
         defined = total >= schulman.DOMINANCE_FLOOR * gamma
         expected = {
             "kick_time_histogram": np.bincount(
-                abs_inc.argmax(axis=1)[defined], minlength=abs_inc.shape[1]
+                bridges.kick_step[defined], minlength=self.spec.steps
             ),
             "dominance_fraction": largest[defined] / total[defined],
             "net_dominance": largest[defined] / net[defined],
         }
-        got = dominant_kick_stats(paths, gamma)
+        got = dominant_kick_stats(bridges, gamma)
         assert got.excluded_paths == int(np.sum(~defined)) == 2
         for name, want in expected.items():
             have = getattr(got, name)
             assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
 
     def test_free_kick_sums_match_one_draw(self):
-        gamma, steps = 1e-3, 6
-        sums = free_kick_sums(gamma, steps, self.n, RngStream(15).substream(1))
-        uniforms = RngStream(15).substream(1).generator.random((self.n, steps))
-        kicks = (gamma / steps) * _cauchy_by_inversion(uniforms)
-        assert sums.tobytes() == kicks.sum(axis=1).tobytes()
-
-    def test_kick_stats_do_not_depend_on_the_memory_layout(self):
-        # above 8 steps numpy sums a contiguous row pairwise, a strided one in order
-        spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=40)
-        paths = sample_bridges(spec, self.n, RngStream(16))
-        assert paths.flags.f_contiguous
-        by_layout = [
-            dominant_kick_stats(np.array(paths, order=order), spec.gamma) for order in "CF"
-        ]
-        for name in ("kick_time_histogram", "dominance_fraction", "net_dominance"):
-            c_order, f_order = (getattr(stats_, name) for stats_ in by_layout)
-            assert c_order.tobytes() == f_order.tobytes(), name
+        gamma = 1e-3
+        # blocks of many rows, and rows longer than a block
+        for steps, n in ((6, self.n), (schulman.KICK_BLOCK + 9, 3)):
+            sums = free_kick_sums(gamma, steps, n, RngStream(15).substream(1))
+            uniforms = RngStream(15).substream(1).generator.random((n, steps))
+            kicks = (gamma / steps) * _cauchy_by_inversion(uniforms)
+            assert sums.tobytes() == kicks.sum(axis=1).tobytes(), steps
 
 
 class TestShards:
     """An ensemble drawn shard by shard, with a partial last shard of one path."""
 
     n = 2 * schulman.BRIDGE_SHARD + 1
-    # above 8 steps numpy sums a row pairwise
     spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=12)
-
-    def draw(self, seed):
-        shards = bridge_shards(self.n, RngStream(seed))
-        return [sample_bridges(self.spec, size, rng) for size, rng in shards]
 
     def test_split_depends_on_the_count_alone(self):
         shards = bridge_shards(self.n, RngStream(3).substream(0))
@@ -512,22 +570,26 @@ class TestShards:
         ]
         assert [size for size, _ in bridge_shards(1, RngStream(3))] == [1]
 
-    def test_a_shard_drawn_alone_is_its_slice_of_the_ensemble(self):
-        ensemble = np.concatenate(self.draw(21))
+    def test_a_shard_drawn_alone_is_its_slice_of_the_ensemble(self, monkeypatch):
+        ensemble = sample_bridges(self.spec, self.n, RngStream(21))
         for i, size in ((1, schulman.BRIDGE_SHARD), (2, 1)):
-            alone = sample_bridges(self.spec, size, RngStream(21).substream(i))
-            start = i * schulman.BRIDGE_SHARD
-            assert alone.tobytes(order="C") == ensemble[start : start + size].tobytes(order="C")
-
-    def test_merged_stats_are_those_of_the_concatenated_paths(self):
-        shards = self.draw(22)
-        shards[-1][:] = 0.3  # the last shard's one path is flat, so excluded
-        merged = merge_kick_stats([dominant_kick_stats(p, self.spec.gamma) for p in shards])
-        whole = dominant_kick_stats(np.concatenate(shards), self.spec.gamma)
-        assert merged.excluded_paths == whole.excluded_paths == 1
-        for name in ("kick_time_histogram", "dominance_fraction", "net_dominance"):
-            have, want = getattr(merged, name), getattr(whole, name)
-            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+            # the ensemble's split replaced by shard i alone, from its own stream
+            monkeypatch.setattr(
+                schulman, "bridge_shards", lambda n, rng: [(size, RngStream(21).substream(i))]
+            )
+            alone = sample_bridges(self.spec, size, RngStream(0))
+            rows = slice(i * schulman.BRIDGE_SHARD, i * schulman.BRIDGE_SHARD + size)
+            assert_same_kicks(
+                alone,
+                BridgeKicks(
+                    ensemble.theta1,
+                    ensemble.steps,
+                    ensemble.endpoints[rows],
+                    ensemble.largest[rows],
+                    ensemble.kick_step[rows],
+                    ensemble.total[rows],
+                ),
+            )
 
 
 class TestCauchyByInversion:
@@ -560,22 +622,20 @@ class TestKickStatistics:
         # one big kick at step 2, tiny ones elsewhere
         inc = np.full((3, 5), 1e-8)
         inc[:, 2] = 0.4
-        paths = np.cumsum(np.hstack([np.zeros((3, 1)), inc]), axis=1)
-        ks = dominant_kick_stats(paths, gamma=1e-3)
+        ks = dominant_kick_stats(kicks_of(inc), gamma=1e-3)
         np.testing.assert_array_equal(ks.kick_time_histogram, [0, 0, 3, 0, 0])
         assert np.all(ks.dominance_fraction > 0.99)
         assert np.all(ks.net_dominance > 0.99)
         assert ks.excluded_paths == 0
 
     def test_flat_paths_are_excluded(self):
-        paths = np.zeros((4, 6))
-        ks = dominant_kick_stats(paths, gamma=1e-3)
+        ks = dominant_kick_stats(kicks_of(np.zeros((4, 5))), gamma=1e-3)
         assert ks.excluded_paths == 4
         assert ks.dominance_fraction.size == 0
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
-            dominant_kick_stats(np.empty((0, 5)), gamma=1e-3)
+            dominant_kick_stats(kicks_of(np.empty((0, 5))), gamma=1e-3)
 
     @pytest.mark.parametrize("delta", [PI / 8, -3 * PI / 8, 5 * PI / 8 + 4 * PI, 2e-3, 4e-4])
     def test_closed_form_matches_quadrature(self, delta):

@@ -7,14 +7,12 @@ density, and a Levy-flight kicked-polarization model), and estimators for
 CHSH values, locality residuals and hidden-variable information content.
 """
 
-from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, malus_prob, outcome_axes
+from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .estimator import (
     ChshReport,
     CorrelatorEstimate,
     MIEstimate,
     ScreeningResult,
-    analytic_chsh,
-    chsh_pvalue,
     chsh_pvalue_log10,
     estimate_correlator,
     lambda_independence_residual,
@@ -40,7 +38,6 @@ from .qm import (
     JointDist,
     chsh_pairs,
     chsh_value,
-    qm_chsh,
     qm_correlator,
     qm_joint,
     tsirelson_settings,

@@ -182,6 +182,8 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
         s_value, s_error = chsh_value(*values), 0.0
         pvalue, residuals = None, None
     else:
+        if args.gamma is not None:
+            raise UsageError(f"--gamma is read by schulman-2 only, not by {args.model}")
         rng = RngStream(args.seed)
         model = build_model(args.model, settings)
         chsh = run_chsh_experiment(model, settings, args.samples, rng, workers=args.workers)

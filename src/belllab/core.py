@@ -67,17 +67,6 @@ def check_outcome(outcome: int) -> int:
     return outcome
 
 
-def malus_prob(setting: float, polarization: float, outcome: int) -> float:
-    """Malus' law: cos^2(setting - polarization) for +1, sin^2 for -1.
-
-    The two outcome probabilities sum to 1 exactly (the -1 branch is
-    computed as the complement).
-    """
-    check_outcome(outcome)
-    p_plus = math.cos(canonical_diff(setting, polarization)) ** 2
-    return p_plus if outcome == +1 else 1.0 - p_plus
-
-
 class RngStream:
     """Deterministic splittable random stream.
 

@@ -132,11 +132,6 @@ def run_chsh_experiment(
     )
 
 
-def analytic_chsh(model: AnyModel, settings: tuple[float, float, float, float]) -> float:
-    """CHSH value from the model's exact joint distributions."""
-    return chsh_value(*(model.joint_dist(x, y).correlator() for x, y in chsh_pairs(settings)))
-
-
 def peres_identity_check(a1: int, a2: int, b1: int, b2: int) -> int:
     """(A + A')B + (A - A')B'; equals +-2 for every +-1 assignment."""
     for v in (a1, a2, b1, b2):
@@ -281,23 +276,10 @@ def mutual_information_hall(lambda_grid: int = 2048, settings_grid: int = 64) ->
     )
 
 
-def chsh_pvalue(s_hat: float, n_per_correlator: int) -> float:
-    """Hoeffding-style bound on P(S_hat >= s | true S <= 2).
-
-    exp(-N (s_hat - 2)^2 / 8) for s_hat > 2, else 1.  Underflows to 0 for
-    very large N; use chsh_pvalue_log10 for reporting in that regime.
-    """
-    if not 0.0 <= s_hat <= 4.0:
-        raise ValueError("s_hat must be in [0, 4]")
-    if n_per_correlator < 1:
-        raise ValueError("n_per_correlator must be >= 1")
-    if s_hat <= 2.0:
-        return 1.0
-    return math.exp(-n_per_correlator * (s_hat - 2.0) ** 2 / 8.0)
-
-
 def chsh_pvalue_log10(s_hat: float, n_per_correlator: int) -> float:
-    """log10 of the chsh_pvalue bound, safe against underflow."""
+    """log10 of the Hoeffding-style bound exp(-N (s_hat - 2)^2 / 8) on
+    P(S_hat >= s_hat | true S <= 2), 0 for s_hat <= 2.  The bound itself
+    underflows to 0 at the sample counts the CLI runs (S = 2.83, N = 1e6)."""
     if not 0.0 <= s_hat <= 4.0:
         raise ValueError("s_hat must be in [0, 4]")
     if s_hat <= 2.0:

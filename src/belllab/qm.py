@@ -96,8 +96,3 @@ def chsh_value(c1: float, c2: float, c3: float, c4: float) -> float:
     """|c1 + c2 + c3 - c4|, the CHSH combination of four correlators taken
     at the `chsh_pairs` of a quadruple."""
     return abs(c1 + c2 + c3 - c4)
-
-
-def qm_chsh(settings: tuple[float, float, float, float]) -> float:
-    """|<AB> + <A'B> + <AB'> - <A'B'>| for the Bell state at these settings."""
-    return chsh_value(*(qm_correlator(x, y) for x, y in chsh_pairs(settings)))

@@ -84,6 +84,8 @@ class PathSpec:
 
     The endpoint is constrained modulo pi/2: the path ends in either the
     theta2 family or the theta2 + pi/2 family, with winding number free.
+    The samplers are exact wherever gamma / steps is a normal float and
+    gamma * `_LARGEST_CAUCHY` is finite (gamma up to about 1.1e292).
     """
 
     theta1: PolAngle
@@ -102,12 +104,11 @@ class PathSpec:
                 f"step width gamma / steps = {self.step_width!r} is below the "
                 f"smallest normal float, {sys.float_info.min!r}"
             )
-        if not 0.0 < PI * (self.gamma * self.gamma) < math.inf:
-            # the endpoint weights gamma / (pi (x^2 + gamma^2)) overflow, or
-            # divide by 0 at x = 0, so their normalization is not finite
+        if not math.isfinite(self.gamma * _LARGEST_CAUCHY):
+            # a bridge proposal or free kick of width up to gamma would overflow
             raise ValueError(
-                f"gamma = {self.gamma!r} is outside the range where pi * gamma**2 is a "
-                f"positive finite float, about 1.57e-162 to 7.56e153"
+                f"gamma = {self.gamma!r} times the largest Cauchy variate, "
+                f"{_LARGEST_CAUCHY!r}, overflows: gamma must be at most about 1.1e292"
             )
         object.__setattr__(self, "theta1", PolAngle(self.theta1))
         object.__setattr__(self, "theta2", PolAngle(self.theta2))
@@ -159,8 +160,8 @@ def periodized_cauchy(x, gamma: float):
     period [0, pi).
 
     Where pi * sinh(gamma)^2 overflows (gamma > 355.0) the density is 1/pi
-    to within rounding.  Where sinh(gamma)^2 and sin(x)^2 both underflow to 0
-    (gamma and |sin(x)| below 1.6e-162) numerator and denominator are
+    to within rounding.  Where sinh(gamma)^2 + sin(x)^2 is subnormal or 0
+    (gamma and |sin(x)| below about 1.5e-154) numerator and denominator are
     divided by the larger of sinh(gamma) and |sin(x)| first.
     """
     if gamma <= 0.0:
@@ -176,7 +177,7 @@ def periodized_cauchy(x, gamma: float):
     den = sh * sh + sin_x**2
     with np.errstate(divide="ignore"):
         out = sh * math.cosh(gamma) / (PI * den)
-    underflow = den == 0.0
+    underflow = den < sys.float_info.min
     if np.any(underflow):
         scale = np.maximum(sh, np.abs(sin_x))
         rel_sh, rel_sin = sh / scale, sin_x / scale
@@ -190,14 +191,16 @@ def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> fl
 
     gamma == 0 selects the analytic limit, which is exactly Malus' law
     cos^2(theta1 - theta2) (the family-sum poles cancel in the normalized
-    ratio).  For gamma > 0 the aligned and perpendicular family weights
-    are compared directly.
+    ratio).  So does a subnormal gamma, whose family weights lose their
+    digits or overflow, though the exact (sinh(gamma)^2 + cos^2 d) /
+    (2 sinh(gamma)^2 + 1) differs from Malus' law by under 1e-615.  Larger
+    gammas compare the aligned and perpendicular family weights directly.
     """
     d = canonical_diff(theta2, theta1)
-    if gamma == 0.0:
-        return math.cos(d) ** 2
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
+    if gamma < sys.float_info.min:
+        return math.cos(d) ** 2
     w_plus = periodized_cauchy(d, gamma)
     w_minus = periodized_cauchy(d + HALF_PI, gamma)
     return w_plus / (w_plus + w_minus)
@@ -303,20 +306,32 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
 # ---------------------------------------------------------------------------
 
 
+def _winding_weights(spec: PathSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rotations x of both families' windings |n| <= N_WINDINGS, their weights
+    1 / (x^2 + gamma^2) in units of m = max(min |x|, gamma), and m.  The
+    nearest winding weighs 1/2 to 1; a far one, (x / m)^2 overflowing, 0."""
+    d0 = float(spec.theta2) - float(spec.theta1)
+    n = np.arange(-N_WINDINGS, N_WINDINGS + 1)
+    rotations = np.concatenate([d0 + n * PI, d0 + HALF_PI + n * PI])
+    unit = max(float(np.min(np.abs(rotations))), spec.gamma)
+    with np.errstate(over="ignore"):
+        x = rotations / unit
+        weights = 1.0 / (x * x + (spec.gamma / unit) ** 2)
+    return rotations, weights, unit
+
+
 def endpoint_targets(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
     """Candidate net rotations and their normalized Cauchy weights.
 
     Targets enumerate both alignment families and windings |n| <= N_WINDINGS;
-    the weights are renormalized over the kept windings.  The discarded share
-    is about sin^2(2 * dtheta) / (pi^2 * N_WINDINGS) for gamma << 1 (2.5e-4 at
-    dtheta = pi/8), and approaches 2 * gamma / (pi^2 * N_WINDINGS) once gamma
-    is of order 1 (1.0e-3 at gamma = 1); `DominancePrediction` and the
-    schulman-paths report give it exactly as `discarded_winding_mass`.
+    their `_winding_weights` are renormalized over the kept windings.  The
+    discarded share is about sin^2(2 * dtheta) / (pi^2 * N_WINDINGS) for
+    gamma << 1 (2.5e-4 at dtheta = pi/8), and approaches
+    2 * gamma / (pi^2 * N_WINDINGS) once gamma is of order 1 (1.0e-3 at
+    gamma = 1); `DominancePrediction` and the schulman-paths report give it
+    exactly as `discarded_winding_mass`.
     """
-    d0 = float(spec.theta2) - float(spec.theta1)
-    n = np.arange(-N_WINDINGS, N_WINDINGS + 1)
-    rotations = np.concatenate([d0 + n * PI, d0 + HALF_PI + n * PI])
-    weights = net_rotation_density(rotations, spec.gamma)
+    rotations, weights, _ = _winding_weights(spec)
     return rotations, weights / weights.sum()
 
 
@@ -334,6 +349,11 @@ def _cauchy_by_inversion(v: np.ndarray) -> np.ndarray:
     return np.tan(v, out=v)
 
 
+#: The largest |z| `_cauchy_by_inversion` returns, |tan(-pi/2)| = 1.6e16 at
+#: v = 0.  `PathSpec` refuses a gamma whose product with it overflows.
+_LARGEST_CAUCHY = float(-_cauchy_by_inversion(np.zeros(1))[0])
+
+
 def _conditional_step(
     residual: np.ndarray, d1: float, d2: float, gen: np.random.Generator
 ) -> np.ndarray:
@@ -343,54 +363,55 @@ def _conditional_step(
     g(e) = w C_d1(e) + (1 - w) C_d2(r - e), w = sqrt(d2) / (sqrt(d1) + sqrt(d2)).
     One uniform u per proposal picks the component (u < w) and, rescaled
     within it to v = u / w or (u - w) / (1 - w), gives the Cauchy variate by
-    `_cauchy_by_inversion`; a second uniform decides acceptance.  g / f = pi Q(e) with
-    Q(e) = alpha ((r - e)^2 + d2^2) + beta (e^2 + d1^2), alpha = w / d2,
-    beta = (1 - w) / d1, a quadratic whose minimum
-    Q_min = alpha beta / (alpha + beta) r^2 + alpha d2^2 + beta d1^2 is exact,
-    so e is accepted when u Q(e) <= Q_min.  Its r^2 coefficient is computed
-    as its equal 1 / (sqrt(d1) + sqrt(d2))^2: alpha beta ~ 1 / (d1 d2)
-    overflows below gamma ~ 1e-153.  The acceptance rate is
-    pi Q_min C_{d1+d2}(r): (d1 + d2) / (sqrt(d1) + sqrt(d2))^2 for |r| >> d2,
-    between 1/2 (equal widths) and 1 (one width dominant), against exactly 1/2
-    for an equal mixture.
+    `_cauchy_by_inversion`; a second uniform u' decides acceptance.  g / f is
+    pi Q(e) for a quadratic Q whose minimum Q_min lies at e = (1 - w) r, and
+    e is accepted with probability Q_min / Q(e), that is when
+
+        u' (e - (1 - w) r)^2 <= (1 - u') K,  K = w (1 - w) r^2 + (1 - w) d2^2 + w d1^2,
+
+    u' Q <= Q_min multiplied through by sqrt(d1 d2).  Both sides are taken
+    per path in units of s = max(|r|, d2), where each term is at most of
+    order z^2 for the Cauchy variate z, so the test is exact at any widths.
+    The acceptance rate is pi Q_min C_{d1+d2}(r): (d1 + d2) / (sqrt(d1) + sqrt(d2))^2
+    for |r| >> d2, between 1/2 (equal widths) and 1 (one width dominant),
+    against exactly 1/2 for an equal mixture.
 
     Every path is pending in the first round, which therefore works on whole
-    arrays; later rounds index the rejected paths.
+    arrays; later rounds gather the rejected paths' terms.
     """
     w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))
-    alpha = w / d2
-    beta = (1.0 - w) / d1
-    q_floor = alpha * d2 * d2 + beta * d1 * d1
-    q_min = residual * residual
-    q_min *= 1.0 / (math.sqrt(d1) + math.sqrt(d2)) ** 2
-    q_min += q_floor
+    inv_s = 1.0 / np.maximum(np.abs(residual), d2)
+    # K / s^2 = w (1 - w) (r / s)^2 + ((1 - w) + w (d1 / d2)^2) (d2 / s)^2
+    bound = w * (1.0 - w) * np.square(residual * inv_s)
+    bound += ((1.0 - w) + w * (d1 / d2) ** 2) * np.square(d2 * inv_s)
 
-    def propose(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One proposal e per residual in r, and u Q(e) for it, which
-        accepts e when it is <= Q_min."""
+    def propose(r, inv_s, bound) -> tuple[np.ndarray, np.ndarray]:
+        """One proposal e per residual in r, and whether it is rejected."""
         u = gen.random(r.size)
         from_d1 = u < w
         v = np.where(from_d1, u / w, (u - w) / (1.0 - w))
         z = _cauchy_by_inversion(v)
         eps = np.where(from_d1, d1 * z, r + d2 * z)
-        q = np.subtract(r, eps, out=v)
-        q *= q
-        q *= alpha
-        q += beta * (eps * eps)
-        q += q_floor
-        q *= gen.random(r.size)
-        return eps, q
+        t = np.multiply(r, 1.0 - w, out=v)
+        np.subtract(eps, t, out=t)
+        t *= inv_s
+        t *= t
+        u = gen.random(r.size)
+        t *= u
+        np.subtract(1.0, u, out=u)
+        u *= bound
+        return eps, t > u
 
-    out, q = propose(residual)
-    todo = np.flatnonzero(q > q_min)
+    out, rejected = propose(residual, inv_s, bound)
+    todo = np.flatnonzero(rejected)
     for _ in range(MAX_ROUNDS - 1):
         if todo.size == 0:
             break
-        eps, q = propose(residual[todo])
+        eps, rejected = propose(residual[todo], inv_s[todo], bound[todo])
         # a rejected entry is overwritten in a later round; integer indexing
         # is cheaper here than scattering through the boolean mask
         out[todo] = eps
-        todo = todo[q > q_min[todo]]
+        todo = todo[rejected]
     if todo.size:
         raise BridgeSamplingError("conditional increment sampling stalled", -1, MAX_ROUNDS)
     return out
@@ -459,9 +480,8 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
                 residual -= eps
             np.abs(eps, out=eps)  # eps is already taken off the residual
             shard_total += eps
-            larger = eps > shard_largest
-            shard_largest[larger] = eps[larger]
-            shard_step[larger] = step
+            np.copyto(shard_step, step, where=eps > shard_largest)
+            np.maximum(shard_largest, eps, out=shard_largest)
     return BridgeKicks(theta1, steps, endpoints, largest, kick_step, total)
 
 
@@ -612,7 +632,9 @@ def discarded_winding_mass(spec: PathSpec) -> float:
     both families."""
     d0 = float(spec.theta2) - float(spec.theta1)
     full = periodized_cauchy(d0, spec.gamma) + periodized_cauchy(d0 + HALF_PI, spec.gamma)
-    kept = float(np.sum(net_rotation_density(endpoint_targets(spec)[0], spec.gamma)))
+    _, weights, unit = _winding_weights(spec)
+    # sum of gamma / (pi (x^2 + gamma^2)) from the weights in units of `unit`
+    kept = spec.gamma / unit * float(np.sum(weights)) / (PI * unit)
     return max(0.0, 1.0 - kept / full)
 
 

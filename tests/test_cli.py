@@ -524,6 +524,13 @@ class TestExitCodes:
             main(["run-chsh", "--model", "schulman-2", "--gamma", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("model", ["hall", "delta-mixture", "local-baseline", "pr-box"])
+    def test_run_chsh_refuses_gamma_for_the_sampled_models(self, model, capsys):
+        assert main(["run-chsh", "--model", model, "--gamma", "0.5", "--samples", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --gamma is read by schulman-2 only, not by {model}\n"
+
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["run-chsh", "--model", "schulman-2"],
@@ -564,20 +571,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("gamma, extra", [
         ("8e153", []),
-        ("1e300", []),
         ("1.5e-162", ["--theta2", "0"]),
         ("1e-170", ["--theta2", "0.5pi"]),
         ("3e-306", ["--steps", "100"]),
-    ], ids=["8e153", "1e300", "1.5e-162-aligned", "1e-170-perpendicular", "3e-306-100-steps"])
-    def test_schulman_paths_refuses_a_gamma_whose_square_is_out_of_range(
-        self, gamma, extra, capsys
-    ):
-        # pi * gamma**2 overflows or underflows to 0: these once ended in an
-        # OverflowError or ValueError traceback, or in a stalled bridge step
-        assert main(["schulman-paths", "--gamma", gamma, "--samples", "300", *extra]) == 2
+        ("1e-200", ["--theta2", "0"]),
+    ], ids=["8e153", "1.5e-162-aligned", "1e-170-perpendicular", "3e-306-100-steps",
+            "1e-200-aligned"])
+    def test_schulman_paths_runs_where_gamma_squared_is_not_a_float(self, gamma, extra, tmp_path):
+        # pi * gamma**2 overflows or underflows to 0 here; the sampler never forms it
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", gamma, "--samples", "300", *extra,
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["steps"] == 100
+        assert report["kick_time_chi2_pvalue"] > 0.01
+        assert report["cauchy_stability_ks_pvalue"] > 0.01
+
+    @pytest.mark.parametrize("gamma", ["1.2e292", "1e300"])
+    def test_schulman_paths_refuses_a_gamma_beyond_the_largest_kick(self, gamma, capsys):
+        # gamma * 1.6e16, a kick at the largest Cauchy variate, overflows
+        assert main(["schulman-paths", "--gamma", gamma, "--samples", "300"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: gamma = {float(gamma)!r} is outside the range")
+        assert captured.err.startswith(
+            f"error: gamma = {float(gamma)!r} times the largest Cauchy variate"
+        )
         assert "Traceback" not in captured.err
 
     @hyp_settings(max_examples=40, deadline=None, derandomize=True)
@@ -587,21 +605,33 @@ class TestExitCodes:
         steps=st.sampled_from(["1", "2", "100"]),
     )
     def test_schulman_commands_run_or_refuse_at_any_gamma(self, exponent, theta2, steps):
-        # gamma log-uniform over the positive floats: every run ends in a
-        # report (0) or a usage error (2), never in an exception or a stall
-        gamma = repr(max(10.0**exponent, 5e-324))
+        # gamma log-uniform over the positive floats: schulman-paths runs
+        # exactly where its step width gamma / steps is a normal float and a
+        # kick at the largest Cauchy variate, gamma * |tan(-pi/2)|, is finite,
+        # and refuses with a usage error elsewhere; schulman-2 runs at any gamma
+        gamma = max(10.0**exponent, 5e-324)
+        admitted = (gamma / int(steps) >= sys.float_info.min
+                    and math.isfinite(gamma * abs(math.tan(-PI / 2))))
 
-        def exit_status(argv):
-            with contextlib.redirect_stderr(io.StringIO()):
+        def run(argv):
+            report = io.StringIO()
+            with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
                 try:
-                    return main([*argv, "--out", os.devnull])
+                    return main(argv), report.getvalue()
                 except SystemExit as exc:  # argparse's usage errors
-                    return exc.code
+                    return exc.code, ""
 
-        assert exit_status(["schulman-paths", "--gamma", gamma, "--steps", steps,
-                            "--theta2", theta2, "--samples", "300"]) in (0, 2)
-        assert exit_status(["run-chsh", "--model", "schulman-2", "--gamma", gamma,
-                            "--settings", f"0,0.25pi,{theta2},0.125pi"]) in (0, 2)
+        code, report = run(["schulman-paths", "--gamma", repr(gamma), "--steps", steps,
+                            "--theta2", theta2, "--samples", "300"])
+        assert code == (0 if admitted else 2)
+        if code == 0:
+            # no chi-square bound: at 2 steps with aligned ends, or gamma above
+            # about 1e16, the two kicks tie exactly and the first step takes it
+            report = json.loads(report)
+            assert math.isfinite(report["kick_time_chi2_pvalue"])
+            assert math.isfinite(report["cauchy_stability_ks_pvalue"])
+        assert run(["run-chsh", "--model", "schulman-2", "--gamma", repr(gamma),
+                    "--settings", f"0,0.25pi,{theta2},0.125pi"])[0] == 0
 
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size

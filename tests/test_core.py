@@ -14,7 +14,6 @@ from belllab.core import (
     RngStream,
     canonical_diff,
     check_outcome,
-    malus_prob,
     outcome_axes,
 )
 
@@ -72,23 +71,14 @@ class TestCanonicalDiff:
         )
 
 
-class TestMalus:
-    def test_aligned_and_crossed(self):
-        assert malus_prob(0.0, 0.0, +1) == 1.0
-        assert malus_prob(0.0, 0.0, -1) == 0.0
-        assert malus_prob(HALF_PI, 0.0, +1) == pytest.approx(0.0, abs=1e-30)
-        assert malus_prob(PI / 4, 0.0, +1) == pytest.approx(0.5)
-
-    @given(angles, angles)
-    def test_outcomes_sum_to_one_exactly(self, s, p):
-        assert malus_prob(s, p, +1) + malus_prob(s, p, -1) == 1.0
-
-    def test_rejects_bad_outcome(self):
+class TestOutcomes:
+    def test_check_outcome_accepts_only_plus_and_minus_one(self):
         with pytest.raises(ValueError):
-            malus_prob(0.0, 0.0, 0)
+            check_outcome(0)
         with pytest.raises(ValueError):
             check_outcome(2)
         assert check_outcome(+1) == +1
+        assert check_outcome(-1) == -1
         assert OUTCOMES == (+1, -1)
 
 

@@ -11,8 +11,6 @@ from belllab.estimator import (
     MIN_BIN_COUNT,
     SCREENING_BINS,
     SHARD_SIZE,
-    analytic_chsh,
-    chsh_pvalue,
     chsh_pvalue_log10,
     chsh_value,
     estimate_correlator,
@@ -31,9 +29,14 @@ from belllab.models import (
     hall_breakpoints,
     hall_density,
 )
-from belllab.qm import TSIRELSON_BOUND, qm_correlator, tsirelson_settings
+from belllab.qm import TSIRELSON_BOUND, chsh_pairs, qm_correlator, tsirelson_settings
 
 TSIRELSON = tsirelson_settings()
+
+
+def analytic_chsh(model, settings):
+    """CHSH value from the model's exact joint distributions."""
+    return chsh_value(*(model.joint_dist(x, y).correlator() for x, y in chsh_pairs(settings)))
 
 
 class TestEstimateCorrelator:
@@ -289,24 +292,22 @@ class TestMutualInformation:
 
 class TestPvalueBound:
     def test_boundary_is_one(self):
-        assert chsh_pvalue(2.0, 10) == 1.0
-        assert chsh_pvalue(1.0, 10) == 1.0
         assert chsh_pvalue_log10(2.0, 10) == 0.0
+        assert chsh_pvalue_log10(1.0, 10) == 0.0
 
     def test_closed_form(self):
-        assert chsh_pvalue(2.5, 1000) == pytest.approx(math.exp(-31.25))
+        # log10 of exp(-N (S - 2)^2 / 8) = exp(-31.25)
+        assert chsh_pvalue_log10(2.5, 1000) == pytest.approx(-31.25 / math.log(10.0))
 
     def test_log_space_for_extreme_values(self):
         # at S=2.828, N=1e6 the bound is far below 1e-30000
         log10_p = chsh_pvalue_log10(2.828, 10**6)
         assert log10_p < -30_000
-        assert chsh_pvalue(2.828, 10**6) == 0.0  # underflows, hence log space
+        assert math.exp(log10_p * math.log(10.0)) == 0.0  # underflows, hence log space
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            chsh_pvalue(4.5, 10)
-        with pytest.raises(ValueError):
-            chsh_pvalue(2.5, 0)
+            chsh_pvalue_log10(4.5, 10)
         with pytest.raises(ValueError):
             chsh_pvalue_log10(-0.1, 10)
 

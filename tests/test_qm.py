@@ -11,13 +11,17 @@ from belllab.qm import (
     JointDist,
     chsh_pairs,
     chsh_value,
-    qm_chsh,
     qm_correlator,
     qm_joint,
     tsirelson_settings,
 )
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def qm_chsh(settings):
+    """|<AB> + <A'B> + <AB'> - <A'B'>| for the Bell state at these settings."""
+    return chsh_value(*(qm_correlator(x, y) for x, y in chsh_pairs(settings)))
 
 
 class TestJointDist:

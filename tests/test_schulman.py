@@ -21,6 +21,7 @@ from belllab.schulman import (
     _cauchy_by_inversion,
     _conditional_step,
     bridge_shards,
+    discarded_winding_mass,
     dominant_kick_stats,
     endpoint_targets,
     exact_family_sum,
@@ -144,6 +145,13 @@ class TestPeriodizedCauchy:
         assert np.all(np.isfinite(got))
         assert got[2] == periodized_cauchy(0.3, 1e-300)
 
+    @pytest.mark.parametrize("gamma", [1e-155, 1e-160, 1e-161])
+    def test_exact_where_the_squares_are_subnormal(self, gamma):
+        # sinh(gamma)^2 + sin(x)^2 is subnormal here, with few digits left
+        assert periodized_cauchy(0.0, gamma) == pytest.approx(1.0 / (PI * gamma), rel=1e-14)
+        mixed = periodized_cauchy(np.array([0.0, gamma, 0.3]), gamma)
+        assert mixed[1] == pytest.approx(0.5 / (PI * gamma), rel=1e-14)
+
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             periodized_cauchy(0.0, 0.0)
@@ -188,6 +196,14 @@ class TestSinglePhoton:
         if gamma >= 1.0:
             # p - 1/2 ~ exp(-2 gamma) cos(2d): the kicks wash out the polarizer angle
             assert abs(p - 0.5) <= 1.1 * math.exp(-2.0 * gamma) + 1e-15
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+    def test_subnormal_width_is_malus(self, gamma):
+        # the family weights overflow or keep a few bits; the exact probability
+        # differs from Malus' law by sinh(gamma)^2
+        for d in np.linspace(0.0, HALF_PI, 9):
+            malus = math.cos(canonical_diff(d, 0.0)) ** 2
+            assert single_photon_outcome_prob(0.0, d, gamma) == malus
 
     def test_aligned_and_crossed_at_tiny_width(self):
         assert single_photon_outcome_prob(0.0, 0.0, 1e-300) == 1.0
@@ -356,7 +372,7 @@ class TestBridges:
 
     def test_spec_refuses_a_subnormal_step_width(self):
         tiny = sys.float_info.min
-        # the smallest accepted width; gamma = tiny itself is refused for its gamma**2
+        # the smallest accepted width
         spec = PathSpec(theta1=0.0, theta2=0.0, gamma=tiny * 2.0**600, steps=2**600)
         assert spec.step_width == tiny
         with pytest.raises(ValueError, match="step width gamma / steps = 1.1125"):
@@ -364,17 +380,32 @@ class TestBridges:
         with pytest.raises(ValueError, match="step width gamma / steps = 0.0 "):
             PathSpec(theta1=0.0, theta2=0.0, gamma=5e-324, steps=10)
 
-    @pytest.mark.parametrize("gamma", [1.5e-162, 3e-306, sys.float_info.min, 8e153, 1e300])
-    def test_spec_refuses_a_gamma_whose_square_is_not_a_positive_finite_float(self, gamma):
-        # pi * gamma**2 underflows to 0 below about 1.57e-162 and overflows
-        # above about 7.56e153, and the endpoint weights are then not finite
-        with pytest.raises(ValueError, match=re.escape(f"gamma = {gamma!r} is outside")):
-            PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1)
-
-    @pytest.mark.parametrize("gamma", [1.6e-162, 7e153])
-    def test_spec_accepts_the_gammas_at_the_ends_of_its_range(self, gamma):
+    @pytest.mark.parametrize("gamma", [1.5e-162, 3e-306, sys.float_info.min, 8e153])
+    def test_endpoint_weights_are_finite_where_gamma_squared_is_not(self, gamma):
+        # pi * gamma**2 underflows to 0 or overflows here; the weights never form it
         _, weights = endpoint_targets(PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1))
         assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("gamma, steps", [(100 * sys.float_info.min, 100), (1.1e292, 1)])
+    def test_spec_accepts_the_gammas_at_the_ends_of_its_range(self, gamma, steps):
+        spec = PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=steps)
+        _, weights = endpoint_targets(spec)
+        assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
+        assert math.isfinite(discarded_winding_mass(spec))
+
+    @pytest.mark.parametrize("gamma", [1.2e292, 1e300, sys.float_info.max])
+    def test_spec_refuses_a_gamma_beyond_the_largest_kick(self, gamma):
+        # gamma times |tan(-pi/2)| = 1.6e16, the largest Cauchy variate, overflows
+        assert not math.isfinite(gamma * abs(math.tan(-HALF_PI)))
+        with pytest.raises(ValueError, match=re.escape(f"gamma = {gamma!r} times the largest")):
+            PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1)
+
+    def test_far_windings_of_a_tiny_gamma_weigh_exactly_zero(self):
+        # in units of gamma every other winding's (x / gamma)^2 overflows; its
+        # true weight, about (gamma / x)^2 = 1e-600, is below every float
+        rotations, weights = endpoint_targets(PathSpec(0.0, 0.0, 1e-300, steps=1))
+        assert weights[rotations == 0.0].tolist() == [1.0]
+        assert np.count_nonzero(weights) == 1
 
 
 def conditional_cdf(x, r, d1, d2):
@@ -395,11 +426,17 @@ def conditional_cdf(x, r, d1, d2):
 
 
 def exact_acceptance(r, d1, d2):
-    """pi * Q_min * C_{d1+d2}(r) for the proposal weight w = sqrt(d2) / (sqrt(d1) + sqrt(d2))."""
-    w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))
-    alpha, beta = w / d2, (1.0 - w) / d1
-    q_min = alpha * beta / (alpha + beta) * r * r + alpha * d2 * d2 + beta * d1 * d1
-    return PI * q_min * net_rotation_density(r, d1 + d2)
+    """pi * Q_min * C_{d1+d2}(r) for the proposal weight w = sqrt(d2) / (sqrt(d1) + sqrt(d2)).
+
+    Q_min = alpha beta / (alpha + beta) r^2 + alpha d2^2 + beta d1^2 with
+    alpha = w / d2 and beta = (1 - w) / d1 scales as the widths, and the
+    density as their inverse, so the rate is taken in units of d2.
+    """
+    r, d1 = r / d2, d1 / d2
+    w = 1.0 / (math.sqrt(d1) + 1.0)
+    alpha, beta = w, (1.0 - w) / d1
+    q_min = alpha * beta / (alpha + beta) * r * r + alpha + beta * d1 * d1
+    return PI * q_min * net_rotation_density(r, d1 + 1.0)
 
 
 class CountingGenerator:
@@ -454,9 +491,24 @@ class TestConditionalStep:
         se = math.sqrt((1.0 - p) / n) / p
         assert abs(gen.proposals / n - 1.0 / p) < 5 * se
 
+    @pytest.mark.parametrize("r_over_d2", [0.0, 10.0])
+    @pytest.mark.parametrize("d1, d2", [
+        (1e-3, 9.9e-2), (1e-163, 9.9e-162), (1e-300, 9.9e-299), (1e280, 9.9e281),
+    ])
+    def test_proposal_rate_is_exact_at_any_scale(self, d1, d2, r_over_d2):
+        # one width ratio and r / d2 at scales from 1e-300 to 1e280
+        n = 100_000
+        r = r_over_d2 * d2
+        gen = CountingGenerator(53)
+        eps = _conditional_step(np.full(n, r), d1, d2, gen)
+        assert np.all(np.isfinite(eps))
+        p = exact_acceptance(r, d1, d2)
+        se = math.sqrt((1.0 - p) / n) / p
+        assert abs(gen.proposals / n - 1.0 / p) < 5 * se
+
     def test_tiny_widths_keep_the_law_and_the_acceptance(self):
-        # the gate's first step scaled by 1e-157: alpha * beta ~ 1 / (d1 d2)
-        # overflows here, which once accepted every proposal
+        # the gate's first step scaled by 1e-157, where the squares of the
+        # widths are subnormal
         r, d1, d2 = PI / 8, 1e-162, 9.9e-161
         n = 50_000
         gen = CountingGenerator(47)

@@ -17,7 +17,7 @@ import belllab as bl
 print("1. Winding-sum identity: sum_n 1/(d + n*pi)^2 = 1/sin(d)^2")
 for d in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
     print(f"   d = {d/math.pi:.3f}*pi:  truncated sum = {bl.truncated_family_sum(d):.12f}"
-          f"   closed form = {bl.exact_family_sum(d):.12f}")
+          f"   closed form = {1 / math.sin(d) ** 2:.12f}")
 print()
 
 print("2. Transmission probability vs. Malus' law (d = pi/8):")

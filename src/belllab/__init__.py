@@ -43,7 +43,6 @@ from .qm import (
     tsirelson_settings,
 )
 from .schulman import (
-    AlignedPoleError,
     BridgeKicks,
     BridgeSamplingError,
     DominancePrediction,
@@ -54,11 +53,9 @@ from .schulman import (
     discarded_winding_mass,
     dominant_kick_stats,
     endpoint_targets,
-    exact_family_sum,
     expected_net_dominance,
     free_kick_sums,
     net_dominance_given_rotation,
-    net_rotation_density,
     periodized_cauchy,
     sample_bridges,
     single_photon_outcome_prob,

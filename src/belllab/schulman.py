@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff, outcome_axes
+from .core import HALF_PI, PI, PolAngle, RngStream, outcome_axes
 from .qm import JointDist
 
 #: Paths whose total absolute rotation is below this multiple of gamma have
@@ -61,10 +61,6 @@ DOMINANCE_THRESHOLD = 0.99
 #: >= 1/2, so a path survives 64 rounds with probability at most 2**-64, at
 #: every gamma.
 MAX_ROUNDS = 64
-
-
-class AlignedPoleError(ZeroDivisionError):
-    """Family sum requested exactly at its pole (aligned boundary angles)."""
 
 
 class BridgeSamplingError(RuntimeError):
@@ -116,25 +112,6 @@ class PathSpec:
     @property
     def step_width(self) -> float:
         return self.gamma / self.steps
-
-
-def net_rotation_density(delta_q, gamma: float):
-    """Cauchy density (1/pi) * gamma / (delta_q^2 + gamma^2)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    delta_q = np.asarray(delta_q, dtype=float)
-    out = gamma / (PI * (delta_q**2 + gamma**2))
-    return float(out) if out.ndim == 0 else out
-
-
-def exact_family_sum(delta_theta: float) -> float:
-    """Closed form of sum_n 1/(delta_theta + n*pi)^2, namely 1/sin^2."""
-    s = math.sin(delta_theta)
-    if abs(s) < 1e-12:
-        raise AlignedPoleError(
-            f"family sum has a pole at delta_theta = {delta_theta!r} (multiple of pi)"
-        )
-    return 1.0 / (s * s)
 
 
 def truncated_family_sum(delta_theta: float) -> float:
@@ -189,21 +166,18 @@ def periodized_cauchy(x, gamma: float):
 def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> float:
     """Probability that the photon aligns with the second polarizer.
 
-    gamma == 0 selects the analytic limit, which is exactly Malus' law
-    cos^2(theta1 - theta2) (the family-sum poles cancel in the normalized
-    ratio).  So does a subnormal gamma, whose family weights lose their
-    digits or overflow, though the exact (sinh(gamma)^2 + cos^2 d) /
-    (2 sinh(gamma)^2 + 1) differs from Malus' law by under 1e-615.  Larger
-    gammas compare the aligned and perpendicular family weights directly.
+    The aligned family's share of the wrapped Cauchy endpoint weight is
+    (sinh(gamma)^2 + cos^2 d) / cosh(2 gamma), d = theta2 - theta1: Malus'
+    law mixed with a fair coin in proportion 1 - sech(2 gamma).  It is taken
+    as (expm1(-2 gamma)^2 / 2 + 2 t cos^2 d) / (1 + t^2), t = exp(-2 gamma),
+    a sum of positive terms, so gamma = 0 and a subnormal gamma give cos^2 d
+    bit for bit and a large gamma gives 1/2.
     """
-    d = canonical_diff(theta2, theta1)
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    if gamma < sys.float_info.min:
-        return math.cos(d) ** 2
-    w_plus = periodized_cauchy(d, gamma)
-    w_minus = periodized_cauchy(d + HALF_PI, gamma)
-    return w_plus / (w_plus + w_minus)
+    t = math.exp(-2.0 * gamma)
+    malus = math.cos(float(theta2) - float(theta1)) ** 2
+    return (0.5 * math.expm1(-2.0 * gamma) ** 2 + 2.0 * t * malus) / (1.0 + t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +222,8 @@ def two_photon_outcome_joint(a: float, b: float, gamma: float) -> JointDist:
     (Mardia & Jupp, Directional Statistics), so p(A, B) is proportional to
     the one-photon family weight between the two outcome axes at width
     2 * gamma: p_pp = p_mm = p / 2 and p_pm = p_mp = (1 - p) / 2 with
-    p = single_photon_outcome_prob(a, b, 2 * gamma).
+    p = single_photon_outcome_prob(a, b, 2 * gamma), whose correlator 2 p - 1
+    is cos(2 (a - b)) sech(4 gamma).
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -503,7 +478,7 @@ def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarr
     """Unconditioned sums of `steps` iid Cauchy(gamma/steps) kicks.
 
     By Cauchy stability these are distributed as Cauchy(gamma); used as
-    the stability check against net_rotation_density.  The kicks are
+    the stability check against the Cauchy(gamma) law.  The kicks are
     uniforms turned into Cauchy variates in place by `_cauchy_by_inversion`,
     drawn max(1, KICK_BLOCK // steps) rows at a time in the stream order of
     one (n, steps) draw, then scaled and summed in place, so at most
@@ -588,19 +563,19 @@ def net_dominance_given_rotation(delta, gamma: float, steps: int):
 
     The increments are exchangeable, each distributed as
     C_a(e) C_b(delta - e) / C_gamma(delta) with a = gamma/steps and
-    b = gamma - a, so the count is steps times the mass of that density
-    beyond +-c, c = DOMINANCE_THRESHOLD * |delta|.  Partial fractions give
-    the mass in closed form:
+    b = gamma - a, so the count is steps times that density's mass beyond
+    +-c, c = DOMINANCE_THRESHOLD * |delta|.  By partial fractions, with
+    d = |delta|, q = d^2 + (b - a)^2 and L = log1p(-4 c d / ((c + d)^2 + b^2)),
+    it is
 
-        1 / ((e^2 + a^2)((delta - e)^2 + b^2))
-            = (A e + B) / (e^2 + a^2) + (-A (e - delta) + D) / ((e - delta)^2 + b^2)
+        [b d L / q + (steps - 1)(1 + 2 a (b - a) / q) 2 arctan(a / c)
+         + (1 - 2 b (b - a) / q)(pi - arctan((c - d) / b) - arctan((c + d) / b))] / pi,
 
-    with M = (delta^2 + (a + b)^2)(delta^2 + (a - b)^2), A = 2 delta / M,
-    B = (delta^2 + b^2 - a^2) / M and D = (delta^2 + a^2 - b^2) / M, whose
-    antiderivative is a log term plus two arctan terms.  A single step, or a
-    net rotation of exactly 0 (the ratio is infinite), counts as 1.
-    Leading order in gamma/|delta| is
-    1/2 + arctan((1 - DOMINANCE_THRESHOLD) |delta| / gamma) / pi.
+    taken with every length in units of max(d, gamma), where no term exceeds
+    order 1.  q is 0 only at two steps (b = a) and d below about 1e-154 gamma,
+    where the terms over q vanish.  A single step, or a net rotation of
+    exactly 0 (the ratio is infinite), counts as 1.  Leading order in
+    gamma/|delta| is 1/2 + arctan((1 - DOMINANCE_THRESHOLD) |delta| / gamma) / pi.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -610,29 +585,36 @@ def net_dominance_given_rotation(delta, gamma: float, steps: int):
     if steps == 1:
         out = np.ones_like(delta)
         return float(out) if out.ndim == 0 else out
-    a = gamma / steps
-    b = gamma - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = DOMINANCE_THRESHOLD * delta
-        m = (delta**2 + (a + b) ** 2) * (delta**2 + (a - b) ** 2)
-        log_term = delta / m * np.log(((c - delta) ** 2 + b * b) / ((c + delta) ** 2 + b * b))
+    unit = np.maximum(delta, gamma)
+    d = delta / unit
+    a = gamma / steps / unit
+    b = (gamma - gamma / steps) / unit
+    c = DOMINANCE_THRESHOLD * d
+    q = d * d + (b - a) ** 2
+
+    def over_q(x):  # 0 where q = 0, as b - a = 0 there and x vanishes with d
+        return np.divide(x, q, out=np.zeros_like(q), where=q > 0.0)
+
+    log_term = over_q(b * d * np.log1p(-4.0 * c * d / ((c + d) ** 2 + b * b)))
+    # the ratios reach +-inf, whose arctan is exact, at delta = 0 or a tiny b
+    with np.errstate(divide="ignore", over="ignore"):
         # arctan(a / c) = pi/2 - arctan(c / a) without the cancellation for c >> a
-        near_term = (delta**2 + b * b - a * a) / (m * a) * 2.0 * np.arctan(a / c)
-        far_term = (delta**2 + a * a - b * b) / (m * b) * (
-            PI - np.arctan((c - delta) / b) - np.arctan((c + delta) / b)
-        )
-        mass = a * b / PI**2 * (log_term + near_term + far_term)
-        out = np.where(delta > 0.0, steps * mass / net_rotation_density(delta, gamma), 1.0)
+        near = 2.0 * np.arctan(a / c)
+        far = PI - np.arctan((c - d) / b) - np.arctan((c + d) / b)
+    count = log_term + (steps - 1) * (1.0 + over_q(2.0 * a * (b - a))) * near
+    count += (1.0 - over_q(2.0 * b * (b - a))) * far
+    out = np.where(delta > 0.0, count / PI, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def discarded_winding_mass(spec: PathSpec) -> float:
     """Share of the endpoint weight that `endpoint_targets` leaves out beyond
-    its winding cut-off, against the closed-form sum over all windings of
-    both families."""
-    d0 = float(spec.theta2) - float(spec.theta1)
-    full = periodized_cauchy(d0, spec.gamma) + periodized_cauchy(d0 + HALF_PI, spec.gamma)
-    _, weights, unit = _winding_weights(spec)
+    its winding cut-off.  Both families form one lattice x + m pi/2, whose
+    Cauchy weights sum to 2 `periodized_cauchy`(2 x, 2 gamma), taken at the
+    lattice's own nearest rotation x."""
+    rotations, weights, unit = _winding_weights(spec)
+    nearest = float(rotations[np.argmin(np.abs(rotations))])
+    full = 2.0 * periodized_cauchy(2.0 * nearest, 2.0 * spec.gamma)
     # sum of gamma / (pi (x^2 + gamma^2)) from the weights in units of `unit`
     kept = spec.gamma / unit * float(np.sum(weights)) / (PI * unit)
     return max(0.0, 1.0 - kept / full)
@@ -667,9 +649,10 @@ def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
     u = 1.0 + DOMINANCE_THRESHOLD
     two_kick = 1.0 / u + 1.0 / (u - 1.0) - 2.0 * math.log(u / (u - 1.0))
     delta = np.abs(rotations)
-    with np.errstate(divide="ignore"):
+    # gamma before the division: one step gives 0, not 0 * inf, where gamma / delta overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pair = np.where(
-            delta > 0.0, (1.0 - 1.0 / spec.steps) * spec.gamma * two_kick / (PI * delta), 0.0
+            delta > 0.0, (1.0 - 1.0 / spec.steps) * two_kick / PI * spec.gamma / delta, 0.0
         )
     # a share of paths cannot be over-counted by more than the count itself
     overcount = float(np.sum(weights * np.minimum(pair, per_winding)))

@@ -14,7 +14,6 @@ from belllab import schulman
 from belllab.core import OUTCOMES, PI, HALF_PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from belllab.qm import qm_joint
 from belllab.schulman import (
-    AlignedPoleError,
     BridgeKicks,
     BridgeSamplingError,
     PathSpec,
@@ -24,11 +23,9 @@ from belllab.schulman import (
     discarded_winding_mass,
     dominant_kick_stats,
     endpoint_targets,
-    exact_family_sum,
     expected_net_dominance,
     free_kick_sums,
     net_dominance_given_rotation,
-    net_rotation_density,
     periodized_cauchy,
     sample_bridges,
     single_photon_outcome_prob,
@@ -36,6 +33,12 @@ from belllab.schulman import (
     two_photon_joint,
     two_photon_outcome_joint,
 )
+
+
+def net_rotation_density(delta_q, gamma: float):
+    """Cauchy density (1/pi) gamma / (delta_q^2 + gamma^2), the oracle for the
+    closed forms built on it."""
+    return gamma / (PI * (np.asarray(delta_q, dtype=float) ** 2 + gamma**2))
 
 
 def periodized_cauchy_truncated(x: float, gamma: float) -> float:
@@ -99,13 +102,6 @@ class TestFamilySums:
         assert truncated_family_sum(d) == pytest.approx(
             1.0 / math.sin(d) ** 2, abs=1e-10
         )
-        assert exact_family_sum(d) == 1.0 / math.sin(d) ** 2
-
-    def test_pole_raises(self):
-        with pytest.raises(AlignedPoleError):
-            exact_family_sum(0.0)
-        with pytest.raises(AlignedPoleError):
-            exact_family_sum(PI)
 
 
 class TestPeriodizedCauchy:
@@ -155,8 +151,30 @@ class TestPeriodizedCauchy:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             periodized_cauchy(0.0, 0.0)
-        with pytest.raises(ValueError):
-            net_rotation_density(0.0, -1.0)
+
+
+#: (sinh(gamma)^2 + cos^2 theta2) / cosh(2 gamma) by mpmath at 60 digits, at
+#: the float angles below
+ONE_PHOTON_ANGLES = (0.3, 3 * PI / 8, HALF_PI - 1e-9, HALF_PI + 1e-6)
+ONE_PHOTON_REFERENCE = {
+    5e-324: (
+        9.1266780745483915e-1, 1.4644660940672627e-1, 1.0000002879454426e-18, 9.9999999971266871e-13
+    ),
+    1e-300: (
+        9.1266780745483915e-1, 1.4644660940672627e-1, 1.0000002879454426e-18, 9.9999999971266871e-13
+    ),
+    1e-13: (
+        9.1266780745483915e-1, 1.4644660940672627e-1, 1.0000002979454426e-18, 9.9999999971267871e-13
+    ),
+    1e-4: (
+        9.1266779920148314e-1, 1.4644661647779396e-1, 9.9999998343333373e-9, 1.000099983331305e-8
+    ),
+    1.0: (
+        6.0968802298956909e-1, 4.060247207684619e-1, 3.6709888558296015e-1, 3.6709888558322596e-1
+    ),
+    400.0: (0.5, 0.5, 0.5, 0.5),
+    1e300: (0.5, 0.5, 0.5, 0.5),
+}
 
 
 class TestSinglePhoton:
@@ -199,15 +217,24 @@ class TestSinglePhoton:
 
     @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
     def test_subnormal_width_is_malus(self, gamma):
-        # the family weights overflow or keep a few bits; the exact probability
-        # differs from Malus' law by sinh(gamma)^2
+        # the exact probability differs from Malus' law by about gamma^2,
+        # below every float
         for d in np.linspace(0.0, HALF_PI, 9):
             malus = math.cos(canonical_diff(d, 0.0)) ** 2
             assert single_photon_outcome_prob(0.0, d, gamma) == malus
 
     def test_aligned_and_crossed_at_tiny_width(self):
         assert single_photon_outcome_prob(0.0, 0.0, 1e-300) == 1.0
-        assert single_photon_outcome_prob(0.0, HALF_PI, 1e-300) == 0.0
+        # Malus' law at the float angle: cos(HALF_PI) = 6.1e-17, not 0
+        assert single_photon_outcome_prob(0.0, HALF_PI, 1e-300) == math.cos(HALF_PI) ** 2
+
+    @pytest.mark.parametrize("gamma", sorted(ONE_PHOTON_REFERENCE))
+    def test_matches_high_precision_reference(self, gamma):
+        # near crossed polarizers cos^2 d is about 1e-18, so one extra rounding
+        # of d (say d + pi/2) would cost 1e-7 of it
+        for theta2, want in zip(ONE_PHOTON_ANGLES, ONE_PHOTON_REFERENCE[gamma]):
+            got = single_photon_outcome_prob(0.0, theta2, gamma)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), theta2
 
     def test_rejects_negative_width(self):
         with pytest.raises(ValueError):
@@ -752,3 +779,36 @@ class TestKickStatistics:
         assert net_dominance_given_rotation(0.3, 1e-3, 1) == 1.0
         assert net_dominance_given_rotation(0.0, 1e-3, 100) == 1.0
         assert expected_net_dominance(PathSpec(PolAngle(0.0), PolAngle(0.3), 1e-3, 1)).overcount == 0.0
+
+    @pytest.mark.parametrize("delta, gamma, steps, want", [
+        # expected counts by mpmath quadrature at 40 digits
+        (1e-8, 1e-3, 2, 1.9999495797140568),
+        (0.39, 1e-3, 2, 0.95612830774418064),
+        (0.3, 1.0, 10, 1.433454460119747),
+        (1e-5, 1e-3, 100, 49.819564092094191),
+    ])
+    def test_count_matches_high_precision_reference(self, delta, gamma, steps, want):
+        assert net_dominance_given_rotation(delta, gamma, steps) == pytest.approx(want, rel=1e-14)
+
+    def test_count_keeps_its_limits_at_extreme_ratios(self):
+        # |delta| << gamma: both kicks of a 2-step bridge pass 0.99 |delta|
+        assert net_dominance_given_rotation(1e-20, 1e-3, 2) == pytest.approx(2.0, rel=1e-14)
+        # |delta| >> gamma: one kick carries the whole rotation
+        assert net_dominance_given_rotation(PI / 8, 1e-200, 100) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("theta2", [0.0, 1e-9, PI / 8, HALF_PI, 3.0])
+    def test_prediction_at_every_width(self, theta2):
+        for gamma in np.logspace(-305, 292, 60):
+            for steps in (1, 2, 3, 100):
+                try:
+                    spec = PathSpec(PolAngle(0.0), PolAngle(theta2), float(gamma), steps)
+                except ValueError:
+                    continue
+                pred = expected_net_dominance(spec)
+                where = f"gamma={gamma:.3g}, steps={steps}"
+                assert 0.0 <= pred.value <= steps * (1.0 + 1e-12), where
+                assert math.isfinite(pred.error_bound), where
+                assert 0.0 <= pred.discarded_winding_mass <= 1.0, where
+                if theta2 == PI / 8 and gamma <= 1e-100:
+                    # every kept winding lies more than 1e98 widths from 0
+                    assert pred.value == pytest.approx(1.0, abs=1e-12), where

@@ -63,7 +63,9 @@ def test_unused_import_check_finds_one(tmp_path):
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    # a RuntimeWarning fails a demo as it fails a test (pyproject's filterwarnings)
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -36,10 +36,6 @@ class PolAngle(float):
     def __repr__(self) -> str:
         return f"PolAngle({float(self)!r})"
 
-    def perpendicular(self) -> "PolAngle":
-        """The orthogonal polarization axis."""
-        return outcome_axes(self)[1]
-
 
 def outcome_axes(setting: float) -> tuple[PolAngle, PolAngle]:
     """The axes a photon leaves a polarizer at ``setting`` on, in the order of
@@ -58,13 +54,6 @@ def canonical_diff(x: float, y: float) -> float:
     if -HALF_PI <= d < HALF_PI:
         return d
     return (d + HALF_PI) % PI - HALF_PI
-
-
-def check_outcome(outcome: int) -> int:
-    """Validate an outcome value; returns it unchanged."""
-    if outcome not in OUTCOMES:
-        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    return outcome
 
 
 class RngStream:

@@ -65,9 +65,6 @@ class ScreeningResult:
     occupied_bins: int
     excluded_bins: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _shard_sizes(n: int) -> list[int]:
     """Fixed decomposition of n samples, independent of worker count."""
@@ -93,12 +90,8 @@ def estimate_correlator(
         # A*B is +-1: the sum is the count of agreements minus disagreements
         return float(size - 2 * model.count_disagreements(a, b, size, rng.substream(index)))
 
-    jobs = list(enumerate(sizes))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(run_shard, jobs))
-    else:
-        sums = [run_shard(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        sums = list(pool.map(run_shard, enumerate(sizes)))
 
     mean = math.fsum(sums) / n
     # A*B is +-1, so the sample variance is determined by the mean

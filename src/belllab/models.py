@@ -127,7 +127,7 @@ class LambdaDistribution:
 class HiddenVariableModel(ABC):
     """Contract shared by all lambda-mediated models."""
 
-    name: str = "hidden-variable-model"
+    name: str
     #: The outcome probabilities are 0 or 1, so outcome draws take no uniforms.
     deterministic_outcomes: bool = False
 
@@ -150,9 +150,10 @@ class HiddenVariableModel(ABC):
 
     # -- outcome model ------------------------------------------------------
 
-    @abstractmethod
     def outcome_prob(self, setting: float, lam: np.ndarray) -> np.ndarray:
-        """P(outcome = +1 | setting, lam) on either side, vectorized over lam."""
+        """P(outcome = +1 | setting, lam) on either side, vectorized over lam:
+        Malus' law cos^2(setting - lam) unless a model states its own rule."""
+        return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
 
     # -- derived ------------------------------------------------------------
 
@@ -237,14 +238,7 @@ class HiddenVariableModel(ABC):
         return lams, a_out, b_out
 
 
-class MalusOutcomeMixin:
-    """Outcome probability cos^2 of the setting-lambda angle."""
-
-    def outcome_prob(self, setting, lam):
-        return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
-
-
-class DeltaMixtureModel(MalusOutcomeMixin, HiddenVariableModel):
+class DeltaMixtureModel(HiddenVariableModel):
     """Hidden angle aligned with one of the four detector axes.
 
     lambda is a, a + pi/2, b or b + pi/2 (mod pi) with probability 1/4
@@ -287,7 +281,7 @@ class HallModel(HiddenVariableModel):
         return _hall_plus(setting, lam).astype(float)
 
 
-class LocalBaselineModel(MalusOutcomeMixin, HiddenVariableModel):
+class LocalBaselineModel(HiddenVariableModel):
     """Locally causal control model: uniform lambda, Malus outcomes.
 
     The lambda distribution ignores the settings, so this model obeys

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PI, PolAngle, canonical_diff, check_outcome
+from .core import PI, PolAngle, canonical_diff
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -23,13 +23,6 @@ class JointDist:
     p_mp: float
     p_mm: float
 
-    def prob(self, a_out: int, b_out: int) -> float:
-        check_outcome(a_out)
-        check_outcome(b_out)
-        if a_out == +1:
-            return self.p_pp if b_out == +1 else self.p_pm
-        return self.p_mp if b_out == +1 else self.p_mm
-
     def correlator(self) -> float:
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
 
@@ -40,9 +33,6 @@ class JointDist:
     def marginal_2(self) -> tuple[float, float]:
         """(P(B=+1), P(B=-1))."""
         return (self.p_pp + self.p_mp, self.p_pm + self.p_mm)
-
-    def total(self) -> float:
-        return self.p_pp + self.p_pm + self.p_mp + self.p_mm
 
     def max_abs_diff(self, other: "JointDist") -> float:
         return max(

@@ -66,13 +66,6 @@ MAX_ROUNDS = 64
 class BridgeSamplingError(RuntimeError):
     """Rejection sampler exhausted its retry budget."""
 
-    def __init__(self, message: str, step: int, attempts: int) -> None:
-        super().__init__(f"{message} (step {step}, {attempts} proposal rounds)")
-        #: the message without its step and round count, for re-raising
-        self.reason = message
-        self.step = step
-        self.attempts = attempts
-
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -388,7 +381,7 @@ def _conditional_step(
         out[todo] = eps
         todo = todo[rejected]
     if todo.size:
-        raise BridgeSamplingError("conditional increment sampling stalled", -1, MAX_ROUNDS)
+        raise BridgeSamplingError("conditional increment sampling stalled")
     return out
 
 
@@ -450,7 +443,8 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
                     eps = _conditional_step(residual, d_step, remaining_width, gen)
                 except BridgeSamplingError as exc:
                     raise BridgeSamplingError(
-                        f"{exc.reason} in bridge shard {index}", step, exc.attempts
+                        f"{exc} in bridge shard {index}"
+                        f" (step {step}, {MAX_ROUNDS} proposal rounds)"
                     ) from None
                 residual -= eps
             np.abs(eps, out=eps)  # eps is already taken off the residual

@@ -389,7 +389,7 @@ class TestReportPath:
 
     def test_no_report_is_written_on_failure(self, writes, monkeypatch):
         def fail(spec, n_paths, rng):
-            raise BridgeSamplingError("conditional increment sampling stalled", 3, 10**6)
+            raise BridgeSamplingError("conditional increment sampling stalled")
 
         monkeypatch.setattr(cli, "sample_bridges", fail)
         assert main(SMALL_RUNS[2]) == 1
@@ -643,7 +643,7 @@ class TestExitCodes:
 
     def test_bridge_sampling_failure(self, capsys, monkeypatch):
         def stall(residual, d1, d2, gen):
-            raise BridgeSamplingError("conditional increment sampling stalled", -1, 64)
+            raise BridgeSamplingError("conditional increment sampling stalled")
 
         monkeypatch.setattr(schulman, "_conditional_step", stall)
         code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "10",
@@ -658,9 +658,7 @@ class TestExitCodes:
         def stall_in_shard_1(residual, d1, d2, gen):
             sizes.append(residual.size)
             if len(sizes) == 2:  # 2 steps: one conditional step per shard
-                raise BridgeSamplingError(
-                    "conditional increment sampling stalled", -1, schulman.MAX_ROUNDS
-                )
+                raise BridgeSamplingError("conditional increment sampling stalled")
             return np.zeros_like(residual)
 
         monkeypatch.setattr(schulman, "_conditional_step", stall_in_shard_1)
@@ -674,7 +672,7 @@ class TestExitCodes:
 
     def test_bridge_failure_leaves_no_helper_thread(self, capsys, monkeypatch):
         def fail(spec, n_paths, rng):
-            raise BridgeSamplingError("conditional increment sampling stalled", 3, 10**6)
+            raise BridgeSamplingError("conditional increment sampling stalled")
 
         monkeypatch.setattr(cli, "sample_bridges", fail)
         threads_before = threading.active_count()

@@ -13,7 +13,6 @@ from belllab.core import (
     PolAngle,
     RngStream,
     canonical_diff,
-    check_outcome,
     outcome_axes,
 )
 
@@ -39,11 +38,7 @@ class TestPolAngle:
     def test_outcome_axes_are_the_setting_then_its_perpendicular(self, setting):
         # the -1 axis wraps setting + pi/2 itself, so it is exact outside [0, pi) too
         assert outcome_axes(setting) == (PolAngle(setting), PolAngle(setting + HALF_PI))
-
-    def test_perpendicular_is_involution(self):
-        a = PolAngle(0.3)
-        assert math.isclose(a.perpendicular(), 0.3 + HALF_PI)
-        assert math.isclose(a.perpendicular().perpendicular(), float(a))
+        assert OUTCOMES == (+1, -1)
 
     def test_is_a_float(self):
         assert isinstance(PolAngle(0.5) + 1.0, float)
@@ -69,17 +64,6 @@ class TestCanonicalDiff:
         assert math.cos(2 * canonical_diff(x, y)) == pytest.approx(
             math.cos(2 * (x - y)), abs=1e-9
         )
-
-
-class TestOutcomes:
-    def test_check_outcome_accepts_only_plus_and_minus_one(self):
-        with pytest.raises(ValueError):
-            check_outcome(0)
-        with pytest.raises(ValueError):
-            check_outcome(2)
-        assert check_outcome(+1) == +1
-        assert check_outcome(-1) == -1
-        assert OUTCOMES == (+1, -1)
 
 
 class TestRngStream:

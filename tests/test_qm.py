@@ -27,14 +27,9 @@ def qm_chsh(settings):
 class TestJointDist:
     def test_accessors(self):
         d = JointDist(0.4, 0.1, 0.2, 0.3)
-        assert d.prob(+1, +1) == 0.4
-        assert d.prob(+1, -1) == 0.1
-        assert d.prob(-1, +1) == 0.2
-        assert d.prob(-1, -1) == 0.3
         assert d.correlator() == pytest.approx(0.4 - 0.1 - 0.2 + 0.3)
         assert d.marginal_1() == (pytest.approx(0.5), pytest.approx(0.5))
         assert d.marginal_2() == (pytest.approx(0.6), pytest.approx(0.4))
-        assert d.total() == pytest.approx(1.0)
 
     def test_validate_rejects_bad_distributions(self):
         with pytest.raises(ValueError):

@@ -381,14 +381,12 @@ class TestBridges:
         def stall_on_third_step(residual, d1, d2, gen):
             calls.append(d1)
             if len(calls) == 3:
-                raise BridgeSamplingError("stalled", -1, schulman.MAX_ROUNDS)
+                raise BridgeSamplingError("stalled")
             return np.zeros_like(residual)
 
         monkeypatch.setattr(schulman, "_conditional_step", stall_on_third_step)
         with pytest.raises(BridgeSamplingError) as exc:
             sample_bridges(self.spec, 200, RngStream(2))
-        assert exc.value.step == 2
-        assert exc.value.attempts == 64
         assert str(exc.value) == "stalled in bridge shard 0 (step 2, 64 proposal rounds)"
 
     def test_spec_validation(self):
@@ -557,9 +555,9 @@ class TestConditionalStep:
 
         n = 10
         gen = Rejecting(48)
-        with pytest.raises(BridgeSamplingError) as exc:
+        with pytest.raises(BridgeSamplingError):
             _conditional_step(np.full(n, PI / 8), 1e-5, 9.9e-4, gen)
-        assert exc.value.attempts == schulman.MAX_ROUNDS == 64
+        assert schulman.MAX_ROUNDS == 64
         assert gen.proposals == 64 * n
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,31 +181,131 @@ def single_photon_outcome_prob(theta1: float, theta2: float, gamma: float) -> fl
 
 @dataclass(frozen=True)
 class TwoPhotonResult:
-    """Joint outcome distribution and hidden-angle posterior on a grid."""
+    """Joint outcome distribution and hidden-angle posterior in closed form."""
 
     joint: JointDist
     a: PolAngle
     b: PolAngle
-    lam: np.ndarray = field(repr=False)
-    #: posterior mass per grid cell, by outcome pair, shape (2, 2, M);
-    #: index 0 = +1, index 1 = -1 on each axis.  Sums to 1 overall.
-    mass_by_outcome: np.ndarray = field(repr=False)
-
-    @property
-    def posterior_mass(self) -> np.ndarray:
-        """Outcome-marginal posterior mass per lambda grid cell (sums to 1)."""
-        return self.mass_by_outcome.sum(axis=(0, 1))
+    gamma: float
 
     def atom_window_masses(self, half_width: float) -> dict[float, float]:
-        """Posterior mass within +-half_width (mod pi) of each delta-mixture atom."""
-        mass = self.posterior_mass
-        out = {}
-        for atom in (*outcome_axes(self.a), *outcome_axes(self.b)):
-            dist = np.abs(
-                (self.lam - float(atom) + HALF_PI) % PI - HALF_PI
+        """Posterior mass within +-half_width (mod pi) of each delta-mixture atom.
+
+        Exact: the reflection lambda -> a + b - lambda and the period pi/2 of
+        the outcome-summed posterior give all four atoms one mass,
+        `_atom_window_mass`.  Windows that overlap each count the shared mass.
+        """
+        mass = _atom_window_mass(float(self.b) - float(self.a), self.gamma, half_width)
+        return {float(atom): mass for atom in (*outcome_axes(self.a), *outcome_axes(self.b))}
+
+    # The grid below only cross-checks the closed forms: the tests compare
+    # them, and perfbench/tracing.py reads its sizes.  It is built on first read.
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Cell midpoints of a lambda grid on [0, pi) with 8 points per gamma
+        width, max(64, ceil(8 pi / gamma)) in all.  A grid whose size is not
+        finite (gamma below about 1.4e-307) or that numpy refuses to allocate
+        (2.5e14 points at gamma = 1e-13) raises ValueError naming the grid."""
+        cells = 8 * PI / self.gamma
+        if not math.isfinite(cells):
+            raise ValueError(
+                f"lambda grid of 8 pi / gamma points is not finite at gamma = {self.gamma!r}"
             )
-            out[float(atom)] = float(mass[dist <= half_width].sum())
-        return out
+        points = max(64, math.ceil(cells))
+        try:
+            return (np.arange(points) + 0.5) * (PI / points)
+        except (ValueError, MemoryError):  # numpy's refusals to allocate
+            raise ValueError(
+                f"lambda grid of {cells:.3g} points cannot be allocated at gamma = {self.gamma!r}"
+            ) from None
+
+    @cached_property
+    def mass_by_outcome(self) -> np.ndarray:
+        """Posterior mass per cell of `lam`, by outcome pair, shape (2, 2, M);
+        index 0 = +1, index 1 = -1 on each axis.  Sums to 1 overall."""
+        lam = self.lam
+        spacing = PI / lam.size
+        mass = np.empty((2, 2, lam.size))
+        # each photon's family weight per outcome, in the order of OUTCOMES
+        w2 = [periodized_cauchy(lam - t, self.gamma) for t in outcome_axes(self.b)]
+        for i, t in enumerate(outcome_axes(self.a)):
+            w1 = periodized_cauchy(lam - t, self.gamma)
+            for j, w in enumerate(w2):
+                mass[i, j] = w1 * w * spacing
+        mass /= mass.sum()
+        return mass
+
+
+def _atom_window_mass(separation: float, gamma: float, half_width: float) -> float:
+    """Posterior mass of `two_photon_joint` within +-half_width (mod pi) of
+    one atom, for settings `separation` = b - a apart.
+
+    Summed over outcomes, each photon's family weights form one pi/2-lattice,
+    2 `periodized_cauchy`(2 x, 2 gamma).  In theta = 4 lambda the posterior is
+    P(theta - alpha) P(theta - beta) / (4 pi P2(delta)), with the Poisson
+    kernel P(u) = (1 - r^2) / (1 - 2 r cos u + r^2) at r = exp(-4 gamma), P2
+    the kernel at r^2, alpha = 4 a and delta = beta - alpha = 4 (b - a).  By
+    partial fractions, with Q(u) = 2 r sin u / (1 - 2 r cos u + r^2),
+
+        P(u) P(u - delta) = P2(delta) / 2 * [P(u) + P(u - delta)
+                            + tanh(4 gamma) cot(delta / 2) (Q(u) - Q(u - delta))],
+
+    and P, Q integrate to F(u) = 2 arctan(tan(u / 2) / tanh(2 gamma)) and
+    ln D(u), D(u) = tanh(2 gamma)^2 + sech(2 gamma)^2 sin(u / 2)^2, up to
+    constants.  The window is u in [-w, w], w = 4 half_width, so its mass is
+
+        [2 F(w) + F(w + delta) + F(w - delta)
+         + tanh(4 gamma) cot(delta / 2) ln(D(w + delta) / D(w - delta))] / (8 pi).
+
+    No term can overflow or lose its scale.  F is the atan2 of sin(u / 2)
+    against tanh(2 gamma) cos(u / 2), exact down to a subnormal gamma.  The
+    log ratio is log1p(z), z = sech(2 gamma)^2 sin w sin delta / D(w - delta),
+    with D(w - delta) taken in units of the larger of tanh(2 gamma) and
+    sech(2 gamma) |sin((w - delta) / 2)|.  Where z <= 1, cot(delta / 2)
+    log1p(z) is written as
+    2 cos(delta / 2)^2 sech(2 gamma)^2 sin w / D(w - delta) * log1p(z) / z,
+    which has the finite limit at coinciding poles (delta -> 0: a = b or
+    a perpendicular to b) that the raw cot(delta / 2) lacks; where z > 1 the
+    two logs differ by more than ln 2 and are subtracted directly.  delta is
+    taken mod 2 pi, folded into [0, pi], which leaves the mass unchanged.
+
+    A window of half-width pi/2 or more covers every lambda (mass 1); one
+    beyond pi/4 is 1 minus the window of half-width pi/2 - half_width around
+    the atom's perpendicular, its complement, which keeps w + delta within
+    the one turn where the atan2 form of F is continuous.
+    """
+    if not half_width > 0.0:  # a window with no interval in it
+        return 0.0
+    if half_width >= HALF_PI:
+        return 1.0
+    if half_width > PI / 4:
+        return 1.0 - _atom_window_mass(separation, gamma, HALF_PI - half_width)
+    d = separation % HALF_PI
+    delta = 4.0 * min(d, HALF_PI - d)
+    w = 4.0 * half_width
+    tau = math.tanh(2.0 * gamma)
+    decay = math.exp(-2.0 * gamma)
+    sech = 2.0 * decay / (1.0 + decay * decay)
+    tanh_4 = 2.0 * tau / (1.0 + tau * tau)
+
+    def arc(u: float) -> float:  # F(u), continuous on [-2 pi, 2 pi]
+        return 2.0 * math.atan2(math.sin(0.5 * u), tau * math.cos(0.5 * u))
+
+    near = sech * math.sin(0.5 * (w - delta))  # D(w - delta) = tau^2 + near^2
+    unit = max(tau, abs(near))
+    scale = (tau / unit) ** 2 + (near / unit) ** 2  # D(w - delta) / unit^2, in [1, 2]
+    slope = sech * sech * math.sin(w) / unit / scale
+    z = slope * math.sin(delta) / unit
+    if z <= 1.0:
+        log1p_ratio = math.log1p(z) / z if z > 0.0 else 1.0
+        log_term = 2.0 * math.cos(0.5 * delta) ** 2 * (tanh_4 / unit) * slope * log1p_ratio
+    else:  # no cancellation in the log ratio, and delta > 0
+        far = sech * math.sin(0.5 * (w + delta))
+        log_term = 2.0 * tanh_4 / math.tan(0.5 * delta) * (
+            math.log(math.hypot(tau, far)) - math.log(math.hypot(tau, near))
+        )
+    return (2.0 * arc(w) + arc(w + delta) + arc(w - delta) + log_term) / (8.0 * PI)
 
 
 def two_photon_outcome_joint(a: float, b: float, gamma: float) -> JointDist:
@@ -230,43 +331,16 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
     Both kick histories start at the common hidden angle lambda (flat base
     measure on [0, pi)) and end in the family selected by each outcome.
     The weight of a configuration is the product of the two wrapped-Cauchy
-    family weights; normalizing over (lambda, A, B) on the grid yields the
-    lambda posterior.  The joint is `two_photon_outcome_joint`, exact; the
-    grid is needed only for the posterior.  It has 8 points per gamma width,
-    max(64, ceil(8 pi / gamma)) in all.  A grid whose size is not finite
-    (gamma below about 1.4e-307) or that numpy refuses to allocate (2.5e14
-    points at gamma = 1e-13) raises ValueError naming the grid.
+    family weights; normalizing over (lambda, A, B) yields the lambda
+    posterior.  The joint (`two_photon_outcome_joint`) and the posterior's
+    atom windows (`TwoPhotonResult.atom_window_masses`) are closed forms,
+    exact at every positive gamma with no lambda grid.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    cells = 8 * PI / gamma
-    if not math.isfinite(cells):
-        raise ValueError(f"lambda grid of 8 pi / gamma points is not finite at gamma = {gamma!r}")
-    points = max(64, math.ceil(cells))
-    spacing = PI / points
     a = PolAngle(a)
     b = PolAngle(b)
-    try:
-        lam = (np.arange(points) + 0.5) * spacing
-        mass = np.empty((2, 2, points))
-    except (ValueError, MemoryError):  # numpy's refusals to allocate
-        raise ValueError(
-            f"lambda grid of {cells:.3g} points cannot be allocated at gamma = {gamma!r}"
-        ) from None
-    # each photon's family weight per outcome, in the order of OUTCOMES
-    w2 = [periodized_cauchy(lam - t, gamma) for t in outcome_axes(b)]
-    for i, t in enumerate(outcome_axes(a)):
-        w1 = periodized_cauchy(lam - t, gamma)
-        for j, w in enumerate(w2):
-            mass[i, j] = w1 * w * spacing
-    mass /= mass.sum()
-    return TwoPhotonResult(
-        joint=two_photon_outcome_joint(a, b, gamma),
-        a=a,
-        b=b,
-        lam=lam,
-        mass_by_outcome=mass,
-    )
+    return TwoPhotonResult(joint=two_photon_outcome_joint(a, b, gamma), a=a, b=b, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,9 @@ def test_criterion_07_two_photon_limit():
 
     The +-3*gamma windows are read as relative shares: a Cauchy peak keeps
     only (2/pi)*arctan(3) of its mass within +-3 widths, so the absolute
-    window masses are 0.199 each by tail arithmetic, while the shares are
-    exactly 1/4 (see the README "Tests" section).
+    window masses are 0.199 each by tail arithmetic.  The window masses are
+    exact, with no lambda grid, and the shares are exactly 1/4 (see the
+    README "Tests" section).
     """
     gamma = 1e-4
     res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), gamma)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -284,12 +285,11 @@ class TestSubcommands:
         assert report["s_value"] == 0.0
         assert all(c["value"] == 0.0 for c in report["correlators"])
 
-    def test_two_photon_wide_kicks_use_the_smallest_grid(self, tmp_path):
-        # ceil(8 pi / gamma) = 26 points would be below the grid's floor of 64
+    def test_two_photon_wide_kicks_give_the_wrapped_cauchy_correlator(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["two-photon", "--gamma", "1", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["lambda_grid"] == 64
+        assert "lambda_grid" not in report
         # cos(2(a - b)) / cosh(4 gamma), the wrapped-Cauchy correlator at width 2 gamma
         assert report["correlator"] == pytest.approx(math.sqrt(0.5) / math.cosh(4.0), rel=1e-12)
 
@@ -300,14 +300,19 @@ class TestSubcommands:
         report = json.loads(out.read_text())
         assert report["max_abs_diff_vs_qm"] < 1e-4
         shares = [w["share_of_windows"] for w in report["atom_windows"].values()]
-        assert shares == pytest.approx([0.25] * 4, abs=0.01)
+        assert shares == pytest.approx([0.25] * 4, abs=1e-12)
 
-    def test_two_photon_grid_passes_its_own_resolution_check(self, tmp_path):
-        # gamma / (pi / 211) rounds to 7.999999999999999 at this gamma, and the
-        # grid still has the 211 points of 8 per gamma width
-        out = tmp_path / "r.json"
-        assert main(["two-photon", "--gamma", "0.11911251767165092", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["lambda_grid"] == 211
+    def test_two_photon_holds_no_lambda_grid(self, tmp_path):
+        argv = ["two-photon", "--pair", "0,0.125pi", "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--gamma", "1e-2"]) == 0  # imports and caches
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--gamma", "1e-4"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a lambda grid at this gamma (251 328 points) would peak near 25 MB
+        assert peak < 2**20
 
 
 def fresh_env() -> dict:
@@ -543,20 +548,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be finite and > 0" in capsys.readouterr().err
 
-    def test_two_photon_refuses_a_grid_size_that_is_not_finite(self, capsys):
-        assert main(["two-photon", "--gamma", "5e-324"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: lambda grid of 8 pi / gamma points is not finite" in captured.err
-
-    @pytest.mark.parametrize("gamma", ["1e-13", "1e-300"])
-    def test_two_photon_refuses_a_grid_numpy_cannot_allocate(self, gamma, capsys):
-        # 2.5e14 and 2.5e301 points: numpy refuses before touching memory
-        assert main(["two-photon", "--gamma", gamma]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"points cannot be allocated at gamma = {float(gamma)!r}" in captured.err
-        assert captured.err.startswith("error: lambda grid of ")
+    @pytest.mark.parametrize("gamma", ["5e-324", "1e-300", "1e-13", "1e-12", "1e-7"])
+    def test_two_photon_runs_where_its_grid_was_refused(self, gamma, tmp_path):
+        # a lambda grid of 8 pi / gamma points would not be finite at 5e-324,
+        # would be refused by numpy at 1e-300 and 1e-13, and 8 GB at 1e-7
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        assert main(["two-photon", "--gamma", gamma, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 0.1
+        windows = json.loads(out.read_text())["atom_windows"].values()
+        assert all(0.0 < w["mass"] <= 1.0 for w in windows)
+        assert [w["share_of_windows"] for w in windows] == pytest.approx([0.25] * 4, abs=1e-12)
 
     @pytest.mark.parametrize("gamma, width", [("1e-310", "1e-311"), ("5e-324", "0.0")])
     def test_schulman_paths_refuses_a_subnormal_step_width(self, gamma, width, capsys):
@@ -608,7 +610,8 @@ class TestExitCodes:
         # gamma log-uniform over the positive floats: schulman-paths runs
         # exactly where its step width gamma / steps is a normal float and a
         # kick at the largest Cauchy variate, gamma * |tan(-pi/2)|, is finite,
-        # and refuses with a usage error elsewhere; schulman-2 runs at any gamma
+        # and refuses with a usage error elsewhere; schulman-2 and two-photon
+        # run at any gamma
         gamma = max(10.0**exponent, 5e-324)
         admitted = (gamma / int(steps) >= sys.float_info.min
                     and math.isfinite(gamma * abs(math.tan(-PI / 2))))
@@ -632,6 +635,10 @@ class TestExitCodes:
             assert math.isfinite(report["cauchy_stability_ks_pvalue"])
         assert run(["run-chsh", "--model", "schulman-2", "--gamma", repr(gamma),
                     "--settings", f"0,0.25pi,{theta2},0.125pi"])[0] == 0
+        code, report = run(["two-photon", "--gamma", repr(gamma), "--pair", f"0,{theta2}"])
+        assert code == 0
+        windows = json.loads(report)["atom_windows"].values()
+        assert all(0.0 <= w["mass"] <= 1.0 for w in windows)
 
     def test_run_chsh_has_no_lambda_grid(self, capsys):
         # the schulman-2 joint is exact, so there is no grid to size

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -257,6 +258,60 @@ class TestSequentialChain:
             sequential_outcome_probs((0.0,), 0.0)
 
 
+def quadrature_windows(a: float, b: float, gamma: float, half_width: float) -> list[float]:
+    """Posterior mass within +-half_width of the atoms a and b, by mpmath
+    quadrature of the outcome-summed posterior, which is the product of the
+    two photons' wrapped-Cauchy family weights summed over their outcome
+    axes, normalized by its integral over [0, pi).  The kernel
+    1 / (sinh(gamma)^2 + sin(x)^2) is the wrapped Cauchy density up to a
+    constant, free of the cancellation in cosh(2 gamma) - cos(2 x)."""
+    with mpmath.workdps(15):
+        g = mpmath.mpf(gamma)
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        floor = mpmath.sinh(g) ** 2
+
+        def family(x):  # both outcome axes: the setting and its perpendicular
+            return 1 / (floor + mpmath.sin(x) ** 2) + 1 / (floor + mpmath.cos(x) ** 2)
+
+        def posterior(lam):
+            return family(lam - a) * family(lam - b)
+
+        def integral(lo, hi):
+            # cut at every peak and one width either side of it
+            cuts = {lo, hi}
+            for axis in (a, a + mpmath.pi / 2, b, b + mpmath.pi / 2):
+                for turn in (-1, 0, 1):
+                    for offset in (-g, 0, g):
+                        x = axis + turn * mpmath.pi + offset
+                        if lo < x < hi:
+                            cuts.add(x)
+            return mpmath.quad(posterior, sorted(cuts))
+
+        total = integral(mpmath.mpf(0), mpmath.pi)
+        h = mpmath.mpf(half_width)
+        return [float(integral(t - h, t + h) / total) for t in (a, b)]
+
+
+def grid_windows(res) -> tuple[float, dict[float, tuple[float, float]]]:
+    """Posterior mass on the lazy lambda grid within +-3 gamma of each atom,
+    as the grid counted it before the windows were exact: the cells whose
+    midpoints lie within the window.  With each mass, the mass of the two
+    cells nearest the window's edges."""
+    half_width = 3.0 * res.gamma
+    mass = res.mass_by_outcome.sum(axis=(0, 1))
+    out = {}
+    for atom in (*outcome_axes(res.a), *outcome_axes(res.b)):
+        def offset(x):
+            return np.abs((res.lam - float(atom) - x + HALF_PI) % PI - HALF_PI)
+
+        edges = [int(np.argmin(offset(x))) for x in (-half_width, half_width)]
+        out[float(atom)] = (float(mass[offset(0.0) <= half_width].sum()), float(mass[edges].sum()))
+    return out
+
+
+WINDOW_SETTINGS = [(0.0, PI / 8), (0.3, 1.2), (0.0, 0.0), (0.0, HALF_PI), (0.0, 1e-9)]
+
+
 class TestTwoPhoton:
     def test_matches_qm_at_small_width(self):
         res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3)
@@ -264,7 +319,7 @@ class TestTwoPhoton:
 
     def test_posterior_masses_sum_to_one(self):
         res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-3)
-        assert res.posterior_mass.sum() == pytest.approx(1.0)
+        assert res.mass_by_outcome.sum(axis=(0, 1)).sum() == pytest.approx(1.0)
         assert res.mass_by_outcome.sum() == pytest.approx(1.0)
 
     def test_posterior_concentrates_on_four_atoms(self):
@@ -278,6 +333,62 @@ class TestTwoPhoton:
         assert sum(windows.values()) == pytest.approx(
             2 / PI * math.atan(3.0), abs=0.01
         )
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-2, 0.5])
+    @pytest.mark.parametrize("a, b", WINDOW_SETTINGS)
+    def test_atom_windows_match_high_precision_quadrature(self, a, b, gamma):
+        windows = two_photon_joint(PolAngle(a), PolAngle(b), gamma).atom_window_masses(3 * gamma)
+        want_a, want_b = quadrature_windows(a, b, gamma, 3 * gamma)
+        assert windows[float(PolAngle(a))] == pytest.approx(want_a, rel=0.0, abs=1e-12)
+        assert windows[float(PolAngle(b))] == pytest.approx(want_b, rel=0.0, abs=1e-12)
+        # the outcome-summed posterior has period pi/2: each perpendicular
+        # atom's window holds the same mass as its setting's
+        assert set(windows.values()) == {windows[float(PolAngle(a))]}
+
+    def test_atom_window_at_the_gate_matches_its_mpmath_value(self):
+        # quadrature_windows at 30 digits; the lambda grid read 0.19879799421452
+        windows = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-4).atom_window_masses(3e-4)
+        assert list(windows.values()) == pytest.approx([0.1987918915858075461] * 4, rel=0.0,
+                                                       abs=1e-16)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-300, 1e-12, 1e3])
+    @pytest.mark.parametrize("a, b", WINDOW_SETTINGS)
+    def test_atom_windows_are_probabilities_at_extreme_widths(self, a, b, gamma):
+        res = two_photon_joint(PolAngle(a), PolAngle(b), gamma)
+        for half_width in (3 * gamma, 1e-3, 0.5, 1.0, HALF_PI):
+            windows = res.atom_window_masses(half_width)
+            assert all(math.isfinite(m) and 0.0 <= m <= 1.0 for m in windows.values())
+
+    @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 1e-2, 0.5])
+    @pytest.mark.parametrize("a, b", WINDOW_SETTINGS)
+    def test_atom_windows_agree_with_the_grid(self, a, b, gamma):
+        # a grid window counts whole cells, so each edge can gain or lose up to
+        # half a cell: the grid error is at most the mass of the two edge cells
+        res = two_photon_joint(PolAngle(a), PolAngle(b), gamma)
+        exact = res.atom_window_masses(3 * gamma)
+        for atom, (grid, edge_cells) in grid_windows(res).items():
+            assert abs(grid - exact[atom]) <= edge_cells, atom
+
+    def test_grid_window_at_the_gate_is_high_by_its_stated_error(self):
+        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 1e-4)
+        exact = res.atom_window_masses(3e-4)
+        for atom, (grid, _) in grid_windows(res).items():
+            assert grid - exact[atom] == pytest.approx(6.1e-6, abs=0.05e-6), atom
+
+    @given(
+        separation=st.floats(min_value=-PI, max_value=PI),
+        exponent=st.floats(min_value=math.log10(5e-324), max_value=math.log10(1.7e308)),
+        half_width=st.floats(min_value=0.0, max_value=2.0),
+    )
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_atom_window_grows_with_its_half_width(self, separation, exponent, half_width):
+        gamma = max(10.0**exponent, 5e-324)
+        res = two_photon_joint(PolAngle(0.0), PolAngle(separation), gamma)
+        narrow = res.atom_window_masses(half_width)
+        wide = res.atom_window_masses(half_width + 0.01)
+        for atom, mass in narrow.items():
+            assert 0.0 <= mass <= 1.0 and 0.0 <= wide[atom] <= 1.0
+            assert mass <= wide[atom] + 1e-15
 
     @pytest.mark.parametrize("gamma", [1e-2, 1e-3, 1e-4, 0.5])
     @pytest.mark.parametrize("a, b", [(0.0, PI / 8), (0.3, 1.2), (0.0, 0.0), (0.0, HALF_PI)])
@@ -313,8 +424,9 @@ class TestTwoPhoton:
             two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 0.0)
 
     def test_joint_refuses_a_grid_size_that_is_not_finite(self):
+        res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 5e-324)
         with pytest.raises(ValueError, match="lambda grid"):
-            two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 5e-324)
+            res.lam
 
     @pytest.mark.parametrize("n", [131, 211, 290, 522])
     def test_grid_of_ceil_8pi_over_gamma_is_fine_enough(self, n):

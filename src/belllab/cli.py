@@ -17,12 +17,15 @@ reports.  Without --out, stdout carries the report and nothing else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 import time
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,24 +52,36 @@ from .schulman import (
     two_photon_outcome_joint,
 )
 
-#: Model id -> (builder from the settings quadruple, or None where the
-#: subcommand computes the model itself; subcommands accepting the id).
+
+class ModelEntry(NamedTuple):
+    """One `--model` choice.  `build(args)` gives an object with
+    `joint_dist(a, b)`; `reads` names the `run-chsh` options it reads, in the
+    order its report echoes them; `run-chsh` samples it if `samples`, else
+    reports exact correlators; `commands` are the subcommands accepting it."""
+
+    build: Callable[[argparse.Namespace], object]
+    reads: tuple[str, ...]
+    samples: bool
+    commands: tuple[str, ...]
+
+
+SAMPLED, RUN, SCAN = ("samples", "seed", "workers"), ("run-chsh",), ("scan-settings",)
+
+# The builders look `qm_joint` and `two_photon_outcome_joint` up when called,
+# so a wrapper put in this module's namespace (perfbench's tracing) is used.
 MODELS = {
-    "delta-mixture": (lambda settings: DeltaMixtureModel(), ("run-chsh", "scan-settings")),
-    "hall": (lambda settings: HallModel(), ("run-chsh", "scan-settings")),
-    "local-baseline": (lambda settings: LocalBaselineModel(), ("run-chsh", "scan-settings")),
-    "pr-box": (PRBoxModel, ("run-chsh",)),
-    "schulman-2": (None, ("run-chsh",)),
-    "qm": (None, ("scan-settings",)),
+    "delta-mixture": ModelEntry(lambda args: DeltaMixtureModel(), SAMPLED, True, RUN + SCAN),
+    "hall": ModelEntry(lambda args: HallModel(), SAMPLED, True, RUN + SCAN),
+    "local-baseline": ModelEntry(lambda args: LocalBaselineModel(), SAMPLED, True, RUN + SCAN),
+    "pr-box": ModelEntry(lambda args: PRBoxModel(args.settings), SAMPLED, True, RUN),
+    "schulman-2": ModelEntry(lambda args: SimpleNamespace(joint_dist=functools.partial(
+        two_photon_outcome_joint, gamma=args.gamma)), ("gamma",), False, RUN),
+    "qm": ModelEntry(lambda args: SimpleNamespace(joint_dist=qm_joint), (), False, SCAN),
 }
 
-
-def model_choices(command: str) -> tuple[str, ...]:
-    return tuple(key for key, (_, commands) in MODELS.items() if command in commands)
-
-
-def build_model(model_id: str, settings: tuple[PolAngle, ...]):
-    return MODELS[model_id][0](settings)
+#: `run-chsh` options some model reads, and their defaults (None: required).
+#: `--seed` is not checked: the benchmark passes it to every op (ROADMAP item 1).
+MODEL_OPTIONS = {"samples": 10**6, "gamma": None, "workers": 1}
 
 
 class UsageError(ValueError):
@@ -168,35 +183,36 @@ def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
+    entry = MODELS[args.model]
+    # MODEL_OPTIONS parse to None, so one given at its default is refused too
+    for option, default in MODEL_OPTIONS.items():
+        given = getattr(args, option) is not None
+        if given and option not in entry.reads:
+            readers = ", ".join(key for key, e in MODELS.items() if option in e.reads)
+            raise UsageError(f"--{option} is read by {readers} only, not by {args.model}")
+        if not given and option in entry.reads:
+            if default is None:
+                raise UsageError(f"--{option} is required for {args.model}")
+            setattr(args, option, default)
     settings = args.settings
+    model = entry.build(args)
+    # the worker count changes no result, so the report leaves it out
+    config = ["model", *(option for option in entry.reads if option != "workers")]
 
-    if args.model == "schulman-2":
-        if args.gamma is None:
-            raise UsageError("--gamma is required for schulman-2")
-        values = [
-            two_photon_outcome_joint(x, y, args.gamma).correlator()
-            for x, y in chsh_pairs(settings)
-        ]
-        config = ["model", "gamma"]
+    if not entry.samples:
+        values = [model.joint_dist(x, y).correlator() for x, y in chsh_pairs(settings)]
         correlators = [(c, 0.0, 0) for c in values]
         s_value, s_error = chsh_value(*values), 0.0
         pvalue, residuals = None, None
     else:
-        if args.gamma is not None:
-            raise UsageError(f"--gamma is read by schulman-2 only, not by {args.model}")
         rng = RngStream(args.seed)
-        model = build_model(args.model, settings)
         chsh = run_chsh_experiment(model, settings, args.samples, rng, workers=args.workers)
-        residuals = {
-            "screening": screening_residual(
-                model, settings[0], settings[2], min(args.samples, 200_000), rng.substream(100)
-            ).value
-        }
+        residuals = {"screening": screening_residual(
+            model, settings[0], settings[2], min(args.samples, 200_000), rng.substream(100)).value}
         if isinstance(model, HiddenVariableModel):
             residuals["lambda_independence"] = lambda_independence_residual(
                 model, (settings[0], settings[2]), (settings[1], settings[3])
             )
-        config = ["model", "samples", "seed"]
         correlators = [(e.value, e.standard_error, e.sample_count) for e in chsh.correlators]
         s_value, s_error = chsh.s_value, chsh.s_standard_error
         pvalue = chsh_pvalue_log10(min(s_value, 4.0), args.samples)
@@ -204,10 +220,8 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
     body = {
         "config": _config_echo(args, config),
         "settings": [float(v) for v in settings],
-        "correlators": [
-            {"value": value, "standard_error": error, "samples": samples}
-            for value, error, samples in correlators
-        ],
+        "correlators": [{"value": value, "standard_error": error, "samples": samples}
+                        for value, error, samples in correlators],
         "s_value": s_value,
         "s_standard_error": s_error,
         "log10_pvalue_bound": pvalue,
@@ -217,35 +231,21 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_scan_settings(args: argparse.Namespace) -> tuple[dict, str]:
-    # no scan model reads the settings quadruple (the PR box is not scanned)
-    model = None if args.model == "qm" else build_model(args.model, ())
+    model = MODELS[args.model].build(args)
     angles = [PolAngle(i * PI / args.grid) for i in range(args.grid)]
     rows = []
     worst = 0.0
     for a in angles:
         for b in angles:
             ref = qm_joint(a, b)
-            got = ref if model is None else model.joint_dist(a, b)
+            got = model.joint_dist(a, b)
             diff = got.max_abs_diff(ref)
             worst = max(worst, diff)
-            rows.append(
-                {
-                    "a": float(a),
-                    "b": float(b),
-                    "correlator": got.correlator(),
-                    "qm_correlator": qm_correlator(a, b),
-                    "p_pp": got.p_pp,
-                    "p_pm": got.p_pm,
-                    "p_mp": got.p_mp,
-                    "p_mm": got.p_mm,
-                    "max_abs_diff_vs_qm": diff,
-                }
-            )
-    body = {
-        "config": _config_echo(args, ["model", "grid"]),
-        "max_abs_diff_vs_qm": worst,
-        "table": rows,
-    }
+            rows.append({"a": float(a), "b": float(b), "correlator": got.correlator(),
+                         "qm_correlator": qm_correlator(a, b), **dataclasses.asdict(got),
+                         "max_abs_diff_vs_qm": diff})
+    body = {"config": _config_echo(args, ["model", "grid"]), "max_abs_diff_vs_qm": worst,
+            "table": rows}
     return body, f"scan-settings model={args.model} grid={args.grid} max|diff|={worst:.3e}"
 
 
@@ -321,12 +321,7 @@ def cmd_two_photon(args: argparse.Namespace) -> tuple[dict, str]:
     diff = result.joint.max_abs_diff(qm_joint(a, b))
     body = {
         "config": _config_echo(args, ["gamma", "pair"]),
-        "joint": {
-            "p_pp": result.joint.p_pp,
-            "p_pm": result.joint.p_pm,
-            "p_mp": result.joint.p_mp,
-            "p_mm": result.joint.p_mm,
-        },
+        "joint": dataclasses.asdict(result.joint),
         "correlator": result.joint.correlator(),
         "max_abs_diff_vs_qm": diff,
         "atom_windows": {
@@ -354,24 +349,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def choices(command: str) -> tuple[str, ...]:
+        return tuple(key for key, entry in MODELS.items() if command in entry.commands)
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", default=None, help="report file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("run-chsh", help="four-settings CHSH experiment")
-    p.add_argument("--model", choices=model_choices("run-chsh"), required=True)
+    p.add_argument("--model", choices=choices("run-chsh"), required=True)
     p.add_argument("--settings", type=parse_settings, default=parse_settings("0,0.25pi,0.125pi,-0.125pi"),
                    help="a,a',b,b' (default: Tsirelson settings)")
-    p.add_argument("--samples", type=at_least(1), default=10**6, help="samples per correlator")
-    p.add_argument("--gamma", type=positive, default=None)
-    p.add_argument("--workers", type=at_least(1), default=1,
-                   help="worker threads; does not affect results")
+    p.add_argument("--samples", type=at_least(1),
+                   help=f"samples per correlator (default {MODEL_OPTIONS['samples']})")
+    p.add_argument("--gamma", type=positive)
+    p.add_argument("--workers", type=at_least(1), help=f"worker threads (default "
+                   f"{MODEL_OPTIONS['workers']}); does not affect results")
     common(p)
     p.set_defaults(func=cmd_run_chsh)
 
     p = sub.add_parser("scan-settings", help="model vs QM over a settings grid")
-    p.add_argument("--model", choices=model_choices("scan-settings"), required=True)
+    p.add_argument("--model", choices=choices("scan-settings"), required=True)
     p.add_argument("--grid", type=at_least(2), default=16)
     common(p)
     p.set_defaults(func=cmd_scan_settings)

@@ -452,6 +452,101 @@ class TestParser:
         assert built.count("belllab") == 1
 
 
+def table_models(command: str) -> list[str]:
+    return [key for key, entry in cli.MODELS.items() if command in entry.commands]
+
+
+#: A value each `run-chsh` model option accepts, besides its default.
+OPTION_VALUES = {"samples": "1000", "gamma": "1e-3", "workers": "2", "seed": "4"}
+
+#: `run-chsh` options with no default: the models that read them require them.
+REQUIRED = [option for option, default in cli.MODEL_OPTIONS.items() if default is None]
+
+
+class TestModelTable:
+    """`--model` choices, and the `run-chsh` options each reads, from `cli.MODELS`."""
+
+    @pytest.mark.parametrize("model, option, value", [
+        (model, option, value)
+        for model in table_models("run-chsh")
+        for option, default in cli.MODEL_OPTIONS.items()
+        if option not in cli.MODELS[model].reads
+        for value in dict.fromkeys([OPTION_VALUES[option], default]) if value is not None
+    ])
+    def test_an_option_the_model_does_not_read_is_refused(
+        self, model, option, value, tmp_path, capsys
+    ):
+        # given at its default value too (schulman-2 with --samples 1000000
+        # or --workers 1), the option is refused, not ignored
+        out = tmp_path / "r.json"
+        argv = ["run-chsh", "--model", model, f"--{option}", str(value), "--out", str(out)]
+        for needed in set(cli.MODELS[model].reads) & set(REQUIRED):
+            argv += [f"--{needed}", OPTION_VALUES[needed]]
+        assert main(argv) == 2
+        readers = [key for key, entry in cli.MODELS.items() if option in entry.reads]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --{option} is read by {', '.join(readers)} only, not by {model}\n")
+        assert not out.exists()
+
+    def test_schulman2_ignores_no_option(self, capsys):
+        # this exited 0 with a report that read none of the three options
+        assert main(["run-chsh", "--model", "schulman-2", "--gamma", "1e-3", "--samples", "5",
+                     "--seed", "9", "--workers", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: --samples is read by ")
+
+    @pytest.mark.parametrize("command, model", [
+        (command, model) for command in ("run-chsh", "scan-settings")
+        for model in table_models(command)
+    ])
+    def test_every_accepted_model_runs(self, command, model, tmp_path):
+        out = tmp_path / "r.json"
+        entry = cli.MODELS[model]
+        argv = [command, "--model", model, "--out", str(out)]
+        if command == "scan-settings":
+            argv += ["--grid", "2"]
+        else:
+            for option in entry.reads:
+                argv += [f"--{option}", OPTION_VALUES[option]]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["model"] == model
+        if command == "run-chsh":
+            # the report echoes every option the model reads but the worker count
+            assert sorted(report["config"]) == sorted(
+                ["model", *(o for o in entry.reads if o != "workers")])
+            samples = int(OPTION_VALUES["samples"]) if entry.samples else 0
+            assert [c["samples"] for c in report["correlators"]] == [samples] * 4
+            if not entry.samples:  # exact correlators
+                assert all(c["standard_error"] == 0.0 for c in report["correlators"])
+
+    def test_a_sampled_model_echoes_the_default_sample_count(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "pr-box", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == {
+            "model": "pr-box", "samples": 1000000, "seed": 0}
+
+    @pytest.mark.parametrize("model, option", [
+        (model, option) for model in table_models("run-chsh")
+        for option in cli.MODELS[model].reads if option in REQUIRED
+    ])
+    def test_an_option_without_a_default_is_required(self, model, option, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", model, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --{option} is required for {model}\n"
+        assert not out.exists()
+
+    def test_the_parser_offers_the_table_models(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("run-chsh", "scan-settings"):
+            model = next(a for a in subparsers.choices[command]._actions if a.dest == "model")
+            assert list(model.choices) == table_models(command)
+
+
 class TestExitCodes:
     def test_usage_error_for_bad_combination(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -524,7 +619,7 @@ class TestExitCodes:
 
     def test_schulman_models_require_gamma(self, capsys):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2
-        assert "--gamma is required" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --gamma is required for schulman-2\n"
         with pytest.raises(SystemExit) as exc:
             main(["run-chsh", "--model", "schulman-2", "--gamma", "0"])
         assert exc.value.code == 2

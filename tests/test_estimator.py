@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from belllab import estimator
 from belllab.core import PI, RngStream
 from belllab.estimator import (
+    HALL_INFORMATION_BITS,
     MIN_BIN_COUNT,
     SCREENING_BINS,
     SHARD_SIZE,
@@ -280,6 +282,27 @@ class TestMutualInformation:
         est = mutual_information_hall(lambda_grid=512, settings_grid=128)
         assert est.halved_grid_bits == mutual_information_hall(512, 64).bits
         assert est.error_estimate >= abs(est.bits - est.halved_grid_bits) > 0.0
+
+    def test_exact_value_is_the_nearest_double(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = (2 - 2 * mpmath.log(2) - mpmath.si(mpmath.pi) / mpmath.pi) / mpmath.log(2)
+            assert mpmath.nstr(exact, 22).startswith("0.0349359664486603198856")
+            assert float(exact) == HALL_INFORMATION_BITS  # mpf -> float rounds to nearest
+
+    def test_error_estimate_covers_the_exact_error_on_every_grid(self, monkeypatch):
+        # on k = 2 (mod 4) the halved grid gives the same bits to the last
+        # bit, so only the distance to the exact value bounds the error there
+        est = mutual_information_hall(512, 66)
+        assert est.halved_grid_bits == est.bits
+        assert est.error_estimate == abs(est.bits - HALL_INFORMATION_BITS) > 2e-4
+        # the settings-averaged density is exactly 1/pi; its loop costs 40 s
+        # over these grids and measures only rounding, so use 1/pi itself
+        uniform = np.full(512, 1.0 / PI)
+        monkeypatch.setattr(estimator, "hall_density", lambda a, b, lam: uniform)
+        for k in range(64, 161):
+            est = mutual_information_hall(512, k)
+            assert est.error_estimate >= abs(est.bits - HALL_INFORMATION_BITS) > 0.0, k
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

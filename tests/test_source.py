@@ -122,6 +122,43 @@ def test_uncalled_definition_check_finds_one(tmp_path):
     assert uncalled_definitions([module], [module, caller]) == ["m.planted (line 8)"]
 
 
+def model_name_tests(path: Path) -> list[str]:
+    """Comparisons of a `.model` attribute (`args.model`) with a string
+    literal, or a tuple of them, in `path`: the model table in `cli.py`
+    says what each model does, so no code asks a model by its name."""
+
+    def is_string(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(is_string(element) for element in node.elts)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "model" for o in operands) and any(
+                is_string(o) for o in operands
+            ):
+                found.append(node.lineno)
+    return [f"{path.name} line {line}" for line in sorted(found)]
+
+
+def test_cli_asks_no_model_by_name():
+    assert model_name_tests(SRC / "cli.py") == []
+
+
+def test_model_name_check_finds_them(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def run(args, entry):\n"
+        "    if args.model == 'qm':\n        return 1\n"
+        "    if entry.samples and 'hall' != args.model:\n        return 2\n"
+        "    if args.model in ('hall', 'pr-box'):\n        return 3\n"
+        "    return args.model == args.other or args.command == 'run-chsh'\n"
+    )
+    assert model_name_tests(module) == ["m.py line 2", "m.py line 4", "m.py line 6"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

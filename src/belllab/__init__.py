@@ -7,7 +7,7 @@ density, and a Levy-flight kicked-polarization model), and estimators for
 CHSH values, locality residuals and hidden-variable information content.
 """
 
-from .core import HALF_PI, OUTCOMES, PI, PolAngle, RngStream, canonical_diff, outcome_axes
+from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .estimator import (
     ChshReport,
     CorrelatorEstimate,

@@ -84,8 +84,9 @@ MODELS = {
 MODEL_OPTIONS = {"samples": 10**6, "gamma": None, "workers": 1}
 
 
-class UsageError(ValueError):
-    """Invalid model/settings combination or malformed input."""
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """Invalid model/settings combination or malformed input.  argparse
+    prints its message as given when an option's type raises it."""
 
 
 def parse_angle(text: str) -> PolAngle:
@@ -105,10 +106,11 @@ def parse_angle(text: str) -> PolAngle:
 
 
 def parse_settings(text: str, count: int = 4) -> tuple[PolAngle, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != count:
-        raise UsageError(f"expected {count} comma-separated angles, got {len(parts)}")
-    return tuple(parse_angle(p) for p in parts)
+    """`count` comma-separated angles; an empty field is an angle that does not parse."""
+    angles = tuple(parse_angle(p) for p in text.split(","))
+    if len(angles) != count:
+        raise UsageError(f"expected {count} comma-separated angles, got {len(angles)}")
+    return angles
 
 
 def at_least(minimum: int):
@@ -165,7 +167,11 @@ def write_report(report: dict, out: str | None, fmt: str) -> None:
             lines.append(f"{key},{value}")
         text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        try:
+            handle = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:  # stdout's BrokenPipeError is raised below, not here
+            raise UsageError(f"cannot write report to {out}: {exc.strerror}") from None
+        with handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

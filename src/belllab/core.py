@@ -15,9 +15,6 @@ import numpy as np
 PI = math.pi
 HALF_PI = math.pi / 2.0
 
-#: The two possible measurement outcomes: +1 = aligned, -1 = perpendicular.
-OUTCOMES = (+1, -1)
-
 
 class PolAngle(float):
     """An angle modulo pi, stored as its canonical representative in [0, pi).
@@ -38,8 +35,8 @@ class PolAngle(float):
 
 
 def outcome_axes(setting: float) -> tuple[PolAngle, PolAngle]:
-    """The axes a photon leaves a polarizer at ``setting`` on, in the order of
-    OUTCOMES: the setting itself (+1) and its perpendicular (-1)."""
+    """The axes a photon leaves a polarizer at ``setting`` on: the setting
+    itself (outcome +1, aligned) and its perpendicular (outcome -1)."""
     return PolAngle(setting), PolAngle(setting + HALF_PI)
 
 
@@ -69,16 +66,9 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed)
         self.stream = int(stream)
-        self._generator: np.random.Generator | None = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            bits = np.random.Philox(
-                key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
-            )
-            self._generator = np.random.Generator(bits)
-        return self._generator
+        self.generator = np.random.Generator(np.random.Philox(
+            key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
+        ))
 
     def substream(self, index: int) -> "RngStream":
         """Derived independent stream; index must be < 2**32."""

@@ -125,35 +125,22 @@ def truncated_family_sum(delta_theta: float) -> float:
 def periodized_cauchy(x, gamma: float):
     """sum_n Cauchy_gamma(x + n*pi): the pi-wrapped Cauchy density.
 
-    Closed form sinh(2*gamma) / (pi * (cosh(2*gamma) - cos(2*x))), evaluated
-    as sinh(gamma)*cosh(gamma) / (pi * (sinh(gamma)^2 + sin(x)^2)) to avoid
-    the cancellation near the peak for small gamma; integrates to 1 over one
-    period [0, pi).
-
-    Where pi * sinh(gamma)^2 overflows (gamma > 355.0) the density is 1/pi
-    to within rounding.  Where sinh(gamma)^2 + sin(x)^2 is subnormal or 0
-    (gamma and |sin(x)| below about 1.5e-154) numerator and denominator are
-    divided by the larger of sinh(gamma) and |sin(x)| first.
+    Closed form sinh(2 gamma) / (pi (cosh(2 gamma) - cos(2 x))), which in
+    t = exp(-2 gamma) is (1 - t)(1 + t) / (pi ((1 - t)^2 + 4 t sin(x)^2));
+    it integrates to 1 over one period [0, pi).  1 - t = -expm1(-2 gamma) is
+    exact and the denominator a sum of positive terms, so nothing cancels
+    near the peak at small gamma.  Every term is taken in units of
+    max(1 - t, 2 sqrt(t) |sin x|), so no square underflows and nothing
+    overflows: a large gamma gives 1/pi, every normal gamma full precision.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    x = np.asarray(x, dtype=float)
-    try:
-        sh = math.sinh(gamma)
-    except OverflowError:
-        sh = math.inf
-    if math.isinf(PI * (sh * sh)):
-        return 1.0 / PI if x.ndim == 0 else np.full(x.shape, 1.0 / PI)
-    sin_x = np.sin(x)
-    den = sh * sh + sin_x**2
-    with np.errstate(divide="ignore"):
-        out = sh * math.cosh(gamma) / (PI * den)
-    underflow = den < sys.float_info.min
-    if np.any(underflow):
-        scale = np.maximum(sh, np.abs(sin_x))
-        rel_sh, rel_sin = sh / scale, sin_x / scale
-        rescaled = rel_sh * math.cosh(gamma) / (PI * scale * (rel_sh**2 + rel_sin**2))
-        out = np.where(underflow, rescaled, out)
+    t = math.exp(-2.0 * gamma)
+    gap = -math.expm1(-2.0 * gamma)  # 1 - t
+    near = 2.0 * math.exp(-gamma) * np.abs(np.sin(np.asarray(x, dtype=float)))
+    unit = np.maximum(gap, near)
+    rel_gap, rel_near = gap / unit, near / unit  # the larger is 1
+    out = rel_gap * (1.0 + t) / (PI * unit * (rel_gap**2 + rel_near**2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -227,7 +214,7 @@ class TwoPhotonResult:
         lam = self.lam
         spacing = PI / lam.size
         mass = np.empty((2, 2, lam.size))
-        # each photon's family weight per outcome, in the order of OUTCOMES
+        # each photon's family weight per outcome, +1 (aligned) first
         w2 = [periodized_cauchy(lam - t, self.gamma) for t in outcome_axes(self.b)]
         for i, t in enumerate(outcome_axes(self.a)):
             w1 = periodized_cauchy(lam - t, self.gamma)
@@ -270,15 +257,13 @@ def _atom_window_mass(separation: float, gamma: float, half_width: float) -> flo
     two logs differ by more than ln 2 and are subtracted directly.  delta is
     taken mod 2 pi, folded into [0, pi], which leaves the mass unchanged.
 
-    A window of half-width pi/2 or more covers every lambda (mass 1); one
-    beyond pi/4 is 1 minus the window of half-width pi/2 - half_width around
-    the atom's perpendicular, its complement, which keeps w + delta within
+    A window beyond pi/4 is 1 minus the window of half-width
+    pi/2 - half_width around the atom's perpendicular, its complement (empty
+    from pi/2 on, so such a window has mass 1), which keeps w + delta within
     the one turn where the atan2 form of F is continuous.
     """
     if not half_width > 0.0:  # a window with no interval in it
         return 0.0
-    if half_width >= HALF_PI:
-        return 1.0
     if half_width > PI / 4:
         return 1.0 - _atom_window_mass(separation, gamma, HALF_PI - half_width)
     d = separation % HALF_PI
@@ -336,8 +321,6 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
     atom windows (`TwoPhotonResult.atom_window_masses`) are closed forms,
     exact at every positive gamma with no lambda grid.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
     a = PolAngle(a)
     b = PolAngle(b)
     return TwoPhotonResult(joint=two_photon_outcome_joint(a, b, gamma), a=a, b=b, gamma=gamma)

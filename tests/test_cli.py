@@ -56,6 +56,10 @@ class TestParsing:
         assert float(s[1]) == pytest.approx(PI / 4)
         with pytest.raises(UsageError):
             parse_settings("0,1")
+        # an empty field is an angle that does not parse, not a missing one
+        for text in ("0,,0.25pi,0.125pi,-0.125pi", "0,0.25pi,0.125pi,-0.125pi,", "0,0.25pi, ,0"):
+            with pytest.raises(UsageError, match="^cannot parse angle ''$"):
+                parse_settings(text)
 
     def test_fmt_float_17_digits(self):
         assert fmt_float(1 / 3) == "0.33333333333333331"
@@ -392,6 +396,18 @@ class TestReportPath:
         assert proc.returncode == 141
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/r.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_an_unwritable_out_is_a_usage_error(self, where, reason, tmp_path, capsys):
+        out = tmp_path / where
+        assert main(["run-chsh", "--model", "pr-box", "--samples", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write report to {out}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_report_is_written_on_failure(self, writes, monkeypatch):
         def fail(spec, n_paths, rng):
             raise BridgeSamplingError("conditional increment sampling stalled")
@@ -616,6 +632,23 @@ class TestExitCodes:
                 main(argv)
             assert exc.value.code == 2
         assert value in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run-chsh", "--model", "hall", "--samples", "10", "--settings", "0,,0.25pi,0.125pi,-0.125pi"],
+        ["run-chsh", "--model", "hall", "--samples", "10", "--settings", "0,0.25pi,0.125pi,-0.125pi,"],
+        ["two-photon", "--gamma", "1e-2", "--pair", "0,,0.125pi"],
+    ], ids=["settings", "trailing-comma", "pair"])
+    def test_empty_angle_fields_are_usage_errors(self, argv, capsys):
+        if argv[0] == "two-photon":
+            # the subcommand parses --pair, so main reports the usage error
+            assert main(argv) == 2
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("cannot parse angle ''\n")
 
     def test_schulman_models_require_gamma(self, capsys):
         assert main(["run-chsh", "--model", "schulman-2"]) == 2

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from belllab.core import (
     HALF_PI,
-    OUTCOMES,
     PI,
     PolAngle,
     RngStream,
@@ -38,7 +37,6 @@ class TestPolAngle:
     def test_outcome_axes_are_the_setting_then_its_perpendicular(self, setting):
         # the -1 axis wraps setting + pi/2 itself, so it is exact outside [0, pi) too
         assert outcome_axes(setting) == (PolAngle(setting), PolAngle(setting + HALF_PI))
-        assert OUTCOMES == (+1, -1)
 
     def test_is_a_float(self):
         assert isinstance(PolAngle(0.5) + 1.0, float)

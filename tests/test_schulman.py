@@ -12,7 +12,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy import integrate, stats
 
 from belllab import schulman
-from belllab.core import OUTCOMES, PI, HALF_PI, PolAngle, RngStream, canonical_diff, outcome_axes
+from belllab.core import PI, HALF_PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from belllab.qm import qm_joint
 from belllab.schulman import (
     BridgeKicks,
@@ -69,7 +69,7 @@ def sequential_outcome_probs(angles, gamma):
         new_dists, new_realized = {}, {}
         for seq, prob in dists.items():
             p_plus = single_photon_outcome_prob(realized[seq], theta, gamma)
-            for outcome, p, axis in zip(OUTCOMES, (p_plus, 1.0 - p_plus), outcome_axes(theta)):
+            for outcome, p, axis in zip((+1, -1), (p_plus, 1.0 - p_plus), outcome_axes(theta)):
                 new_dists[seq + (outcome,)] = prob * p
                 new_realized[seq + (outcome,)] = axis
         dists, realized = new_dists, new_realized
@@ -152,6 +152,22 @@ class TestPeriodizedCauchy:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             periodized_cauchy(0.0, 0.0)
+
+    @pytest.mark.parametrize("gamma", [*np.geomspace(1e-300, 1e4, 61).tolist(), 355.1, 711.0])
+    def test_matches_mpmath(self, gamma):
+        xs = [0.0, 1e-300, gamma, 0.3, 1.5, HALF_PI, -2.0]
+        with mpmath.workdps(50):
+            g = mpmath.mpf(gamma)
+            want = [
+                mpmath.sinh(g) * mpmath.cosh(g)
+                / (mpmath.pi * (mpmath.sinh(g) ** 2 + mpmath.sin(mpmath.mpf(x)) ** 2))
+                for x in xs
+            ]
+        got = periodized_cauchy(np.array(xs), gamma)
+        for x, have, exact in zip(xs, got, want):
+            if sys.float_info.min <= exact <= sys.float_info.max:
+                assert abs(have - exact) <= 1e-15 * exact, x
+            assert have == periodized_cauchy(x, gamma), x
 
 
 #: (sinh(gamma)^2 + cos^2 theta2) / cosh(2 gamma) by mpmath at 60 digits, at
@@ -905,6 +921,24 @@ class TestKickStatistics:
         assert net_dominance_given_rotation(1e-20, 1e-3, 2) == pytest.approx(2.0, rel=1e-14)
         # |delta| >> gamma: one kick carries the whole rotation
         assert net_dominance_given_rotation(PI / 8, 1e-200, 100) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("theta2, gamma", [(PI / 8, 1e-3), (0.4, 1.0), (0.4, 0.3), (0.4, 1e-200)])
+    def test_discarded_winding_mass_matches_mpmath(self, theta2, gamma):
+        # 1 - (kept windings) / (both families' closed forms), at 50 digits
+        spec = PathSpec(PolAngle(0.0), PolAngle(theta2), gamma, 100)
+        with mpmath.workdps(50):
+            g, d = mpmath.mpf(gamma), mpmath.mpf(float(spec.theta2))
+            kept = mpmath.fsum(
+                g / (mpmath.pi * ((d + family + n * mpmath.pi) ** 2 + g**2))
+                for n in range(-schulman.N_WINDINGS, schulman.N_WINDINGS + 1)
+                for family in (0, mpmath.pi / 2)
+            )
+            full = mpmath.fsum(
+                mpmath.sinh(g) * mpmath.cosh(g) / (mpmath.pi * (mpmath.sinh(g) ** 2 + f(d) ** 2))
+                for f in (mpmath.sin, mpmath.cos)
+            )
+            want = 1 - kept / full
+        assert abs(discarded_winding_mass(spec) - want) <= 3e-16
 
     @pytest.mark.parametrize("theta2", [0.0, 1e-9, PI / 8, HALF_PI, 3.0])
     def test_prediction_at_every_width(self, theta2):

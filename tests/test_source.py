@@ -76,31 +76,42 @@ def test_unused_import_check_finds_one(tmp_path):
 def uncalled_definitions(
     modules: list[Path], callers: list[Path], allowed: Collection[str] = ()
 ) -> list[str]:
-    """Functions, classes and methods defined in `modules` (dunders and
-    `allowed` names aside) whose name no file in `callers` reads.
+    """Functions, classes, methods and module-level assignment targets
+    defined in `modules` (dunders and `allowed` names aside) whose name no
+    file in `callers` reads.
 
-    A name is read where it appears as an ast Name, an Attribute or an import
-    alias.  Names are matched by spelling alone, so the check cannot see a
-    definition whose name is also read for something else: `JointDist.total`
-    passed it because `total` is a local variable elsewhere.
+    A name is read where it appears as an ast Name that is loaded, an
+    Attribute or an import alias.  Names are matched by spelling alone, so
+    the check cannot see a definition whose name is also read for something
+    else: `JointDist.total` passed it because `total` is a local variable
+    elsewhere.
     """
     read = set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name.split(".")[-1])
-    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node.name, node.lineno))
+        targets = [t for st in tree.body if isinstance(st, ast.Assign) for t in st.targets]
+        targets += [st.target for st in tree.body if isinstance(st, ast.AnnAssign)]
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    defined.append((path, node.id, node.lineno))
     return sorted(
-        f"{path.stem}.{node.name} (line {node.lineno})"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, definitions)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in read and node.name not in allowed
+        f"{path.stem}.{name} (line {line})"
+        for path, name, line in defined
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in read and name not in allowed
     )
 
 
@@ -116,10 +127,14 @@ def test_uncalled_definition_check_finds_one(tmp_path):
         "    def opened(self):\n        return used()\n"
         "def used():\n    return 1\n"
         "def planted():\n    return 2\n"
+        "LIMIT, PLANTED = 3, 4\n"
+        "__version__ = '1'\n"
     )
     caller = tmp_path / "caller.py"
-    caller.write_text("from m import Box\nBox().opened()\n")
-    assert uncalled_definitions([module], [module, caller]) == ["m.planted (line 8)"]
+    caller.write_text("from m import Box, LIMIT\nBox().opened()\n")
+    assert uncalled_definitions([module], [module, caller]) == [
+        "m.PLANTED (line 10)", "m.planted (line 8)"
+    ]
 
 
 def model_name_tests(path: Path) -> list[str]:

@@ -28,7 +28,7 @@ print()
 
 est = bl.mutual_information_hall(lambda_grid=2048, settings_grid=64)
 print("Mutual information between the hidden angle and the settings pair")
-print("(uniform settings prior, exact lambda integral per pair):")
+print("(uniform settings prior, closed form):")
 print(f"  I(lambda : a, b) = {est.bits:.4f} bits  (error estimate {est.error_estimate:.1e})")
 print()
 print("So reproducing quantum statistics requires the hidden variable to")

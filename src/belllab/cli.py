@@ -39,7 +39,7 @@ from .estimator import (
     screening_residual,
 )
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
-from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint
+from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint, tsirelson_settings
 from .schulman import (
     DOMINANCE_THRESHOLD,
     BridgeSamplingError,
@@ -56,12 +56,11 @@ from .schulman import (
 class ModelEntry(NamedTuple):
     """One `--model` choice.  `build(args)` gives an object with
     `joint_dist(a, b)`; `reads` names the `run-chsh` options it reads, in the
-    order its report echoes them; `run-chsh` samples it if `samples`, else
-    reports exact correlators; `commands` are the subcommands accepting it."""
+    order its report echoes them; `run-chsh` samples it if it reads "samples",
+    else reports exact correlators; `commands` are the subcommands accepting it."""
 
     build: Callable[[argparse.Namespace], object]
     reads: tuple[str, ...]
-    samples: bool
     commands: tuple[str, ...]
 
 
@@ -70,13 +69,13 @@ SAMPLED, RUN, SCAN = ("samples", "seed", "workers"), ("run-chsh",), ("scan-setti
 # The builders look `qm_joint` and `two_photon_outcome_joint` up when called,
 # so a wrapper put in this module's namespace (perfbench's tracing) is used.
 MODELS = {
-    "delta-mixture": ModelEntry(lambda args: DeltaMixtureModel(), SAMPLED, True, RUN + SCAN),
-    "hall": ModelEntry(lambda args: HallModel(), SAMPLED, True, RUN + SCAN),
-    "local-baseline": ModelEntry(lambda args: LocalBaselineModel(), SAMPLED, True, RUN + SCAN),
-    "pr-box": ModelEntry(lambda args: PRBoxModel(args.settings), SAMPLED, True, RUN),
+    "delta-mixture": ModelEntry(lambda args: DeltaMixtureModel(), SAMPLED, RUN + SCAN),
+    "hall": ModelEntry(lambda args: HallModel(), SAMPLED, RUN + SCAN),
+    "local-baseline": ModelEntry(lambda args: LocalBaselineModel(), SAMPLED, RUN + SCAN),
+    "pr-box": ModelEntry(lambda args: PRBoxModel(args.settings), SAMPLED, RUN),
     "schulman-2": ModelEntry(lambda args: SimpleNamespace(joint_dist=functools.partial(
-        two_photon_outcome_joint, gamma=args.gamma)), ("gamma",), False, RUN),
-    "qm": ModelEntry(lambda args: SimpleNamespace(joint_dist=qm_joint), (), False, SCAN),
+        two_photon_outcome_joint, gamma=args.gamma)), ("gamma",), RUN),
+    "qm": ModelEntry(lambda args: SimpleNamespace(joint_dist=qm_joint), (), SCAN),
 }
 
 #: `run-chsh` options some model reads, and their defaults (None: required).
@@ -156,6 +155,14 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, str(value)))
 
 
+def open_report(out: str, mode: str):
+    """`out` opened for writing, or a usage error naming why it cannot be."""
+    try:
+        return open(out, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:  # stdout's BrokenPipeError is raised elsewhere, not here
+        raise UsageError(f"cannot write report to {out}: {exc.strerror}") from None
+
+
 def write_report(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -167,11 +174,8 @@ def write_report(report: dict, out: str | None, fmt: str) -> None:
             lines.append(f"{key},{value}")
         text = "\n".join(lines) + "\n"
     if out:
-        try:
-            handle = open(out, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:  # stdout's BrokenPipeError is raised below, not here
-            raise UsageError(f"cannot write report to {out}: {exc.strerror}") from None
-        with handle:
+        # `main` checked it before the run, but the path can change since
+        with open_report(out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -205,7 +209,7 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
     # the worker count changes no result, so the report leaves it out
     config = ["model", *(option for option in entry.reads if option != "workers")]
 
-    if not entry.samples:
+    if "samples" not in entry.reads:
         values = [model.joint_dist(x, y).correlator() for x, y in chsh_pairs(settings)]
         correlators = [(c, 0.0, 0) for c in values]
         s_value, s_error = chsh_value(*values), 0.0
@@ -311,10 +315,6 @@ def cmd_mutual_info(args: argparse.Namespace) -> tuple[dict, str]:
         "config": {"model": "hall", **_config_echo(args, ["lambda_grid", "settings_grid"])},
         "bits": estimate.bits,
         "error_estimate": estimate.error_estimate,
-        "refinement": {
-            "halved_grid_bits": estimate.halved_grid_bits,
-            "abs_change": abs(estimate.halved_grid_bits - estimate.bits),
-        },
     }
     return body, f"mutual-info bits={estimate.bits:.6f} (< 0.07: {estimate.bits < 0.07})"
 
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-chsh", help="four-settings CHSH experiment")
     p.add_argument("--model", choices=choices("run-chsh"), required=True)
-    p.add_argument("--settings", type=parse_settings, default=parse_settings("0,0.25pi,0.125pi,-0.125pi"),
+    p.add_argument("--settings", type=parse_settings, default=tsirelson_settings(),
                    help="a,a',b,b' (default: Tsirelson settings)")
     p.add_argument("--samples", type=at_least(1),
                    help=f"samples per correlator (default {MODEL_OPTIONS['samples']})")
@@ -415,6 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out:
+            # refuse an unwritable path before the run; "a" truncates nothing,
+            # and a file made here goes again, so a failed run leaves none
+            existed = os.path.lexists(args.out)
+            open_report(args.out, "a").close()
+            if not existed:
+                os.remove(args.out)
         started = time.perf_counter()
         body, summary = args.func(args)
         elapsed = time.perf_counter() - started

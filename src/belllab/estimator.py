@@ -57,8 +57,6 @@ class MIEstimate:
 
     bits: float
     error_estimate: float
-    #: the same average on the settings grid of half the size per axis
-    halved_grid_bits: float
 
 
 @dataclass(frozen=True)
@@ -204,60 +202,21 @@ def lambda_independence_residual(
     return 0.5 * float(np.sum(gap * np.diff(edges)))
 
 
-def _hall_pair_information(d: np.ndarray) -> np.ndarray:
-    """Exact per-pair lambda integral of rho * log2(pi * rho) for the Hall
-    model at setting distance d = |a - b| (canonical, in [0, pi/2]).
-
-    The density is piecewise constant: value rho_s on the region where the
-    two deterministic outcomes agree (s = +1, measure pi - 2d) or disagree
-    (s = -1, measure 2d), so the integral is a two-term sum.
-    """
-    d = np.asarray(d, dtype=float)
-    z = 4.0 * d / PI
-    c = np.cos(2.0 * d)
-    m_plus = PI - 2.0 * d
-    m_minus = 2.0 * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # at d = pi/2 the agreement region has zero measure; its 0/0 density
-        # is masked out by the mr > 0 guard below
-        rho_plus = (1.0 + c) / (PI * (2.0 - z))
-        rho_minus = np.where(z > 0.0, (1.0 - c) / (PI * np.maximum(z, 1e-300)), 0.0)
-
-    def term(m, rho):
-        mr = m * rho
-        return np.where(mr > 0.0, mr * np.log2(np.maximum(PI * rho, 1e-300)), 0.0)
-
-    return term(m_plus, rho_plus) + term(m_minus, rho_minus)
-
-
 def mutual_information_hall(lambda_grid: int = 2048, settings_grid: int = 64) -> MIEstimate:
     """I(lambda : a, b) for the Hall model, uniform settings prior.
 
-    The lambda integral is evaluated exactly by subdividing at the
-    sign-change points (the density is constant between them); the
-    settings average runs over a uniform settings_grid x settings_grid
-    grid on [0, pi)^2.  The settings-averaged density is uniform 1/pi by
-    symmetry; its maximum deviation on a lambda_grid-point grid is folded
-    into the error estimate, together with a settings-grid refinement
-    difference and the distance to the exact `HALL_INFORMATION_BITS`.  The
-    refinement difference alone can vanish: the k and k/2 grid averages
-    agree to the last bit on every grid k = 2 (mod 4) from 66 to 160.
+    `bits` is the closed form `HALL_INFORMATION_BITS` (Hall, PRL 105,
+    250404 (2010)).  The closed form is I + KL(rho_bar || 1/pi), where
+    rho_bar is the settings-averaged density, so it is I exactly when
+    rho_bar is uniform.  `error_estimate` checks that premise: the largest
+    |pi rho_bar - 1| on a lambda_grid-point grid, with rho_bar averaged over
+    a uniform settings_grid x settings_grid grid on [0, pi)^2.
     """
     if lambda_grid < 512:
         raise ValueError("lambda_grid must be >= 512")
     if settings_grid < 64:
         raise ValueError("settings_grid must be >= 64 per axis")
 
-    def average_over_grid(k: int) -> float:
-        grid = np.arange(k) * PI / k
-        diff = np.abs(
-            (grid[:, None] - grid[None, :] + PI / 2.0) % PI - PI / 2.0
-        )
-        return float(np.mean(_hall_pair_information(diff)))
-
-    bits = average_over_grid(settings_grid)
-
-    # settings-averaged density on the lambda grid (should be 1/pi)
     lam = (np.arange(lambda_grid) + 0.5) * PI / lambda_grid
     grid = np.arange(settings_grid) * PI / settings_grid
     mean_density = np.zeros(lambda_grid)
@@ -265,15 +224,9 @@ def mutual_information_hall(lambda_grid: int = 2048, settings_grid: int = 64) ->
         for b in grid:
             mean_density += hall_density(a, b, lam)
     mean_density /= settings_grid**2
-    density_dev = float(np.max(np.abs(mean_density * PI - 1.0)))
-
-    halved_grid_bits = average_over_grid(settings_grid // 2)
     return MIEstimate(
-        bits=bits,
-        error_estimate=max(
-            abs(bits - halved_grid_bits), density_dev, abs(bits - HALL_INFORMATION_BITS)
-        ),
-        halved_grid_bits=halved_grid_bits,
+        bits=HALL_INFORMATION_BITS,
+        error_estimate=float(np.max(np.abs(mean_density * PI - 1.0))),
     )
 
 

@@ -213,7 +213,7 @@ def test_criterion_09_hall_information_bound():
         9,
         ok,
         f"I(lambda : a,b) = {est.bits:.6f} bits (< 0.07); "
-        f"refinement/uniformity error = {est.error_estimate:.2e} (< 1e-3)",
+        f"uniformity check = {est.error_estimate:.2e} (< 1e-3)",
     )
 
 

@@ -272,16 +272,34 @@ class TestLambdaIndependence:
             )
 
 
+def hall_pair_information(d: np.ndarray) -> np.ndarray:
+    """Lambda integral of rho * log2(pi * rho) for the Hall model at setting
+    distance d = |a - b| in [0, pi/2]: the density is rho_+ on the
+    agreement region (measure pi - 2d) and rho_- on the disagreement region
+    (measure 2d), so the integral is a two-term sum."""
+    m_plus, m_minus = PI - 2.0 * d, 2.0 * d
+    # m * rho is cos^2 d on agreement and sin^2 d on disagreement
+    w_plus, w_minus = np.cos(d) ** 2, np.sin(d) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_plus = np.where(m_plus > 0.0, w_plus * np.log2(PI * w_plus / m_plus), 0.0)
+        t_minus = np.where(m_minus > 0.0, w_minus * np.log2(PI * w_minus / m_minus), 0.0)
+    return t_plus + t_minus
+
+
+def grid_hall_information(k: int) -> float:
+    """Settings average of `hall_pair_information` over a uniform k x k grid
+    on [0, pi)^2: a Riemann sum of the exact information, O(k^-2) low."""
+    grid = np.arange(k) * PI / k
+    diff = np.abs((grid[:, None] - grid[None, :] + PI / 2.0) % PI - PI / 2.0)
+    return float(np.mean(hall_pair_information(diff)))
+
+
 class TestMutualInformation:
-    def test_below_bound_with_stable_refinement(self):
+    def test_below_bound_with_a_uniform_average_density(self):
         est = mutual_information_hall(lambda_grid=2048, settings_grid=64)
+        assert est.bits == HALL_INFORMATION_BITS
         assert 0.0 < est.bits < 0.07
         assert est.error_estimate < 1e-3
-
-    def test_halved_grid_bits_is_the_half_size_average(self):
-        est = mutual_information_hall(lambda_grid=512, settings_grid=128)
-        assert est.halved_grid_bits == mutual_information_hall(512, 64).bits
-        assert est.error_estimate >= abs(est.bits - est.halved_grid_bits) > 0.0
 
     def test_exact_value_is_the_nearest_double(self):
         mpmath = pytest.importorskip("mpmath")
@@ -290,19 +308,46 @@ class TestMutualInformation:
             assert mpmath.nstr(exact, 22).startswith("0.0349359664486603198856")
             assert float(exact) == HALL_INFORMATION_BITS  # mpf -> float rounds to nearest
 
-    def test_error_estimate_covers_the_exact_error_on_every_grid(self, monkeypatch):
-        # on k = 2 (mod 4) the halved grid gives the same bits to the last
-        # bit, so only the distance to the exact value bounds the error there
-        est = mutual_information_hall(512, 66)
-        assert est.halved_grid_bits == est.bits
-        assert est.error_estimate == abs(est.bits - HALL_INFORMATION_BITS) > 2e-4
-        # the settings-averaged density is exactly 1/pi; its loop costs 40 s
-        # over these grids and measures only rounding, so use 1/pi itself
-        uniform = np.full(512, 1.0 / PI)
-        monkeypatch.setattr(estimator, "hall_density", lambda a, b, lam: uniform)
-        for k in range(64, 161):
-            est = mutual_information_hall(512, k)
-            assert est.error_estimate >= abs(est.bits - HALL_INFORMATION_BITS) > 0.0, k
+    @pytest.mark.parametrize("d", [0.0, 0.1, PI / 8, PI / 4, 1.2, PI / 2])
+    def test_pair_information_is_the_lambda_integral(self, d):
+        a, b = 0.3, 0.3 + d
+        points = [0.0, *hall_breakpoints(a, b), PI]
+
+        def integrand(lam):
+            rho = float(hall_density(a, b, lam))
+            return rho * math.log2(PI * rho) if rho > 0.0 else 0.0
+
+        reference = sum(
+            integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
+            for lo, hi in zip(points[:-1], points[1:])
+        )
+        assert float(hall_pair_information(np.array(d))) == pytest.approx(reference, abs=1e-13)
+
+    def test_settings_grid_converges_to_the_closed_form(self):
+        errors = [HALL_INFORMATION_BITS - grid_hall_information(k) for k in (64, 128, 256, 512)]
+        assert errors[0] == pytest.approx(2.2825e-4, rel=1e-4)
+        # a Riemann sum of a smooth periodic average: O(k^-2), 4x per doubling
+        for coarse, fine in zip(errors[:-1], errors[1:]):
+            assert 3.8 < coarse / fine < 4.2
+
+    def test_gate_grid_reproduces_the_former_report(self):
+        # `mutual-info --settings-grid 64` reported this grid value as `bits`
+        assert grid_hall_information(64) == pytest.approx(0.034707720698733305, abs=1e-15)
+
+    def test_error_estimate_is_the_uniformity_deviation(self, monkeypatch):
+        # the settings-averaged Hall density is exactly 1/pi; the loop sees rounding
+        assert mutual_information_hall(512, 64).error_estimate < 1e-12
+        # a density off 1/pi by 0.5/pi at one lambda point and one settings pair
+        def planted(a, b, lam):
+            rho = np.full(lam.size, 1.0 / PI)
+            if a == 0.0 and b == 0.0:
+                rho[7] *= 1.5
+            return rho
+
+        monkeypatch.setattr(estimator, "hall_density", planted)
+        est = mutual_information_hall(512, 64)
+        assert est.bits == HALL_INFORMATION_BITS
+        assert est.error_estimate == pytest.approx(0.5 / 64**2, rel=1e-9)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -76,9 +76,10 @@ def test_unused_import_check_finds_one(tmp_path):
 def uncalled_definitions(
     modules: list[Path], callers: list[Path], allowed: Collection[str] = ()
 ) -> list[str]:
-    """Functions, classes, methods and module-level assignment targets
-    defined in `modules` (dunders and `allowed` names aside) whose name no
-    file in `callers` reads.
+    """Functions, classes, methods, and names assigned or annotated at module
+    level or in a class body (dataclass and NamedTuple fields, class
+    attributes), defined in `modules` (dunders and `allowed` names aside),
+    whose name no file in `callers` reads.
 
     A name is read where it appears as an ast Name that is loaded, an
     Attribute or an import alias.  Names are matched by spelling alone, so
@@ -98,15 +99,19 @@ def uncalled_definitions(
     defined = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [tree.body]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((path, node.name, node.lineno))
-        targets = [t for st in tree.body if isinstance(st, ast.Assign) for t in st.targets]
-        targets += [st.target for st in tree.body if isinstance(st, ast.AnnAssign)]
-        for target in targets:
-            for node in ast.walk(target):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                    defined.append((path, node.id, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                bodies.append(node.body)
+        for body in bodies:
+            targets = [t for st in body if isinstance(st, ast.Assign) for t in st.targets]
+            targets += [st.target for st in body if isinstance(st, ast.AnnAssign)]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                        defined.append((path, node.id, node.lineno))
     return sorted(
         f"{path.stem}.{name} (line {line})"
         for path, name, line in defined
@@ -129,11 +134,14 @@ def test_uncalled_definition_check_finds_one(tmp_path):
         "def planted():\n    return 2\n"
         "LIMIT, PLANTED = 3, 4\n"
         "__version__ = '1'\n"
+        "class Lid:\n"
+        "    __slots__ = ()\n"
+        "    size: int\n    colour: str = 'red'\n    SHUT = 0\n"
     )
     caller = tmp_path / "caller.py"
-    caller.write_text("from m import Box, LIMIT\nBox().opened()\n")
+    caller.write_text("from m import Box, LIMIT, Lid\nBox().opened()\nLid().size\n")
     assert uncalled_definitions([module], [module, caller]) == [
-        "m.PLANTED (line 10)", "m.planted (line 8)"
+        "m.PLANTED (line 10)", "m.SHUT (line 16)", "m.colour (line 15)", "m.planted (line 8)"
     ]
 
 

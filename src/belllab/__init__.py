@@ -50,7 +50,6 @@ from .schulman import (
     PathSpec,
     TwoPhotonResult,
     bridge_shards,
-    discarded_winding_mass,
     dominant_kick_stats,
     endpoint_targets,
     expected_net_dominance,

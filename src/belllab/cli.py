@@ -27,8 +27,6 @@ import time
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .core import PI, PolAngle, RngStream
 from .estimator import (
@@ -41,11 +39,10 @@ from .estimator import (
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
 from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint, tsirelson_settings
 from .schulman import (
-    DOMINANCE_THRESHOLD,
     BridgeSamplingError,
     PathSpec,
-    discarded_winding_mass,
     dominant_kick_stats,
+    endpoint_targets,
     free_kick_sums,
     sample_bridges,
     two_photon_joint,
@@ -66,8 +63,8 @@ class ModelEntry(NamedTuple):
 
 SAMPLED, RUN, SCAN = ("samples", "seed", "workers"), ("run-chsh",), ("scan-settings",)
 
-# The builders look `qm_joint` and `two_photon_outcome_joint` up when called,
-# so a wrapper put in this module's namespace (perfbench's tracing) is used.
+# The "qm" builder looks `qm_joint` up when called, so a wrapper put in this
+# module's namespace (perfbench's tracing) is used.
 MODELS = {
     "delta-mixture": ModelEntry(lambda args: DeltaMixtureModel(), SAMPLED, RUN + SCAN),
     "hall": ModelEntry(lambda args: HallModel(), SAMPLED, RUN + SCAN),
@@ -279,7 +276,6 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         chi2_p = float(stats.chisquare(hist).pvalue)
     else:
         chi2_p = 1.0
-    net_dom = kicks.net_dominance
     body = {
         "config": _config_echo(
             args, ["gamma", "steps", "samples", "seed", "theta1", "theta2"]
@@ -287,20 +283,12 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "paths": args.samples,
         "excluded_paths": kicks.excluded_paths,
         # endpoint weight the sampler's winding cut-off leaves out
-        "discarded_winding_mass": discarded_winding_mass(spec),
+        "discarded_winding_mass": endpoint_targets(spec)[2],
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),
-        "net_dominance_over_0.99_fraction": float(np.mean(net_dom > DOMINANCE_THRESHOLD))
-        if net_dom.size
-        else None,
-        "dominance_fraction_quantiles": {
-            "q05": float(np.quantile(kicks.dominance_fraction, 0.05)),
-            "q50": float(np.quantile(kicks.dominance_fraction, 0.50)),
-            "q95": float(np.quantile(kicks.dominance_fraction, 0.95)),
-        }
-        if kicks.dominance_fraction.size
-        else None,
+        "net_dominance_over_0.99_fraction": kicks.net_dominance_share,
+        "dominance_fraction_quantiles": kicks.dominance_fraction_quantiles,
     }
     return body, (
         f"schulman-paths gamma={args.gamma} steps={args.steps} paths={args.samples} "

@@ -61,9 +61,9 @@ class MIEstimate:
 
 @dataclass(frozen=True)
 class ScreeningResult:
-    """Worst factorization residual over occupied lambda bins."""
+    """Worst factorization residual over occupied lambda bins, None if none is."""
 
-    value: float
+    value: float | None
     occupied_bins: int
     excluded_bins: int
 
@@ -143,7 +143,8 @@ def screening_residual(
     Returns the worst |P(A,B | bin) - P(A | bin) P(B | bin)| over occupied
     bins and outcome pairs.  A continuous lambda is binned into
     SCREENING_BINS equal bins, an atom-valued one by atom.  Bins with fewer
-    than MIN_BIN_COUNT samples are excluded and counted.  Models without a
+    than MIN_BIN_COUNT samples are excluded and counted; if none is left,
+    nothing is measured and the residual is None, not 0.  Models without a
     hidden angle are treated as a single trivial bin, which measures the raw
     outcome correlation.
     """
@@ -175,7 +176,9 @@ def screening_residual(
         for j, pb in enumerate((p_b, 1.0 - p_b)):
             joint = counts[:, i, j] / total
             worst = max(worst, float(np.max(np.abs(joint - pa * pb), initial=0.0)))
-    return ScreeningResult(value=float(worst), occupied_bins=occupied, excluded_bins=excluded)
+    return ScreeningResult(
+        value=float(worst) if occupied else None, occupied_bins=occupied, excluded_bins=excluded
+    )
 
 
 def lambda_independence_residual(

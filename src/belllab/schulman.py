@@ -331,33 +331,34 @@ def two_photon_joint(a: float, b: float, gamma: float) -> TwoPhotonResult:
 # ---------------------------------------------------------------------------
 
 
-def _winding_weights(spec: PathSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Rotations x of both families' windings |n| <= N_WINDINGS, their weights
-    1 / (x^2 + gamma^2) in units of m = max(min |x|, gamma), and m.  The
-    nearest winding weighs 1/2 to 1; a far one, (x / m)^2 overflowing, 0."""
+def endpoint_targets(spec: PathSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """Candidate net rotations, their normalized Cauchy weights, and the share
+    of the endpoint weight left out beyond the winding cut-off.
+
+    Targets enumerate both alignment families and windings |n| <= N_WINDINGS.
+    Their weights 1 / (x^2 + gamma^2), taken in units of
+    m = max(min |x|, gamma) so that the nearest winding weighs 1/2 to 1 and a
+    far one, (x / m)^2 overflowing, 0, are renormalized over the kept
+    windings.  The discarded share is exact: both families form one lattice
+    x + m pi/2, whose Cauchy weights sum to 2 `periodized_cauchy`(2 x, 2 gamma),
+    taken at the lattice's own nearest rotation x.  It is about
+    sin^2(2 * dtheta) / (pi^2 * N_WINDINGS) for gamma << 1 (2.5e-4 at
+    dtheta = pi/8), and approaches 2 * gamma / (pi^2 * N_WINDINGS) once gamma
+    is of order 1 (1.0e-3 at gamma = 1).
+    """
     d0 = float(spec.theta2) - float(spec.theta1)
     n = np.arange(-N_WINDINGS, N_WINDINGS + 1)
     rotations = np.concatenate([d0 + n * PI, d0 + HALF_PI + n * PI])
-    unit = max(float(np.min(np.abs(rotations))), spec.gamma)
+    nearest = float(rotations[np.argmin(np.abs(rotations))])
+    unit = max(abs(nearest), spec.gamma)
     with np.errstate(over="ignore"):
         x = rotations / unit
         weights = 1.0 / (x * x + (spec.gamma / unit) ** 2)
-    return rotations, weights, unit
-
-
-def endpoint_targets(spec: PathSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate net rotations and their normalized Cauchy weights.
-
-    Targets enumerate both alignment families and windings |n| <= N_WINDINGS;
-    their `_winding_weights` are renormalized over the kept windings.  The
-    discarded share is about sin^2(2 * dtheta) / (pi^2 * N_WINDINGS) for
-    gamma << 1 (2.5e-4 at dtheta = pi/8), and approaches
-    2 * gamma / (pi^2 * N_WINDINGS) once gamma is of order 1 (1.0e-3 at
-    gamma = 1); `DominancePrediction` and the schulman-paths report give it
-    exactly as `discarded_winding_mass`.
-    """
-    rotations, weights, _ = _winding_weights(spec)
-    return rotations, weights / weights.sum()
+    kept_weight = weights.sum()
+    full = 2.0 * periodized_cauchy(2.0 * nearest, 2.0 * spec.gamma)
+    # sum of gamma / (pi (x^2 + gamma^2)) from the weights in units of `unit`
+    kept = spec.gamma / unit * float(kept_weight) / (PI * unit)
+    return rotations, weights / kept_weight, max(0.0, 1.0 - kept / full)
 
 
 def _cauchy_by_inversion(v: np.ndarray) -> np.ndarray:
@@ -447,10 +448,9 @@ class BridgeKicks:
     """Per-path kick summaries of a bridge ensemble, all that the dominance
     statistics and the endpoint check read from a path."""
 
-    theta1: float
     steps: int
-    #: theta1 + net rotation, bit-equal to theta1 + an `endpoint_targets` rotation
-    endpoints: np.ndarray = field(repr=False)
+    #: signed net rotation, bit-equal to an `endpoint_targets` rotation
+    rotations: np.ndarray = field(repr=False)
     #: largest |increment|
     largest: np.ndarray = field(repr=False)
     #: step of the first largest |increment|, in [0, steps)
@@ -474,11 +474,10 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
     rng.substream(i).  Each step may take MAX_ROUNDS proposal rounds before
     it raises `BridgeSamplingError`, which names the shard and the step.
     """
-    theta1 = float(spec.theta1)
     steps = spec.steps
     d_step = spec.step_width
-    rotations, weights = endpoint_targets(spec)
-    endpoints = np.empty(n_paths)
+    targets, weights, _ = endpoint_targets(spec)
+    rotations = np.empty(n_paths)
     largest = np.zeros(n_paths)
     kick_step = np.zeros(n_paths, dtype=np.intp)
     total = np.zeros(n_paths)
@@ -487,8 +486,8 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
         rows = slice(start, start + size)
         start += size
         gen = shard_rng.generator
-        residual = rotations[gen.choice(rotations.size, size=size, p=weights)]
-        endpoints[rows] = theta1 + residual
+        residual = targets[gen.choice(targets.size, size=size, p=weights)]
+        rotations[rows] = residual
         # views of this shard's rows, updated in place
         shard_largest, shard_step, shard_total = largest[rows], kick_step[rows], total[rows]
         for step in range(steps):
@@ -508,7 +507,7 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
             shard_total += eps
             np.copyto(shard_step, step, where=eps > shard_largest)
             np.maximum(shard_largest, eps, out=shard_largest)
-    return BridgeKicks(theta1, steps, endpoints, largest, kick_step, total)
+    return BridgeKicks(steps, rotations, largest, kick_step, total)
 
 
 def bridge_shards(n_paths: int, rng: RngStream) -> list[tuple[int, RngStream]]:
@@ -553,12 +552,14 @@ class KickStats:
 
     #: histogram over step index of the largest |increment|, length = steps
     kick_time_histogram: np.ndarray
-    #: max |increment| / sum |increments| per path (defined paths only)
-    dominance_fraction: np.ndarray
-    #: max |increment| / |net rotation| per path (defined paths only)
-    net_dominance: np.ndarray
     #: paths excluded because their total |rotation| was below the floor
     excluded_paths: int
+    #: share of defined paths whose max |increment| / |net rotation| exceeds
+    #: DOMINANCE_THRESHOLD; None when no path is defined
+    net_dominance_share: float | None
+    #: q05, q50 and q95 of max |increment| / sum |increments| over the defined
+    #: paths; None when no path is defined
+    dominance_fraction_quantiles: dict[str, float] | None
 
 
 def dominant_kick_stats(bridges: BridgeKicks, gamma: float) -> KickStats:
@@ -567,18 +568,22 @@ def dominant_kick_stats(bridges: BridgeKicks, gamma: float) -> KickStats:
     Paths with total absolute increment below DOMINANCE_FLOOR * gamma have
     no collapse kick (aligned boundaries) and are excluded from ratios.
     """
-    if bridges.endpoints.size == 0:
+    if bridges.rotations.size == 0:
         raise ValueError("empty path collection")
-    net = np.abs(bridges.endpoints - bridges.theta1)
     defined = bridges.total >= DOMINANCE_FLOOR * gamma
     largest = bridges.largest[defined]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        net_dom = largest / net[defined]
+    share = quantiles = None
+    if largest.size:
+        with np.errstate(divide="ignore"):  # a zero net rotation counts as dominant
+            net_dominance = largest / np.abs(bridges.rotations[defined])
+        share = float(np.mean(net_dominance > DOMINANCE_THRESHOLD))
+        fractions = np.quantile(largest / bridges.total[defined], (0.05, 0.50, 0.95))
+        quantiles = dict(zip(("q05", "q50", "q95"), map(float, fractions)))
     return KickStats(
         kick_time_histogram=np.bincount(bridges.kick_step[defined], minlength=bridges.steps),
-        dominance_fraction=largest / bridges.total[defined],
-        net_dominance=net_dom,
         excluded_paths=int(np.sum(~defined)),
+        net_dominance_share=share,
+        dominance_fraction_quantiles=quantiles,
     )
 
 
@@ -658,23 +663,10 @@ def net_dominance_given_rotation(delta, gamma: float, steps: int):
     return float(out) if out.ndim == 0 else out
 
 
-def discarded_winding_mass(spec: PathSpec) -> float:
-    """Share of the endpoint weight that `endpoint_targets` leaves out beyond
-    its winding cut-off.  Both families form one lattice x + m pi/2, whose
-    Cauchy weights sum to 2 `periodized_cauchy`(2 x, 2 gamma), taken at the
-    lattice's own nearest rotation x."""
-    rotations, weights, unit = _winding_weights(spec)
-    nearest = float(rotations[np.argmin(np.abs(rotations))])
-    full = 2.0 * periodized_cauchy(2.0 * nearest, 2.0 * spec.gamma)
-    # sum of gamma / (pi (x^2 + gamma^2)) from the weights in units of `unit`
-    kept = spec.gamma / unit * float(np.sum(weights)) / (PI * unit)
-    return max(0.0, 1.0 - kept / full)
-
-
 def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
     """Expected share of `sample_bridges(spec, ...)` paths whose largest
     |increment| exceeds DOMINANCE_THRESHOLD * |net rotation| (the quantity
-    `dominant_kick_stats(...).net_dominance > DOMINANCE_THRESHOLD` estimates).
+    `dominant_kick_stats(...).net_dominance_share` estimates).
 
     Averages `net_dominance_given_rotation` over the same truncated winding
     weights the sampler draws endpoints from.  That average counts kicks,
@@ -693,7 +685,7 @@ def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
     only if its |net rotation| is below DOMINANCE_FLOOR * gamma, so the two
     agree whenever no winding lies that close to 0.
     """
-    rotations, weights = endpoint_targets(spec)
+    rotations, weights, discarded = endpoint_targets(spec)
     per_winding = net_dominance_given_rotation(rotations, spec.gamma, spec.steps)
     value = float(np.sum(weights * per_winding))
 
@@ -707,8 +699,4 @@ def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
         )
     # a share of paths cannot be over-counted by more than the count itself
     overcount = float(np.sum(weights * np.minimum(pair, per_winding)))
-    return DominancePrediction(
-        value=value,
-        overcount=overcount,
-        discarded_winding_mass=discarded_winding_mass(spec),
-    )
+    return DominancePrediction(value=value, overcount=overcount, discarded_winding_mass=discarded)

@@ -179,18 +179,20 @@ def test_criterion_08_path_statistics():
     """
     spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=100)
     rng = RngStream(2029)
-    bridges = sample_bridges(spec, 10**5, rng.substream(0))
+    n_paths = 10**5
+    bridges = sample_bridges(spec, n_paths, rng.substream(0))
 
-    rotations, _ = endpoint_targets(spec)
-    endpoint_ok = bool(np.isin(bridges.endpoints, float(spec.theta1) + rotations).all())
+    rotations, _, _ = endpoint_targets(spec)
+    endpoint_ok = bool(np.isin(bridges.rotations, rotations).all())
 
-    sums = free_kick_sums(spec.gamma, spec.steps, 10**5, rng.substream(1))
+    sums = free_kick_sums(spec.gamma, spec.steps, n_paths, rng.substream(1))
     ks_p = float(stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf).pvalue)
 
     kicks = dominant_kick_stats(bridges, spec.gamma)
-    dominance = float(np.mean(kicks.net_dominance > 0.99))
+    dominance = kicks.net_dominance_share
     expected = expected_net_dominance(spec)
-    se = math.sqrt(expected.value * (1.0 - expected.value) / kicks.net_dominance.size)
+    defined = n_paths - kicks.excluded_paths
+    se = math.sqrt(expected.value * (1.0 - expected.value) / defined)
     dominance_ok = abs(dominance - expected.value) < 5 * se and expected.error_bound < se
     chi2_p = float(stats.chisquare(kicks.kick_time_histogram).pvalue)
 

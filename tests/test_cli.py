@@ -134,6 +134,18 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["residuals"]["lambda_independence"] > 0.0
 
+    @pytest.mark.parametrize("samples, measured", [(1000, False), (20000, True)])
+    def test_run_chsh_screening_is_null_with_no_bin_to_measure(self, tmp_path, samples, measured):
+        # 1000 samples leave every one of the 64 bins below MIN_BIN_COUNT
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "local-baseline", "--samples", str(samples),
+                     "--out", str(out)]) == 0
+        screening = json.loads(out.read_text())["residuals"]["screening"]
+        if measured:
+            assert isinstance(screening, float)
+        else:
+            assert screening is None
+
     def test_run_chsh_schulman2_analytic(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["run-chsh", "--model", "schulman-2", "--gamma", "0.002",

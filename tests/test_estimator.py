@@ -160,7 +160,7 @@ def masked_loop_screening(model, a, b, n, rng):
             for b_val, pb in ((1, p_b), (-1, 1.0 - p_b)):
                 joint = float(np.mean((a_bin == a_val) & (b_bin == b_val)))
                 worst = max(worst, abs(joint - pa * pb))
-    return float(worst), occupied, excluded
+    return float(worst) if occupied else None, occupied, excluded
 
 
 class SteppedModel(LocalBaselineModel):
@@ -207,6 +207,8 @@ class TestScreening:
             (HallModel(), 0.3, 0.3 + PI / 2, 12_800),
             (DeltaMixtureModel(), 0.0, PI / 8, 20_000),
             (LocalBaselineModel(), 0.0, PI / 8, 6_400),
+            # about 16 samples per bin: every bin is excluded, so no residual
+            (LocalBaselineModel(), 0.0, PI / 8, 1_000),
             (PRBoxModel(TSIRELSON), TSIRELSON[1], TSIRELSON[3], 1_000),
         ],
     )

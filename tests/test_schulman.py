@@ -21,7 +21,6 @@ from belllab.schulman import (
     _cauchy_by_inversion,
     _conditional_step,
     bridge_shards,
-    discarded_winding_mass,
     dominant_kick_stats,
     endpoint_targets,
     expected_net_dominance,
@@ -76,14 +75,13 @@ def sequential_outcome_probs(angles, gamma):
     return dists
 
 
-def kicks_of(increments, theta1=0.0):
+def kicks_of(increments):
     """`BridgeKicks` of paths with these (n, steps) increments, by the
     whole-array formula."""
     abs_inc = np.abs(increments)
     return BridgeKicks(
-        theta1=theta1,
         steps=increments.shape[1],
-        endpoints=theta1 + increments.sum(axis=1),
+        rotations=increments.sum(axis=1),
         largest=abs_inc.max(axis=1),
         kick_step=abs_inc.argmax(axis=1),
         total=abs_inc.sum(axis=1),
@@ -91,8 +89,8 @@ def kicks_of(increments, theta1=0.0):
 
 
 def assert_same_kicks(have, want):
-    assert (have.theta1, have.steps) == (want.theta1, want.steps)
-    for name in ("endpoints", "largest", "kick_step", "total"):
+    assert have.steps == want.steps
+    for name in ("rotations", "largest", "kick_step", "total"):
         a, b = getattr(have, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -462,8 +460,8 @@ class TestBridges:
 
     def test_shapes_and_boundary(self):
         bridges = sample_bridges(self.spec, 200, RngStream(2))
-        assert (bridges.theta1, bridges.steps) == (0.0, 50)
-        for vector in (bridges.endpoints, bridges.largest, bridges.kick_step, bridges.total):
+        assert bridges.steps == 50
+        for vector in (bridges.rotations, bridges.largest, bridges.kick_step, bridges.total):
             assert vector.shape == (200,)
         assert np.all((0 <= bridges.kick_step) & (bridges.kick_step < 50))
         assert np.all(bridges.largest <= bridges.total)
@@ -471,9 +469,9 @@ class TestBridges:
     def test_endpoints_exactly_on_families(self):
         spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=50)
         bridges = sample_bridges(spec, 500, RngStream(3))
-        # every endpoint is bit-equal to theta1 plus one of the enumerated family targets
-        rotations, _ = endpoint_targets(spec)
-        assert np.isin(bridges.endpoints, 0.3 + rotations).all()
+        # every net rotation is bit-equal to one of the enumerated family targets
+        rotations, _, _ = endpoint_targets(spec)
+        assert np.isin(bridges.rotations, rotations).all()
 
     def test_reproducible(self):
         assert_same_kicks(
@@ -483,7 +481,7 @@ class TestBridges:
     def test_net_rotation_distribution(self):
         # endpoint weights follow the Cauchy net-rotation density: compare
         # the aligned-family share against the analytic family ratio
-        ends = sample_bridges(self.spec, 20_000, RngStream(4)).endpoints
+        ends = float(self.spec.theta1) + sample_bridges(self.spec, 20_000, RngStream(4)).rotations
         # aligned family iff the endpoint differs from theta2 by a multiple
         # of pi (rather than an odd multiple of pi/2)
         residue = (ends - float(self.spec.theta2)) % PI
@@ -497,10 +495,10 @@ class TestBridges:
     def test_single_step_bridge(self):
         spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=1)
         bridges = sample_bridges(spec, 1, RngStream(5))
-        rotations, _ = endpoint_targets(spec)
+        rotations, _, _ = endpoint_targets(spec)
         # the one increment is the whole rotation
-        assert bridges.endpoints[0] in rotations
-        assert bridges.largest[0] == bridges.total[0] == abs(bridges.endpoints[0])
+        assert bridges.rotations[0] in rotations
+        assert bridges.largest[0] == bridges.total[0] == abs(bridges.rotations[0])
         assert bridges.kick_step[0] == 0
 
     def test_stalled_step_reports_its_index(self, monkeypatch):
@@ -536,15 +534,15 @@ class TestBridges:
     @pytest.mark.parametrize("gamma", [1.5e-162, 3e-306, sys.float_info.min, 8e153])
     def test_endpoint_weights_are_finite_where_gamma_squared_is_not(self, gamma):
         # pi * gamma**2 underflows to 0 or overflows here; the weights never form it
-        _, weights = endpoint_targets(PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1))
+        _, weights, _ = endpoint_targets(PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=1))
         assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("gamma, steps", [(100 * sys.float_info.min, 100), (1.1e292, 1)])
     def test_spec_accepts_the_gammas_at_the_ends_of_its_range(self, gamma, steps):
         spec = PathSpec(theta1=0.0, theta2=0.0, gamma=gamma, steps=steps)
-        _, weights = endpoint_targets(spec)
+        _, weights, discarded = endpoint_targets(spec)
         assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
-        assert math.isfinite(discarded_winding_mass(spec))
+        assert math.isfinite(discarded)
 
     @pytest.mark.parametrize("gamma", [1.2e292, 1e300, sys.float_info.max])
     def test_spec_refuses_a_gamma_beyond_the_largest_kick(self, gamma):
@@ -556,7 +554,7 @@ class TestBridges:
     def test_far_windings_of_a_tiny_gamma_weigh_exactly_zero(self):
         # in units of gamma every other winding's (x / gamma)^2 overflows; its
         # true weight, about (gamma / x)^2 = 1e-600, is below every float
-        rotations, weights = endpoint_targets(PathSpec(0.0, 0.0, 1e-300, steps=1))
+        rotations, weights, _ = endpoint_targets(PathSpec(0.0, 0.0, 1e-300, steps=1))
         assert weights[rotations == 0.0].tolist() == [1.0]
         assert np.count_nonzero(weights) == 1
 
@@ -720,8 +718,7 @@ class TestRowBlocks:
 
     def test_folded_kicks_match_the_whole_array_formula(self, monkeypatch):
         bridges, targets, increments = self.sample_fixed_kicks(monkeypatch, 12)
-        theta1 = float(self.spec.theta1)
-        want = dataclasses.replace(kicks_of(increments, theta1), endpoints=theta1 + targets)
+        want = dataclasses.replace(kicks_of(increments), rotations=targets)
         assert_same_kicks(bridges, want)
 
     def test_a_tie_for_the_largest_kick_takes_the_first_step(self, monkeypatch):
@@ -733,23 +730,23 @@ class TestRowBlocks:
     def test_kick_stats_match_the_whole_array_formula(self):
         increments = 1e-3 * RngStream(14).generator.standard_cauchy((self.n, self.spec.steps))
         increments[-2:] = 0.0  # two flat paths, which are excluded
-        bridges = kicks_of(increments, 0.3)
+        bridges = kicks_of(increments)
         gamma = self.spec.gamma
-        largest, total = bridges.largest, bridges.total
-        net = np.abs(bridges.endpoints - 0.3)
-        defined = total >= schulman.DOMINANCE_FLOOR * gamma
-        expected = {
-            "kick_time_histogram": np.bincount(
-                bridges.kick_step[defined], minlength=self.spec.steps
-            ),
-            "dominance_fraction": largest[defined] / total[defined],
-            "net_dominance": largest[defined] / net[defined],
-        }
+        defined = bridges.total >= schulman.DOMINANCE_FLOOR * gamma
+        largest = bridges.largest[defined]
+        net_dominance = largest / np.abs(bridges.rotations[defined])
+        fractions = largest / bridges.total[defined]
+        hist = np.bincount(bridges.kick_step[defined], minlength=self.spec.steps)
         got = dominant_kick_stats(bridges, gamma)
         assert got.excluded_paths == int(np.sum(~defined)) == 2
-        for name, want in expected.items():
-            have = getattr(got, name)
-            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), name
+        assert got.kick_time_histogram.dtype == hist.dtype
+        assert got.kick_time_histogram.tobytes() == hist.tobytes()
+        share = np.mean(net_dominance > schulman.DOMINANCE_THRESHOLD)
+        assert type(got.net_dominance_share) is float and got.net_dominance_share == share
+        quantiles = got.dominance_fraction_quantiles
+        assert list(quantiles) == ["q05", "q50", "q95"]
+        for key, q in zip(quantiles, (0.05, 0.50, 0.95)):
+            assert type(quantiles[key]) is float and quantiles[key] == np.quantile(fractions, q), key
 
     def test_free_kick_sums_match_one_draw(self):
         gamma = 1e-3
@@ -787,9 +784,8 @@ class TestShards:
             assert_same_kicks(
                 alone,
                 BridgeKicks(
-                    ensemble.theta1,
                     ensemble.steps,
-                    ensemble.endpoints[rows],
+                    ensemble.rotations[rows],
                     ensemble.largest[rows],
                     ensemble.kick_step[rows],
                     ensemble.total[rows],
@@ -829,14 +825,14 @@ class TestKickStatistics:
         inc[:, 2] = 0.4
         ks = dominant_kick_stats(kicks_of(inc), gamma=1e-3)
         np.testing.assert_array_equal(ks.kick_time_histogram, [0, 0, 3, 0, 0])
-        assert np.all(ks.dominance_fraction > 0.99)
-        assert np.all(ks.net_dominance > 0.99)
+        assert ks.net_dominance_share == 1.0
+        assert ks.dominance_fraction_quantiles["q05"] > 0.99
         assert ks.excluded_paths == 0
 
     def test_flat_paths_are_excluded(self):
         ks = dominant_kick_stats(kicks_of(np.zeros((4, 5))), gamma=1e-3)
         assert ks.excluded_paths == 4
-        assert ks.dominance_fraction.size == 0
+        assert ks.net_dominance_share is None and ks.dominance_fraction_quantiles is None
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
@@ -894,7 +890,7 @@ class TestKickStatistics:
         gaps = []
         for gamma in (1e-4, 1e-5, 1e-6):
             spec = PathSpec(PolAngle(0.0), PolAngle(PI / 8), gamma, 100)
-            rotations, weights = endpoint_targets(spec)
+            rotations, weights, _ = endpoint_targets(spec)
             leading = np.sum(weights * (0.5 + np.arctan(0.01 * np.abs(rotations) / gamma) / PI))
             gaps.append((expected_net_dominance(spec).value - leading) / gamma)
         assert gaps[0] == pytest.approx(gaps[1], rel=1e-2)
@@ -938,7 +934,7 @@ class TestKickStatistics:
                 for f in (mpmath.sin, mpmath.cos)
             )
             want = 1 - kept / full
-        assert abs(discarded_winding_mass(spec) - want) <= 3e-16
+        assert abs(endpoint_targets(spec)[2] - want) <= 3e-16
 
     @pytest.mark.parametrize("theta2", [0.0, 1e-9, PI / 8, HALF_PI, 3.0])
     def test_prediction_at_every_width(self, theta2):

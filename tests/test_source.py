@@ -82,41 +82,45 @@ def uncalled_definitions(
     whose name no file in `callers` reads.
 
     A name is read where it appears as an ast Name that is loaded, an
-    Attribute or an import alias.  Names are matched by spelling alone, so
-    the check cannot see a definition whose name is also read for something
-    else: `JointDist.total` passed it because `total` is a local variable
-    elsewhere.
+    Attribute or an import alias.  A class-body field is read only where it
+    is a loaded Attribute whose receiver is not the Name `args`, the CLI's
+    parsed options: a local variable or an option that shares its spelling
+    does not read it.  Names are still matched by spelling alone, so the
+    check cannot see a definition whose name is also read for something else.
     """
-    read = set()
+    read, field_read = set(), set()
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+                options = isinstance(node.value, ast.Name) and node.value.id == "args"
+                if isinstance(node.ctx, ast.Load) and not options:
+                    field_read.add(node.attr)
             elif isinstance(node, ast.alias):
                 read.add(node.name.split(".")[-1])
     defined = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        bodies = [tree.body]
+        bodies = [(tree.body, read)]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path, node.name, node.lineno))
+                defined.append((path, node.name, node.lineno, read))
             if isinstance(node, ast.ClassDef):
-                bodies.append(node.body)
-        for body in bodies:
+                bodies.append((node.body, field_read))
+        for body, reads in bodies:
             targets = [t for st in body if isinstance(st, ast.Assign) for t in st.targets]
             targets += [st.target for st in body if isinstance(st, ast.AnnAssign)]
             for target in targets:
                 for node in ast.walk(target):
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                        defined.append((path, node.id, node.lineno))
+                        defined.append((path, node.id, node.lineno, reads))
     return sorted(
         f"{path.stem}.{name} (line {line})"
-        for path, name, line in defined
+        for path, name, line, reads in defined
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in read and name not in allowed
+        and name not in reads and name not in allowed
     )
 
 
@@ -137,11 +141,17 @@ def test_uncalled_definition_check_finds_one(tmp_path):
         "class Lid:\n"
         "    __slots__ = ()\n"
         "    size: int\n    colour: str = 'red'\n    SHUT = 0\n"
+        "    samples: bool = True\n"
     )
     caller = tmp_path / "caller.py"
-    caller.write_text("from m import Box, LIMIT, Lid\nBox().opened()\nLid().size\n")
+    # `samples` is read as an option and as a local, never as Lid's field
+    caller.write_text(
+        "from m import Box, LIMIT, Lid\nBox().opened()\nLid().size\n"
+        "def run(args):\n    samples = args.samples\n    return samples\n"
+    )
     assert uncalled_definitions([module], [module, caller]) == [
-        "m.PLANTED (line 10)", "m.SHUT (line 16)", "m.colour (line 15)", "m.planted (line 8)"
+        "m.PLANTED (line 10)", "m.SHUT (line 16)", "m.colour (line 15)", "m.planted (line 8)",
+        "m.samples (line 17)",
     ]
 
 

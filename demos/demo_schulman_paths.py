@@ -31,7 +31,7 @@ print("3. Boundary-conditioned paths (gamma = 1e-3, 100 steps, pi/8 apart):")
 spec = bl.PathSpec(theta1=bl.PolAngle(0.0), theta2=bl.PolAngle(math.pi / 8),
                    gamma=1e-3, steps=100)
 bridges = bl.sample_bridges(spec, 20_000, bl.RngStream(1))
-kicks = bl.dominant_kick_stats(bridges, spec.gamma)
+kicks = bl.dominant_kick_stats(bridges)
 share, pred = kicks.net_dominance_share, bl.expected_net_dominance(spec)
 print(f"   paths whose largest kick covers > 99% of the net rotation: {share:.1%}"
       f" (exact expectation {pred.value:.1%})")

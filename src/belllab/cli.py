@@ -267,15 +267,13 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     except ValueError as exc:  # a step width or gamma out of range
         raise UsageError(str(exc)) from None
     rng = RngStream(args.seed)
-    kicks = dominant_kick_stats(sample_bridges(spec, args.samples, rng.substream(0)), spec.gamma)
+    kicks = dominant_kick_stats(sample_bridges(spec, args.samples, rng.substream(0)))
     sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
     ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
 
     hist = kicks.kick_time_histogram
-    if spec.steps > 1 and hist.sum() > 0:
-        chi2_p = float(stats.chisquare(hist).pvalue)
-    else:
-        chi2_p = 1.0
+    # no test below one step or 5 expected paths a bin (Cochran 1952)
+    chi2_p = float(stats.chisquare(hist).pvalue) if 1 < spec.steps <= hist.sum() / 5 else None
     body = {
         "config": _config_echo(
             args, ["gamma", "steps", "samples", "seed", "theta1", "theta2"]
@@ -292,7 +290,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     }
     return body, (
         f"schulman-paths gamma={args.gamma} steps={args.steps} paths={args.samples} "
-        f"KS p={ks.pvalue:.3f} chi2 p={chi2_p:.3f}"
+        f"KS p={ks.pvalue:.3f} chi2 p={'none' if chi2_p is None else format(chi2_p, '.3f')}"
     )
 
 

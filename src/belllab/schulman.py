@@ -26,10 +26,6 @@ import numpy as np
 from .core import HALF_PI, PI, PolAngle, RngStream, outcome_axes
 from .qm import JointDist
 
-#: Paths whose total absolute rotation is below this multiple of gamma have
-#: no meaningful "collapse kick"; they are excluded from dominance ratios.
-DOMINANCE_FLOOR = 1e-3
-
 #: Windings |n| <= N_WINDINGS of each alignment family that bridge endpoints
 #: are drawn from.  `endpoint_targets`, `sample_bridges` and
 #: `expected_net_dominance` must share it for criterion 8's prediction to
@@ -453,7 +449,8 @@ class BridgeKicks:
     rotations: np.ndarray = field(repr=False)
     #: largest |increment|
     largest: np.ndarray = field(repr=False)
-    #: step of the first largest |increment|, in [0, steps)
+    #: step that holds the largest |increment|, in [0, steps), or -1 where
+    #: two or more steps share it (an all-zero path included)
     kick_step: np.ndarray = field(repr=False)
     #: sum of |increment| in step order
     total: np.ndarray = field(repr=False)
@@ -467,8 +464,8 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
     exact conditional densities given the remaining rotation and remaining
     Cauchy width, and the last increment is the rotation left.  Each step's
     increments are folded into per-path running values as soon as they are
-    drawn, so memory is a few vectors of n_paths whatever `steps` is.  A tie
-    for the largest |increment| goes to the earlier step, as in `np.argmax`.
+    drawn, so memory is a few vectors of n_paths whatever `steps` is.  A path
+    whose largest |increment| is shared by two or more steps gets kick step -1.
 
     The paths are drawn in the shards of `bridge_shards`, shard i from
     rng.substream(i).  Each step may take MAX_ROUNDS proposal rounds before
@@ -505,6 +502,7 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
                 residual -= eps
             np.abs(eps, out=eps)  # eps is already taken off the residual
             shard_total += eps
+            np.copyto(shard_step, -1, where=eps == shard_largest)
             np.copyto(shard_step, step, where=eps > shard_largest)
             np.maximum(shard_largest, eps, out=shard_largest)
     return BridgeKicks(steps, rotations, largest, kick_step, total)
@@ -552,36 +550,34 @@ class KickStats:
 
     #: histogram over step index of the largest |increment|, length = steps
     kick_time_histogram: np.ndarray
-    #: paths excluded because their total |rotation| was below the floor
+    #: paths left out because two or more steps share their largest |increment|
     excluded_paths: int
-    #: share of defined paths whose max |increment| / |net rotation| exceeds
-    #: DOMINANCE_THRESHOLD; None when no path is defined
+    #: share of counted paths whose max |increment| / |net rotation| exceeds
+    #: DOMINANCE_THRESHOLD; None when no path is counted
     net_dominance_share: float | None
-    #: q05, q50 and q95 of max |increment| / sum |increments| over the defined
-    #: paths; None when no path is defined
+    #: q05, q50 and q95 of max |increment| / sum |increments| over the counted
+    #: paths; None when no path is counted
     dominance_fraction_quantiles: dict[str, float] | None
 
 
-def dominant_kick_stats(bridges: BridgeKicks, gamma: float) -> KickStats:
-    """Dominance statistics of a bridge ensemble.
-
-    Paths with total absolute increment below DOMINANCE_FLOOR * gamma have
-    no collapse kick (aligned boundaries) and are excluded from ratios.
-    """
+def dominant_kick_stats(bridges: BridgeKicks) -> KickStats:
+    """Dominance statistics over the paths one step of which holds the largest
+    |increment|.  A bridge's increments are exchangeable, so that step is
+    uniform over the flight and the kick-time histogram tests the sampler."""
     if bridges.rotations.size == 0:
         raise ValueError("empty path collection")
-    defined = bridges.total >= DOMINANCE_FLOOR * gamma
-    largest = bridges.largest[defined]
+    counted = bridges.kick_step >= 0
+    largest = bridges.largest[counted]
     share = quantiles = None
     if largest.size:
         with np.errstate(divide="ignore"):  # a zero net rotation counts as dominant
-            net_dominance = largest / np.abs(bridges.rotations[defined])
+            net_dominance = largest / np.abs(bridges.rotations[counted])
         share = float(np.mean(net_dominance > DOMINANCE_THRESHOLD))
-        fractions = np.quantile(largest / bridges.total[defined], (0.05, 0.50, 0.95))
+        fractions = np.quantile(largest / bridges.total[counted], (0.05, 0.50, 0.95))
         quantiles = dict(zip(("q05", "q50", "q95"), map(float, fractions)))
     return KickStats(
-        kick_time_histogram=np.bincount(bridges.kick_step[defined], minlength=bridges.steps),
-        excluded_paths=int(np.sum(~defined)),
+        kick_time_histogram=np.bincount(bridges.kick_step[counted], minlength=bridges.steps),
+        excluded_paths=int(np.sum(~counted)),
         net_dominance_share=share,
         dominance_fraction_quantiles=quantiles,
     )
@@ -681,9 +677,9 @@ def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
         u = 1 + DOMINANCE_THRESHOLD,
 
     which is reported as `overcount` together with the discarded winding mass.
-    The prediction covers every path; `dominant_kick_stats` can exclude one
-    only if its |net rotation| is below DOMINANCE_FLOOR * gamma, so the two
-    agree whenever no winding lies that close to 0.
+    The prediction covers every path; `dominant_kick_stats` leaves out those
+    whose largest kick two steps share, of probability zero except at one or
+    two steps with a net rotation of 0 or below an ulp of the kicks.
     """
     rotations, weights, discarded = endpoint_targets(spec)
     per_winding = net_dominance_given_rotation(rotations, spec.gamma, spec.steps)

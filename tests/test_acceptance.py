@@ -188,7 +188,7 @@ def test_criterion_08_path_statistics():
     sums = free_kick_sums(spec.gamma, spec.steps, n_paths, rng.substream(1))
     ks_p = float(stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf).pvalue)
 
-    kicks = dominant_kick_stats(bridges, spec.gamma)
+    kicks = dominant_kick_stats(bridges)
     dominance = kicks.net_dominance_share
     expected = expected_net_dominance(spec)
     defined = n_paths - kicks.excluded_paths

@@ -224,6 +224,42 @@ class TestSubcommands:
         assert sum(report["kick_time_histogram"]) == 20000
         assert report["kick_time_chi2_pvalue"] > 0.01
 
+    @pytest.mark.parametrize("gamma, extra, excluded", [
+        ("1e-3", ["--theta2", "0", "--steps", "2", "--samples", "3000"], 3000),
+        ("1e200", ["--steps", "2", "--samples", "2000"], 2000),
+    ], ids=["aligned-2-steps", "1e200-2-steps"])
+    def test_schulman_paths_leaves_out_tied_kicks(self, gamma, extra, excluded, tmp_path):
+        # the two kicks are r - e and e with r = 0, or r below an ulp of e: their
+        # sizes tie, so no path says when its kick came
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", gamma, *extra, "--seed", "1",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["excluded_paths"] == excluded
+        assert report["kick_time_histogram"] == [0, 0]
+        assert report["kick_time_chi2_pvalue"] is None
+        assert report["net_dominance_over_0.99_fraction"] is None
+        assert report["dominance_fraction_quantiles"] is None
+
+    def test_schulman_paths_counts_every_path_of_three_aligned_steps(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", "1e-3", "--theta2", "0", "--steps", "3",
+                     "--samples", "3000", "--seed", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["excluded_paths"] == 0
+        assert sum(report["kick_time_histogram"]) == 3000
+        assert report["kick_time_chi2_pvalue"] > 0.01
+
+    @pytest.mark.parametrize("steps, theta2", [("1", "0"), ("1", "0.125pi"), ("1000", "0.125pi")],
+                             ids=["1-step-aligned", "1-step", "2-expected-a-bin"])
+    def test_schulman_paths_gives_no_p_value_without_a_valid_test(self, steps, theta2, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", "1e-3", "--theta2", theta2, "--steps", steps,
+                     "--samples", "2000", "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kick_time_chi2_pvalue"] is None
+        assert " chi2 p=none" in capsys.readouterr().err
+
     def test_schulman_paths_memory_is_flat_in_steps(self, tmp_path):
         argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
         assert main([*argv, "--steps", "10", "--samples", "100"]) == 0  # imports and caches
@@ -757,7 +793,8 @@ class TestExitCodes:
     def test_schulman_paths_runs_where_gamma_squared_is_not_a_float(self, gamma, extra, tmp_path):
         # pi * gamma**2 overflows or underflows to 0 here; the sampler never forms it
         out = tmp_path / "r.json"
-        assert main(["schulman-paths", "--gamma", gamma, "--samples", "300", *extra,
+        # 500 paths over 100 steps: the 5 expected a bin that the chi-square test needs
+        assert main(["schulman-paths", "--gamma", gamma, "--samples", "500", *extra,
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["steps"] == 100
@@ -803,10 +840,16 @@ class TestExitCodes:
                             "--theta2", theta2, "--samples", "300"])
         assert code == (0 if admitted else 2)
         if code == 0:
-            # no chi-square bound: at 2 steps with aligned ends, or gamma above
-            # about 1e16, the two kicks tie exactly and the first step takes it
+            # no p-value bound, but one exactly where a test is valid: more than
+            # one step and 5 counted paths a bin
             report = json.loads(report)
-            assert math.isfinite(report["kick_time_chi2_pvalue"])
+            counted = sum(report["kick_time_histogram"])
+            assert counted + report["excluded_paths"] == 300
+            p = report["kick_time_chi2_pvalue"]
+            if 1 < int(steps) <= counted / 5:
+                assert math.isfinite(p)
+            else:
+                assert p is None
             assert math.isfinite(report["cauchy_stability_ks_pvalue"])
         assert run(["run-chsh", "--model", "schulman-2", "--gamma", repr(gamma),
                     "--settings", f"0,0.25pi,{theta2},0.125pi"])[0] == 0

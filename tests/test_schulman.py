@@ -77,13 +77,16 @@ def sequential_outcome_probs(angles, gamma):
 
 def kicks_of(increments):
     """`BridgeKicks` of paths with these (n, steps) increments, by the
-    whole-array formula."""
+    whole-array formula: the kick step is the `argmax` where the largest
+    |increment| occurs once, and -1 where it occurs at two or more steps."""
     abs_inc = np.abs(increments)
+    largest = abs_inc.max(axis=1)
+    unique = np.sum(abs_inc == largest[:, None], axis=1) == 1
     return BridgeKicks(
         steps=increments.shape[1],
         rotations=increments.sum(axis=1),
-        largest=abs_inc.max(axis=1),
-        kick_step=abs_inc.argmax(axis=1),
+        largest=largest,
+        kick_step=np.where(unique, abs_inc.argmax(axis=1), -1),
         total=abs_inc.sum(axis=1),
     )
 
@@ -696,49 +699,89 @@ class TestRowBlocks:
     # a partial last block of free kicks
     n = schulman.KICK_BLOCK // 6 + 3
 
-    def sample_fixed_kicks(self, monkeypatch, seed):
-        """Bridges whose conditional steps return fixed Cauchy kicks; returns
-        them with their endpoint targets and (n, steps) increments.  Row 0's
-        kicks tie for the largest at steps 1 and 3 and cancel."""
-        kick_gen = RngStream(seed).generator
+    @staticmethod
+    def fold_kicks(mp, spec, n, seed, kick):
+        """Bridges whose j-th conditional step returns kick(j, paths) in place
+        of a draw; returns them with their endpoint targets and (n, steps)
+        increments."""
         residuals, kicks = [], []
 
         def fixed_step(residual, d1, d2, gen):
             residuals.append(residual.copy())
-            kick = 1e-3 * kick_gen.standard_cauchy(residual.size)
-            if len(kicks) in (1, 3):
-                kick[0] = 1e3 if len(kicks) == 1 else -1e3
-            kicks.append(kick)
-            return kick.copy()
+            kicks.append(kick(len(kicks), residual.size))
+            return kicks[-1].copy()
 
-        monkeypatch.setattr(schulman, "_conditional_step", fixed_step)
-        bridges = sample_bridges(self.spec, self.n, RngStream(seed + 1))
+        mp.setattr(schulman, "_conditional_step", fixed_step)
+        bridges = sample_bridges(spec, n, RngStream(seed))
         increments = np.column_stack([*kicks, residuals[-1] - kicks[-1]])
         return bridges, residuals[0], increments
+
+    def sample_fixed_kicks(self, monkeypatch, seed):
+        """Bridges whose conditional steps return fixed Cauchy kicks.  Row 0's
+        kicks tie for the largest at steps 1 and 3 and cancel."""
+        kick_gen = RngStream(seed).generator
+
+        def cauchy_kick(j, paths):
+            kick = 1e-3 * kick_gen.standard_cauchy(paths)
+            if j in (1, 3):
+                kick[0] = 1e3 if j == 1 else -1e3
+            return kick
+
+        return self.fold_kicks(monkeypatch, self.spec, self.n, seed + 1, cauchy_kick)
 
     def test_folded_kicks_match_the_whole_array_formula(self, monkeypatch):
         bridges, targets, increments = self.sample_fixed_kicks(monkeypatch, 12)
         want = dataclasses.replace(kicks_of(increments), rotations=targets)
         assert_same_kicks(bridges, want)
 
-    def test_a_tie_for_the_largest_kick_takes_the_first_step(self, monkeypatch):
+    @hyp_settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        steps=st.integers(min_value=2, max_value=6),
+        paths=st.integers(min_value=1, max_value=12),
+        target=st.integers(min_value=-3, max_value=3),
+    )
+    def test_folded_ties_match_the_whole_array_formula(self, data, steps, paths, target):
+        # small integers: ties below the largest, ties at it and all-zero rows,
+        # every sum exact; each path's last increment is the target left
+        kicks = data.draw(st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=paths, max_size=paths),
+            min_size=steps - 1, max_size=steps - 1,
+        ))
+        spec = dataclasses.replace(self.spec, steps=steps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schulman, "endpoint_targets",
+                       lambda spec: (np.array([float(target)]), np.ones(1), 0.0))
+            bridges, _, increments = self.fold_kicks(
+                mp, spec, paths, 16, lambda j, n: np.array(kicks[j], dtype=float)
+            )
+        assert_same_kicks(bridges, kicks_of(increments))
+
+    def test_a_tie_for_the_largest_kick_leaves_the_path_out(self, monkeypatch):
         bridges, _, increments = self.sample_fixed_kicks(monkeypatch, 13)
         assert np.abs(increments[0]).max() == abs(increments[0, 1]) == abs(increments[0, 3])
-        assert bridges.kick_step[0] == 1
+        assert bridges.kick_step[0] == -1
         assert bridges.largest[0] == 1e3
+        assert np.all(bridges.kick_step[1:] >= 0)
+        names = ("rotations", "largest", "kick_step", "total")
+        rest = BridgeKicks(bridges.steps, *(getattr(bridges, name)[1:] for name in names))
+        got, want = dominant_kick_stats(bridges), dominant_kick_stats(rest)
+        assert (got.excluded_paths, want.excluded_paths) == (1, 0)
+        assert got.kick_time_histogram.tobytes() == want.kick_time_histogram.tobytes()
+        assert got.net_dominance_share == want.net_dominance_share
+        assert got.dominance_fraction_quantiles == want.dominance_fraction_quantiles
 
     def test_kick_stats_match_the_whole_array_formula(self):
         increments = 1e-3 * RngStream(14).generator.standard_cauchy((self.n, self.spec.steps))
-        increments[-2:] = 0.0  # two flat paths, which are excluded
+        increments[-2:] = 0.0  # two flat paths, whose steps all share the largest kick
         bridges = kicks_of(increments)
-        gamma = self.spec.gamma
-        defined = bridges.total >= schulman.DOMINANCE_FLOOR * gamma
-        largest = bridges.largest[defined]
-        net_dominance = largest / np.abs(bridges.rotations[defined])
-        fractions = largest / bridges.total[defined]
-        hist = np.bincount(bridges.kick_step[defined], minlength=self.spec.steps)
-        got = dominant_kick_stats(bridges, gamma)
-        assert got.excluded_paths == int(np.sum(~defined)) == 2
+        counted = bridges.kick_step >= 0
+        largest = bridges.largest[counted]
+        net_dominance = largest / np.abs(bridges.rotations[counted])
+        fractions = largest / bridges.total[counted]
+        hist = np.bincount(bridges.kick_step[counted], minlength=self.spec.steps)
+        got = dominant_kick_stats(bridges)
+        assert got.excluded_paths == int(np.sum(~counted)) == 2
         assert got.kick_time_histogram.dtype == hist.dtype
         assert got.kick_time_histogram.tobytes() == hist.tobytes()
         share = np.mean(net_dominance > schulman.DOMINANCE_THRESHOLD)
@@ -823,20 +866,20 @@ class TestKickStatistics:
         # one big kick at step 2, tiny ones elsewhere
         inc = np.full((3, 5), 1e-8)
         inc[:, 2] = 0.4
-        ks = dominant_kick_stats(kicks_of(inc), gamma=1e-3)
+        ks = dominant_kick_stats(kicks_of(inc))
         np.testing.assert_array_equal(ks.kick_time_histogram, [0, 0, 3, 0, 0])
         assert ks.net_dominance_share == 1.0
         assert ks.dominance_fraction_quantiles["q05"] > 0.99
         assert ks.excluded_paths == 0
 
     def test_flat_paths_are_excluded(self):
-        ks = dominant_kick_stats(kicks_of(np.zeros((4, 5))), gamma=1e-3)
+        ks = dominant_kick_stats(kicks_of(np.zeros((4, 5))))
         assert ks.excluded_paths == 4
         assert ks.net_dominance_share is None and ks.dominance_fraction_quantiles is None
 
     def test_empty_collection_rejected(self):
         with pytest.raises(ValueError):
-            dominant_kick_stats(kicks_of(np.empty((0, 5))), gamma=1e-3)
+            dominant_kick_stats(kicks_of(np.empty((0, 5))))
 
     @pytest.mark.parametrize("delta", [PI / 8, -3 * PI / 8, 5 * PI / 8 + 4 * PI, 2e-3, 4e-4])
     def test_closed_form_matches_quadrature(self, delta):

@@ -8,15 +8,17 @@ Subcommands map one-to-one onto library pipelines:
   mutual-info    setting information carried by the Hall hidden angle
   two-photon     two-photon Levy-flight joint distribution and posterior
 
-Reports are written as JSON or CSV with 17 significant digits; identical
-configurations (including the seed) reproduce reports byte for byte, so
-wall-clock timing goes to the summary line on stderr and is kept out of the
-reports.  Without --out, stdout carries the report and nothing else.
+JSON reports give floats in Python's shortest round-trip form, CSV reports to
+17 significant digits; both read back to the same doubles.  Identical
+configurations (seed included) reproduce reports byte for byte, so wall-clock
+time goes to the summary on stderr.  Without --out, stdout holds only the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import dataclasses
 import functools
 import json
@@ -139,17 +141,15 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
+def _flatten(prefix: str, value, rows: list[tuple]) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, rows)
     elif isinstance(value, (list, tuple)):
         for i, sub in enumerate(value):
             _flatten(f"{prefix}[{i}]", sub, rows)
-    elif isinstance(value, float):
-        rows.append((prefix, fmt_float(value)))
-    else:
-        rows.append((prefix, str(value)))
+    else:  # csv.writer writes None as an empty field and str() of the rest
+        rows.append((prefix, fmt_float(value) if isinstance(value, float) else value))
 
 
 def open_report(out: str, mode: str):
@@ -164,19 +164,15 @@ def write_report(report: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:  # argparse's choices leave only "csv"
-        rows: list[tuple[str, str]] = []
+        rows: list[tuple] = [("key", "value")]
         _flatten("", report, rows)
-        lines = ["key,value"]
-        for key, value in rows:
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
-    if out:
-        # `main` checked it before the run, but the path can change since
-        with open_report(out, "w") as handle:
+    # `main` checked `out` before the run, but the path can change since
+    with open_report(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+        if fmt == "json":
             handle.write(text)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a closed pipe raises here, inside `main`
+        else:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        handle.flush()  # a closed stdout pipe raises here, inside `main`
 
 
 def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:

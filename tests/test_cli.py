@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -383,6 +384,33 @@ SMALL_RUNS = [
     ["two-photon", "--gamma", "1e-2"],
 ]
 
+#: Runs whose reports hold nulls: exact correlators carry no p-value bound and
+#: no residuals, and one step gives no kick-time test.
+NULL_RUNS = [
+    ["run-chsh", "--model", "schulman-2", "--gamma", "1e-3"],
+    ["schulman-paths", "--gamma", "1e-3", "--steps", "1", "--samples", "100"],
+]
+
+
+def json_leaves(prefix: str, value):
+    """(key, leaf) for each leaf of a parsed JSON report, keys in the CSV's spelling."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from json_leaves(f"{prefix}.{key}" if prefix else key, sub)
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from json_leaves(f"{prefix}[{i}]", sub)
+    else:
+        yield prefix, value
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows after the header, each checked to be a key and a value."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    assert header == ["key", "value"]
+    assert [len(row) for row in rows] == [2] * len(rows)
+    return rows
+
 
 class TestReportPath:
     """`main` writes every subcommand's report, once, with the same header."""
@@ -408,6 +436,24 @@ class TestReportPath:
         assert keys[2].startswith("config.")
         assert writes == [argv[0]]
 
+    @pytest.mark.parametrize("argv", SMALL_RUNS + NULL_RUNS, ids=" ".join)
+    def test_csv_parses_as_csv_and_agrees_with_json(self, argv, tmp_path):
+        json_out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
+        assert main([*argv, "--out", str(json_out)]) == 0
+        assert main([*argv, "--format", "csv", "--out", str(csv_out)]) == 0
+        fields = dict(csv_rows(csv_out.read_text(encoding="utf-8")))
+        leaves = dict(json_leaves("", json.loads(json_out.read_text(encoding="utf-8"))))
+        assert sorted(fields) == sorted(leaves)
+        for key, leaf in leaves.items():
+            if leaf is None:
+                assert fields[key] == "", key
+            elif isinstance(leaf, float):
+                assert float(fields[key]).hex() == leaf.hex(), key
+            else:  # an int or a string
+                assert fields[key] == str(leaf), key
+        if argv in NULL_RUNS:
+            assert None in leaves.values()
+
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
     def test_json_names_the_subcommand_and_stdout_ends_in_the_time(
         self, argv, tmp_path, writes, capsys
@@ -424,19 +470,27 @@ class TestReportPath:
         assert re.search(r", \d+\.\d\ds\n\Z", line)
         assert writes == [argv[0]]
 
-    def test_stdout_without_out_is_the_report_alone(self, capsys):
-        assert main(["two-photon", "--gamma", "1e-2"]) == 0
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_without_out_is_the_report_alone(self, fmt, capsys):
+        assert main(["two-photon", "--gamma", "1e-2", "--format", fmt]) == 0
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["command"] == "two-photon"
+        if fmt == "json":
+            report = json.loads(captured.out)
+            assert report["config"]["pair"] == "0,0.125pi"
+        else:
+            report = dict(csv_rows(captured.out))
+            assert report["config.pair"] == "0,0.125pi"
+        assert report["command"] == "two-photon"
         assert captured.err.startswith("two-photon gamma=0.01 ")
 
-    def test_closed_stdout_exits_141_without_a_traceback(self):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_stdout_exits_141_without_a_traceback(self, fmt):
         read_end, write_end = os.pipe()
         os.close(read_end)  # as `| head -1` does once it has its line
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "belllab.cli", "run-chsh", "--model", "hall",
-                 "--samples", "100"],
+                 "--samples", "100", "--format", fmt],
                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=fresh_env(), timeout=120,
             )
         finally:
@@ -522,17 +576,21 @@ class TestParser:
     def test_readme_option_table_matches_the_parser(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.MULTILINE))
-        common = re.search(r"Every subcommand also takes ([^.]*)\.", readme).group(1)
+        # the paragraph below the table names the options every subcommand takes
+        common = re.search(r"\|\n\nEvery subcommand also takes ([^.]*)\.", readme).group(1)
         flag = r"`(--[a-z][a-z0-9-]*)"
+        shared = {"--seed", "--out", "--format"}
+        assert set(re.findall(flag, common)) == shared
         subparsers = next(
             action for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         )
         assert sorted(rows) == sorted(subparsers.choices)
         for command, parser in subparsers.choices.items():
-            documented = set(re.findall(flag, rows[command])) | set(re.findall(flag, common))
             options = {o for action in parser._actions for o in action.option_strings}
-            assert documented == options - {"-h", "--help"}, command
+            assert shared <= options, command
+            documented = set(re.findall(flag, rows[command]))
+            assert documented == options - shared - {"-h", "--help"}, command
 
     def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
         built = []

@@ -2,8 +2,9 @@
 
 Each case is one invocation of ``perfbench/workloads.py``'s ``WORKLOADS``,
 copied here with the seed the benchmark gives it (0 where an op fixes none,
-2029 for ``schulman-paths``), run in-process through ``cli.main``.  A change
-that alters one of these reports updates its digest here and says why.
+2029 for ``schulman-paths``), run in-process through ``cli.main`` once per
+``--format``.  A change that alters one of these reports updates its digest
+here and says why.
 """
 
 import hashlib
@@ -45,8 +46,48 @@ REPORT_DIGESTS = {
 }
 
 
+CSV_REPORT_DIGESTS = {
+    _chsh("hall", "1"):
+        "899dc9710a15bc065be4da1e2a4f814c55ee038f6bd18c75c31be69021cb8df4",
+    _chsh("delta-mixture", "1"):
+        "f94119fb08ace84fec343512a3696e612baeb8e95d05df1bdfa4753d78cd5d88",
+    _chsh("local-baseline", "1"):
+        "1cb5354b463714cacb516b2ca08ef1359148722aa498c38d1fa5b73f799c72c8",
+    _chsh("pr-box", "1"):
+        "faf9b4bd257058b63a20056e300040019cf3249f2651e840e83b53633e4f9e2f",
+    _chsh("hall", "2"):
+        "899dc9710a15bc065be4da1e2a4f814c55ee038f6bd18c75c31be69021cb8df4",
+    ("scan-settings", "--model", "hall", "--grid", "16", "--seed", "0"):
+        "e61f4390949615e28801d6d068b1b18dfae975dca95ca23f579e296a702225c3",
+    ("scan-settings", "--model", "delta-mixture", "--grid", "16", "--seed", "0"):
+        "99654ba2dfa05cc622dd1bfa55496ab3c02849398b4f25fff36e6b1d0207336d",
+    ("mutual-info", "--lambda-grid", "2048", "--settings-grid", "64", "--seed", "0"):
+        "1ebb33d57c99f1f3b341b359c7f4782d572ffac49d91928d796e2eba212cbc6c",
+    ("schulman-paths", "--gamma", "1e-3", "--steps", "100", "--samples", "100000",
+     "--seed", "2029"):
+        "08df879195be83b084aab0864a23e05cc4023a0b71f43dade94dbc762cb9da3c",
+    # The CSV writer quotes a field that holds a comma: `config.pair,"0,0.125pi"`.
+    # Joined by hand, the row was `config.pair,0,0.125pi`, three fields
+    # (digest 034773f28165122db9a1b2f7b5125bfd23e43c63494b0513d660987723718d1c).
+    ("two-photon", "--gamma", "1e-4", "--pair", "0,0.125pi", "--seed", "0"):
+        "226822326bccb7b81b52fc189f73486fb5ef09b46ac974013e26cfa0d29fc573",
+    # A null is an empty field: `log10_pvalue_bound,` and `residuals,`.  They
+    # were written as Python's `None`
+    # (digest 39880ccf39ef837d04ce18851e3fac5f473757de7ef3840457927493a9a3fbb6).
+    ("run-chsh", "--model", "schulman-2", "--gamma", "1e-5", "--seed", "0"):
+        "9fdce84eb32e5c45b8b1e5315a998a2c1067b9d7dd98cea25aa997768abd105b",
+}
+
+
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
 def test_benchmark_report_bytes_are_pinned(argv, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_benchmark_csv_report_bytes_are_pinned(argv, tmp_path):
+    out = tmp_path / "report.csv"
+    assert cli.main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_REPORT_DIGESTS[argv]

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -41,10 +42,10 @@ from .estimator import (
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
 from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint, tsirelson_settings
 from .schulman import (
+    BRIDGE_SHARD,
     BridgeSamplingError,
     PathSpec,
     dominant_kick_stats,
-    endpoint_targets,
     free_kick_sums,
     sample_bridges,
     two_photon_joint,
@@ -263,9 +264,17 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     except ValueError as exc:  # a step width or gamma out of range
         raise UsageError(str(exc)) from None
     rng = RngStream(args.seed)
-    kicks = dominant_kick_stats(sample_bridges(spec, args.samples, rng.substream(0)))
-    sums = free_kick_sums(spec.gamma, spec.steps, args.samples, rng.substream(1))
-    ks = stats.kstest(sums, stats.cauchy(scale=spec.gamma).cdf)
+    # a thread per usable CPU, at most one per task: a bridge shard or the free kicks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ThreadPoolExecutor(min(-(-args.samples // BRIDGE_SHARD) + 1, cpus or 1))
+    try:
+        free = pool.submit(free_kick_sums, spec.gamma, spec.steps, args.samples, rng.substream(1))
+        bridges = sample_bridges(spec, args.samples, rng.substream(0), pool)
+    finally:  # a failed shard cancels the queued work and joins the threads
+        pool.shutdown(cancel_futures=True)
+    kicks, discarded = dominant_kick_stats(bridges), bridges.discarded_winding_mass
+    del bridges  # the ensemble goes before the KS test's copies of the sums
+    ks = stats.kstest(free.result(), stats.cauchy(scale=spec.gamma).cdf)
 
     hist = kicks.kick_time_histogram
     # no test below one step or 5 expected paths a bin (Cochran 1952)
@@ -277,7 +286,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "paths": args.samples,
         "excluded_paths": kicks.excluded_paths,
         # endpoint weight the sampler's winding cut-off leaves out
-        "discarded_winding_mass": endpoint_targets(spec)[2],
+        "discarded_winding_mass": discarded,
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),

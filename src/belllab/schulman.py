@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -454,9 +455,12 @@ class BridgeKicks:
     kick_step: np.ndarray = field(repr=False)
     #: sum of |increment| in step order
     total: np.ndarray = field(repr=False)
+    #: endpoint weight the winding cut-off left out, `endpoint_targets`' third value
+    discarded_winding_mass: float = 0.0
 
 
-def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
+def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream,
+                   executor: Executor | None = None) -> BridgeKicks:
     """Sample n_paths boundary-conditioned kick paths, reduced as they are drawn.
 
     The endpoint (alignment family and winding) is drawn first from the
@@ -468,20 +472,21 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
     whose largest |increment| is shared by two or more steps gets kick step -1.
 
     The paths are drawn in the shards of `bridge_shards`, shard i from
-    rng.substream(i).  Each step may take MAX_ROUNDS proposal rounds before
-    it raises `BridgeSamplingError`, which names the shard and the step.
+    rng.substream(i) into its rows, in order or as `executor` tasks with the
+    same bits.  A step may take MAX_ROUNDS proposal rounds before it raises
+    `BridgeSamplingError`, naming the step and the first failing shard.
     """
     steps = spec.steps
     d_step = spec.step_width
-    targets, weights, _ = endpoint_targets(spec)
+    targets, weights, discarded = endpoint_targets(spec)
     rotations = np.empty(n_paths)
     largest = np.zeros(n_paths)
     kick_step = np.zeros(n_paths, dtype=np.intp)
     total = np.zeros(n_paths)
-    start = 0
-    for index, (size, shard_rng) in enumerate(bridge_shards(n_paths, rng)):
-        rows = slice(start, start + size)
-        start += size
+
+    def draw_shard(shard: tuple[int, tuple[int, RngStream]]) -> None:
+        index, (size, shard_rng) = shard
+        rows = slice(index * BRIDGE_SHARD, index * BRIDGE_SHARD + size)
         gen = shard_rng.generator
         residual = targets[gen.choice(targets.size, size=size, p=weights)]
         rotations[rows] = residual
@@ -505,7 +510,8 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream) -> BridgeKicks:
             np.copyto(shard_step, -1, where=eps == shard_largest)
             np.copyto(shard_step, step, where=eps > shard_largest)
             np.maximum(shard_largest, eps, out=shard_largest)
-    return BridgeKicks(steps, rotations, largest, kick_step, total)
+    list((executor.map if executor else map)(draw_shard, enumerate(bridge_shards(n_paths, rng))))
+    return BridgeKicks(steps, rotations, largest, kick_step, total, discarded)
 
 
 def bridge_shards(n_paths: int, rng: RngStream) -> list[tuple[int, RngStream]]:

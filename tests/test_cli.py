@@ -1,6 +1,7 @@
 """Command-line front end: parsing, report formats, reproducibility, exit codes."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -287,7 +288,7 @@ class TestSubcommands:
         # vectors of one number per path (about 17 MiB), not 154 MiB of paths
         assert peak < 24 * 2**20
 
-    def test_schulman_paths_draws_on_the_main_thread(self, tmp_path, monkeypatch):
+    def test_schulman_paths_on_a_pool_writes_the_serial_report(self, tmp_path, monkeypatch):
         draws = []
 
         def recording(name):
@@ -300,15 +301,58 @@ class TestSubcommands:
         for name in ("sample_bridges", "dominant_kick_stats", "free_kick_sums"):
             monkeypatch.setattr(cli, name, recording(name))
         threads_before = threading.active_count()
-        # more than one block of free kicks
-        assert main(["schulman-paths", "--gamma", "1e-3", "--steps", "20", "--samples",
-                     "5000", "--seed", "3", "--out", str(tmp_path / "r.json")]) == 0
+        # more than one block of free kicks, and two bridge shards
+        argv = ["schulman-paths", "--gamma", "1e-3", "--steps", "20", "--samples",
+                str(schulman.BRIDGE_SHARD + 5000), "--seed", "3", "--out"]
+        assert main([*argv, str(tmp_path / "pool.json")]) == 0
+        assert threading.active_count() == threads_before
+        assert sorted(name for name, _, _ in draws) == [
+            "dominant_kick_stats", "free_kick_sums", "sample_bridges",
+        ]
+        for name, thread, _ in draws:
+            if name != "free_kick_sums":
+                assert thread is threading.main_thread()
+
+        draws.clear()
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialExecutor)
+        assert main([*argv, str(tmp_path / "serial.json")]) == 0
         assert [name for name, _, _ in draws] == [
-            "sample_bridges", "dominant_kick_stats", "free_kick_sums",
+            "free_kick_sums", "sample_bridges", "dominant_kick_stats",
         ]
         for _, thread, threads in draws:
             assert thread is threading.main_thread()
             assert threads == threads_before
+        assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+    @pytest.mark.parametrize("source, cpus, samples, workers", [
+        (source, *case) for source in ("affinity", "cpu_count") for case in (
+            (1, 1000, 1), (64, 1000, 2), (64, 3 * schulman.BRIDGE_SHARD + 1, 5),
+            (1, 10**12, 1), (64, 10**12, 64),
+        )
+    ] + [("cpu_count", None, 1000, 1)])  # os.cpu_count() may not know
+    def test_schulman_paths_pool_has_a_thread_per_task_up_to_the_cpus(
+        self, source, cpus, samples, workers, monkeypatch
+    ):
+        sizes = []
+
+        class Sized(Exception):
+            """Raised in place of building the pool: its size is all this test reads."""
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            raise Sized
+
+        if source == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
+        threads_before = threading.active_count()
+        with pytest.raises(Sized):
+            main(["schulman-paths", "--gamma", "1e-3", "--samples", str(samples)])
+        assert sizes == [workers]
         assert threading.active_count() == threads_before
 
     def test_mutual_info_echoes_its_default_grid(self, tmp_path):
@@ -366,6 +410,28 @@ class TestSubcommands:
             tracemalloc.stop()
         # a lambda grid at this gamma (251 328 points) would peak near 25 MB
         assert peak < 2**20
+
+
+class SerialExecutor:
+    """Stand-in for `ThreadPoolExecutor` that runs each task on the calling
+    thread: `submit` at once, `map` in order as its results are taken."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 def fresh_env() -> dict:
@@ -530,7 +596,7 @@ class TestReportPath:
         assert list(tmp_path.iterdir()) == []
 
     def test_a_failed_run_leaves_the_out_path_as_it_was(self, tmp_path, monkeypatch):
-        def fail(spec, n_paths, rng):
+        def fail(spec, n_paths, rng, executor=None):
             raise BridgeSamplingError("conditional increment sampling stalled")
 
         monkeypatch.setattr(cli, "sample_bridges", fail)
@@ -545,7 +611,7 @@ class TestReportPath:
         assert list(tmp_path.iterdir()) == [existing]
 
     def test_no_report_is_written_on_failure(self, writes, monkeypatch):
-        def fail(spec, n_paths, rng):
+        def fail(spec, n_paths, rng, executor=None):
             raise BridgeSamplingError("conditional increment sampling stalled")
 
         monkeypatch.setattr(cli, "sample_bridges", fail)
@@ -940,7 +1006,8 @@ class TestExitCodes:
 
         def stall_in_shard_1(residual, d1, d2, gen):
             sizes.append(residual.size)
-            if len(sizes) == 2:  # 2 steps: one conditional step per shard
+            # the shards may run at once, so shard 1 is told by its one path
+            if residual.size == 1:  # 2 steps: one conditional step per shard
                 raise BridgeSamplingError("conditional increment sampling stalled")
             return np.zeros_like(residual)
 
@@ -948,13 +1015,13 @@ class TestExitCodes:
         code = main(["schulman-paths", "--gamma", "1e-3", "--steps", "2",
                      "--samples", str(schulman.BRIDGE_SHARD + 1), "--seed", "1"])
         assert code == 1
-        assert sizes == [schulman.BRIDGE_SHARD, 1]
+        assert sorted(sizes) == [1, schulman.BRIDGE_SHARD]
         err = capsys.readouterr().err
         assert ("numerical failure: conditional increment sampling stalled in bridge "
                 "shard 1 (step 0, 64 proposal rounds)") in err
 
     def test_bridge_failure_leaves_no_helper_thread(self, capsys, monkeypatch):
-        def fail(spec, n_paths, rng):
+        def fail(spec, n_paths, rng, executor=None):
             raise BridgeSamplingError("conditional increment sampling stalled")
 
         monkeypatch.setattr(cli, "sample_bridges", fail)

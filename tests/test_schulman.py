@@ -4,6 +4,8 @@ import dataclasses
 import math
 import re
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -832,8 +834,52 @@ class TestShards:
                     ensemble.largest[rows],
                     ensemble.kick_step[rows],
                     ensemble.total[rows],
+                    ensemble.discarded_winding_mass,
                 ),
             )
+
+    @pytest.mark.parametrize("n", [1000, schulman.BRIDGE_SHARD + 1, 3 * schulman.BRIDGE_SHARD + 1])
+    def test_a_pool_of_any_size_draws_the_serial_bits(self, n):
+        # 1, 2 and 4 shards; 1 to 3 threads, more than the shards in some runs,
+        # switching threads often so that a write to another shard's rows shows
+        spec = dataclasses.replace(self.spec, steps=3)
+        serial = sample_bridges(spec, n, RngStream(22))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                with ThreadPoolExecutor(threads) as pool:
+                    pooled = sample_bridges(spec, n, RngStream(22), pool)
+                assert_same_kicks(pooled, serial)
+                assert pooled.discarded_winding_mass == serial.discarded_winding_mass
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_first_failing_shard_in_shard_order_is_named(self, monkeypatch):
+        rng = RngStream(23)
+        # a shard is told by its generator's Philox key, (seed, stream)
+        shard_of = {rng.substream(i).stream: i for i in range(4)}
+        failed = []
+        shard_3_failed = threading.Event()
+
+        def stall_in_shards_2_and_3(residual, d1, d2, gen):
+            shard = shard_of[int(gen.bit_generator.state["state"]["key"][1])]
+            if shard == 2:
+                # until shard 3 has failed; the timeout ends the wait if it never runs
+                shard_3_failed.wait(timeout=10.0)
+            if shard in (2, 3):
+                failed.append(shard)
+                if shard == 3:
+                    shard_3_failed.set()
+                raise BridgeSamplingError("conditional increment sampling stalled")
+            return np.zeros_like(residual)
+
+        monkeypatch.setattr(schulman, "_conditional_step", stall_in_shards_2_and_3)
+        spec = dataclasses.replace(self.spec, steps=2)
+        with ThreadPoolExecutor(4) as pool:
+            with pytest.raises(BridgeSamplingError, match=r"in bridge shard 2 \(step 0,"):
+                sample_bridges(spec, 3 * schulman.BRIDGE_SHARD + 1, rng, pool)
+        assert failed == [3, 2]
 
 
 class TestCauchyByInversion:

@@ -49,7 +49,6 @@ from .schulman import (
     KickStats,
     PathSpec,
     TwoPhotonResult,
-    bridge_shards,
     dominant_kick_stats,
     endpoint_targets,
     expected_net_dominance,

@@ -42,7 +42,6 @@ from .estimator import (
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
 from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint, tsirelson_settings
 from .schulman import (
-    BRIDGE_SHARD,
     BridgeSamplingError,
     PathSpec,
     dominant_kick_stats,
@@ -176,6 +175,19 @@ def write_report(report: dict, out: str | None, fmt: str) -> None:
         handle.flush()  # a closed stdout pipe raises here, inside `main`
 
 
+@contextlib.contextmanager
+def thread_pool(limit: int | None = None):
+    """The run's one pool: a thread per usable CPU, at most `limit`.  Threads
+    start as tasks arrive, so it starts no more of them than the run has
+    tasks.  On exit queued tasks are cancelled and the threads joined."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ThreadPoolExecutor(min(cpus or 1, limit or math.inf))
+    try:
+        yield pool
+    finally:  # a failed task ends the run: its queued work is not waited for
+        pool.shutdown(cancel_futures=True)
+
+
 def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
     return {key: getattr(args, key) for key in keys}
 
@@ -210,7 +222,8 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
         pvalue, residuals = None, None
     else:
         rng = RngStream(args.seed)
-        chsh = run_chsh_experiment(model, settings, args.samples, rng, workers=args.workers)
+        with thread_pool(limit=args.workers) as pool:
+            chsh = run_chsh_experiment(model, settings, args.samples, rng, pool)
         residuals = {"screening": screening_residual(
             model, settings[0], settings[2], min(args.samples, 200_000), rng.substream(100)).value}
         if isinstance(model, HiddenVariableModel):
@@ -264,14 +277,9 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     except ValueError as exc:  # a step width or gamma out of range
         raise UsageError(str(exc)) from None
     rng = RngStream(args.seed)
-    # a thread per usable CPU, at most one per task: a bridge shard or the free kicks
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool = ThreadPoolExecutor(min(-(-args.samples // BRIDGE_SHARD) + 1, cpus or 1))
-    try:
+    with thread_pool() as pool:
         free = pool.submit(free_kick_sums, spec.gamma, spec.steps, args.samples, rng.substream(1))
         bridges = sample_bridges(spec, args.samples, rng.substream(0), pool)
-    finally:  # a failed shard cancels the queued work and joins the threads
-        pool.shutdown(cancel_futures=True)
     kicks, discarded = dominant_kick_stats(bridges), bridges.discarded_winding_mass
     del bridges  # the ensemble goes before the KS test's copies of the sums
     ks = stats.kstest(free.result(), stats.cauchy(scale=spec.gamma).cdf)
@@ -361,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=at_least(1),
                    help=f"samples per correlator (default {MODEL_OPTIONS['samples']})")
     p.add_argument("--gamma", type=positive)
-    p.add_argument("--workers", type=at_least(1), help=f"worker threads (default "
-                   f"{MODEL_OPTIONS['workers']}); does not affect results")
+    p.add_argument("--workers", type=at_least(1), help=f"at most this many threads, and no "
+                   f"more than the usable CPUs (default {MODEL_OPTIONS['workers']}); no result "
+                   f"depends on it")
     common(p)
     p.set_defaults(func=cmd_run_chsh)
 
@@ -423,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BridgeSamplingError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the refused allocation, a bare one nothing
+        print(f"out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader closed stdout (`| head`): stop as `yes | head` does, with

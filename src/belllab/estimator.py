@@ -1,15 +1,15 @@
 """Monte-Carlo and exact estimation: correlators, CHSH values, locality
 residuals, mutual information and certification bounds.
 
-Sampling work is split into fixed-size logical shards with one random
-substream each, so results are bit-identical regardless of how many
-workers execute the shards.
+Sampling work is split into fixed-size logical shards, shard i drawing
+from rng.substream(i), so results are bit-identical whether the shards run
+in order on the calling thread or as tasks of an executor the caller passes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +69,7 @@ class ScreeningResult:
 
 
 def _shard_sizes(n: int) -> list[int]:
-    """Fixed decomposition of n samples, independent of worker count."""
+    """Fixed decomposition of n samples, independent of how the shards run."""
     full, rest = divmod(n, SHARD_SIZE)
     return [SHARD_SIZE] * full + ([rest] if rest else [])
 
@@ -80,20 +80,19 @@ def estimate_correlator(
     b: float,
     n: int,
     rng: RngStream,
-    workers: int = 1,
+    executor: Executor | None = None,
 ) -> CorrelatorEstimate:
-    """Monte-Carlo estimate of <AB> from n sampled runs."""
+    """Monte-Carlo estimate of <AB> from n sampled runs, its shards run as
+    `executor` tasks or, without one, in order on the calling thread."""
     if n < 1:
         raise ValueError("n must be >= 1")
     sizes = _shard_sizes(n)
 
-    def run_shard(args):
-        index, size = args
+    def run_shard(index: int, size: int) -> float:
         # A*B is +-1: the sum is the count of agreements minus disagreements
         return float(size - 2 * model.count_disagreements(a, b, size, rng.substream(index)))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sums = list(pool.map(run_shard, enumerate(sizes)))
+    sums = list((executor.map if executor else map)(run_shard, range(len(sizes)), sizes))
 
     mean = math.fsum(sums) / n
     # A*B is +-1, so the sample variance is determined by the mean
@@ -110,12 +109,12 @@ def run_chsh_experiment(
     settings: tuple[float, float, float, float],
     n_per_correlator: int,
     rng: RngStream,
-    workers: int = 1,
+    executor: Executor | None = None,
 ) -> ChshReport:
     """Estimate all four CHSH correlators and combine them into S."""
     pairs = chsh_pairs(tuple(PolAngle(s) for s in settings))
     estimates = tuple(
-        estimate_correlator(model, x, y, n_per_correlator, rng.substream(i), workers)
+        estimate_correlator(model, x, y, n_per_correlator, rng.substream(i), executor)
         for i, (x, y) in enumerate(pairs)
     )
     s = chsh_value(*(e.value for e in estimates))

@@ -38,7 +38,7 @@ N_WINDINGS = 200
 #: arithmetic in any block, so results do not depend on it.
 KICK_BLOCK = 2**15
 
-#: Paths per shard of a bridge ensemble (see `bridge_shards`).  The
+#: Paths per shard of a bridge ensemble (see `sample_bridges`).  The
 #: conditional step's temporaries are shard vectors, whatever the ensemble
 #: size.
 BRIDGE_SHARD = 25_000
@@ -471,10 +471,12 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream,
     drawn, so memory is a few vectors of n_paths whatever `steps` is.  A path
     whose largest |increment| is shared by two or more steps gets kick step -1.
 
-    The paths are drawn in the shards of `bridge_shards`, shard i from
-    rng.substream(i) into its rows, in order or as `executor` tasks with the
-    same bits.  A step may take MAX_ROUNDS proposal rounds before it raises
-    `BridgeSamplingError`, naming the step and the first failing shard.
+    The paths are drawn in shards of BRIDGE_SHARD paths, the last cut short
+    at n_paths: shard i holds rows [i * BRIDGE_SHARD, (i + 1) * BRIDGE_SHARD)
+    and draws them from rng.substream(i), in order on the calling thread or
+    as `executor` tasks with the same bits.  A step may take MAX_ROUNDS
+    proposal rounds before it raises `BridgeSamplingError`, naming the step
+    and the first failing shard.
     """
     steps = spec.steps
     d_step = spec.step_width
@@ -484,10 +486,9 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream,
     kick_step = np.zeros(n_paths, dtype=np.intp)
     total = np.zeros(n_paths)
 
-    def draw_shard(shard: tuple[int, tuple[int, RngStream]]) -> None:
-        index, (size, shard_rng) = shard
+    def draw_shard(index: int, size: int) -> None:
         rows = slice(index * BRIDGE_SHARD, index * BRIDGE_SHARD + size)
-        gen = shard_rng.generator
+        gen = rng.substream(index).generator
         residual = targets[gen.choice(targets.size, size=size, p=weights)]
         rotations[rows] = residual
         # views of this shard's rows, updated in place
@@ -510,22 +511,9 @@ def sample_bridges(spec: PathSpec, n_paths: int, rng: RngStream,
             np.copyto(shard_step, -1, where=eps == shard_largest)
             np.copyto(shard_step, step, where=eps > shard_largest)
             np.maximum(shard_largest, eps, out=shard_largest)
-    list((executor.map if executor else map)(draw_shard, enumerate(bridge_shards(n_paths, rng))))
+    sizes = [min(BRIDGE_SHARD, n_paths - start) for start in range(0, n_paths, BRIDGE_SHARD)]
+    list((executor.map if executor else map)(draw_shard, range(len(sizes)), sizes))
     return BridgeKicks(steps, rotations, largest, kick_step, total, discarded)
-
-
-def bridge_shards(n_paths: int, rng: RngStream) -> list[tuple[int, RngStream]]:
-    """Split an ensemble of n_paths bridges into shards of BRIDGE_SHARD paths.
-
-    Returns (size, stream) per shard: shard i holds paths
-    [i * BRIDGE_SHARD, (i + 1) * BRIDGE_SHARD), cut short at n_paths, and
-    `sample_bridges` draws it from rng.substream(i).  The split depends on
-    n_paths alone.
-    """
-    return [
-        (min(BRIDGE_SHARD, n_paths - start), rng.substream(i))
-        for i, start in enumerate(range(0, n_paths, BRIDGE_SHARD))
-    ]
 
 
 def free_kick_sums(gamma: float, steps: int, n: int, rng: RngStream) -> np.ndarray:

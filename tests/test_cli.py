@@ -326,11 +326,10 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("source, cpus, samples, workers", [
         (source, *case) for source in ("affinity", "cpu_count") for case in (
-            (1, 1000, 1), (64, 1000, 2), (64, 3 * schulman.BRIDGE_SHARD + 1, 5),
-            (1, 10**12, 1), (64, 10**12, 64),
+            (1, 1000, 1), (64, 1000, 64), (1, 10**12, 1), (64, 10**12, 64),
         )
     ] + [("cpu_count", None, 1000, 1)])  # os.cpu_count() may not know
-    def test_schulman_paths_pool_has_a_thread_per_task_up_to_the_cpus(
+    def test_schulman_paths_pool_has_a_thread_per_usable_cpu(
         self, source, cpus, samples, workers, monkeypatch
     ):
         sizes = []
@@ -342,18 +341,54 @@ class TestSubcommands:
             sizes.append(max_workers)
             raise Sized
 
-        if source == "affinity":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        patch_usable_cpus(monkeypatch, cpus, source)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", pool)
         threads_before = threading.active_count()
         with pytest.raises(Sized):
             main(["schulman-paths", "--gamma", "1e-3", "--samples", str(samples)])
         assert sizes == [workers]
         assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("samples, most", [(1000, 2), (3 * schulman.BRIDGE_SHARD + 1, 5)])
+    def test_schulman_paths_starts_a_thread_per_task_at_most(
+        self, samples, most, tmp_path, monkeypatch
+    ):
+        # the free kicks and 1 or 4 bridge shards: threads start as tasks arrive
+        patch_usable_cpus(monkeypatch, 64)
+        alive = []
+
+        def counted(function):
+            def call(*args):
+                alive.append(threading.active_count())
+                return function(*args)
+
+            return call
+
+        monkeypatch.setattr(cli, "free_kick_sums", counted(schulman.free_kick_sums))
+        monkeypatch.setattr(schulman, "_conditional_step", counted(schulman._conditional_step))
+        threads_before = threading.active_count()
+        assert main(["schulman-paths", "--gamma", "1e-3", "--steps", "3", "--samples",
+                     str(samples), "--out", str(tmp_path / "r.json")]) == 0
+        assert alive and all(threads_before < n <= threads_before + most for n in alive)
+        assert threading.active_count() == threads_before
+
+    def test_run_chsh_builds_one_pool_of_at_most_the_usable_cpus(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
+        threads_before = threading.active_count()
+        # four correlators of four shards each share the one pool
+        for cpus in (1, 2):
+            patch_usable_cpus(monkeypatch, cpus)
+            sizes.clear()
+            assert main(["run-chsh", "--model", "hall", "--workers", "4", "--samples",
+                         "750001", "--out", str(tmp_path / "r.json")]) == 0
+            assert sizes == [cpus]
+            assert threading.active_count() == threads_before
 
     def test_mutual_info_echoes_its_default_grid(self, tmp_path):
         out = tmp_path / "r.json"
@@ -410,6 +445,17 @@ class TestSubcommands:
             tracemalloc.stop()
         # a lambda grid at this gamma (251 328 points) would peak near 25 MB
         assert peak < 2**20
+
+
+def patch_usable_cpus(monkeypatch, cpus, source="affinity") -> None:
+    """Make `cpus` the usable CPU count, read from the affinity mask or, with
+    no such call, from `os.cpu_count()`."""
+    if source == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
 class SerialExecutor:
@@ -1019,6 +1065,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("numerical failure: conditional increment sampling stalled in bridge "
                 "shard 1 (step 0, 64 proposal rounds)") in err
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                     "and data type float64"),
+         "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+         "and data type float64"),
+        (MemoryError(), "an allocation was refused"),  # as a bare list allocation raises it
+    ])
+    def test_out_of_memory_exits_1_without_a_traceback(
+        self, error, message, tmp_path, capsys, monkeypatch
+    ):
+        def fail(spec, n_paths, rng, executor=None):
+            raise error
+
+        monkeypatch.setattr(cli, "sample_bridges", fail)
+        existing = tmp_path / "old.json"
+        existing.write_bytes(b'{"an": "earlier report"}\n')
+        threads_before = threading.active_count()
+        code = main(["schulman-paths", "--gamma", "1e-3", "--samples", "100",
+                     "--out", str(existing)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"out of memory: {message}\n"
+        assert "Traceback" not in captured.err
+        assert threading.active_count() == threads_before
+        assert existing.read_bytes() == b'{"an": "earlier report"}\n'
+        assert list(tmp_path.iterdir()) == [existing]
 
     def test_bridge_failure_leaves_no_helper_thread(self, capsys, monkeypatch):
         def fail(spec, n_paths, rng, executor=None):

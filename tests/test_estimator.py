@@ -1,6 +1,7 @@
 """Estimation pipeline: correlators, CHSH, locality residuals, information."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -51,11 +52,12 @@ class TestEstimateCorrelator:
 
     # 1001 is one partial shard; 600 000 is two full shards and a partial one
     @pytest.mark.parametrize("n", [1001, 600_000])
-    def test_workers_do_not_change_results(self, n):
+    def test_an_executor_does_not_change_results(self, n):
         model = HallModel()
         a, b = TSIRELSON[0], TSIRELSON[2]
-        serial = estimate_correlator(model, a, b, n, RngStream(1), workers=1)
-        parallel = estimate_correlator(model, a, b, n, RngStream(1), workers=4)
+        serial = estimate_correlator(model, a, b, n, RngStream(1), executor=None)
+        with ThreadPoolExecutor(4) as pool:
+            parallel = estimate_correlator(model, a, b, n, RngStream(1), executor=pool)
         assert serial == parallel
 
     @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from belllab.schulman import (
     PathSpec,
     _cauchy_by_inversion,
     _conditional_step,
-    bridge_shards,
     dominant_kick_stats,
     endpoint_targets,
     expected_net_dominance,
@@ -803,28 +802,49 @@ class TestRowBlocks:
             assert sums.tobytes() == kicks.sum(axis=1).tobytes(), steps
 
 
+class RecordedStream(RngStream):
+    """RngStream(21), recording the substream indices asked of it.  Given
+    `shard`, every substream it hands back is RngStream(21).substream(shard)."""
+
+    def __init__(self, shard: int | None = None):
+        super().__init__(21)
+        self.shard, self.asked = shard, []
+
+    def substream(self, index: int) -> RngStream:
+        self.asked.append(index)
+        return super().substream(index if self.shard is None else self.shard)
+
+
 class TestShards:
     """An ensemble drawn shard by shard, with a partial last shard of one path."""
 
     n = 2 * schulman.BRIDGE_SHARD + 1
     spec = PathSpec(theta1=PolAngle(0.3), theta2=PolAngle(PI / 8), gamma=1e-3, steps=12)
 
-    def test_split_depends_on_the_count_alone(self):
-        shards = bridge_shards(self.n, RngStream(3).substream(0))
-        assert [size for size, _ in shards] == [schulman.BRIDGE_SHARD] * 2 + [1]
-        assert [rng.stream for _, rng in shards] == [
-            RngStream(3).substream(0).substream(i).stream for i in range(3)
-        ]
-        assert [size for size, _ in bridge_shards(1, RngStream(3))] == [1]
+    def test_split_depends_on_the_count_alone(self, monkeypatch):
+        sizes = []
 
-    def test_a_shard_drawn_alone_is_its_slice_of_the_ensemble(self, monkeypatch):
+        def recorded_step(residual, d1, d2, gen):
+            sizes.append(residual.size)
+            return _conditional_step(residual, d1, d2, gen)
+
+        monkeypatch.setattr(schulman, "_conditional_step", recorded_step)
+        spec = dataclasses.replace(self.spec, steps=2)  # one conditional step a shard
+        for n, shard_sizes in ((self.n, [schulman.BRIDGE_SHARD] * 2 + [1]), (1, [1])):
+            sizes.clear()
+            rng = RecordedStream()
+            sample_bridges(spec, n, rng)
+            # in order on the calling thread: shard i from rng.substream(i)
+            assert sizes == shard_sizes
+            assert rng.asked == list(range(len(shard_sizes)))
+
+    def test_a_shard_drawn_alone_is_its_slice_of_the_ensemble(self):
         ensemble = sample_bridges(self.spec, self.n, RngStream(21))
         for i, size in ((1, schulman.BRIDGE_SHARD), (2, 1)):
-            # the ensemble's split replaced by shard i alone, from its own stream
-            monkeypatch.setattr(
-                schulman, "bridge_shards", lambda n, rng: [(size, RngStream(21).substream(i))]
-            )
-            alone = sample_bridges(self.spec, size, RngStream(0))
+            # one shard's paths, drawn as shard 0 from shard i's stream
+            rng = RecordedStream(shard=i)
+            alone = sample_bridges(self.spec, size, rng)
+            assert rng.asked == [0]
             rows = slice(i * schulman.BRIDGE_SHARD, i * schulman.BRIDGE_SHARD + size)
             assert_same_kicks(
                 alone,

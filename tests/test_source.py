@@ -192,6 +192,49 @@ def test_model_name_check_finds_them(tmp_path):
     assert model_name_tests(module) == ["m.py line 2", "m.py line 4", "m.py line 6"]
 
 
+def thread_pool_names(path: Path) -> list[str]:
+    """Where `path` names `ThreadPoolExecutor`, as "<file>:<function>", or
+    "<file>:<module>" outside any function.  A name, an attribute
+    (`futures.ThreadPoolExecutor`) and an import each count."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if "ThreadPoolExecutor" in (
+                getattr(child, "id", None),
+                getattr(child, "attr", None),
+                child.name.split(".")[-1] if isinstance(child, ast.alias) else None,
+            ):
+                found.append(f"{path.name}:{scope}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_cli_thread_pool_builds_threads():
+    # the library takes an executor; one CLI helper builds the run's pool
+    found = [name for path in sorted(SRC.glob("*.py")) for name in thread_pool_names(path)]
+    assert found == ["cli.py:<module>", "cli.py:thread_pool"]
+
+
+def test_thread_pool_check_finds_them(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import Executor, ThreadPoolExecutor as Pool\n"
+        "def run(tasks, executor: Executor):\n"
+        "    with cf.ThreadPoolExecutor(2) as pool:\n        return list(pool.map(len, tasks))\n"
+        "class Runner:\n"
+        "    def start(self):\n        return Pool()\n"
+        "    pool = cf.ProcessPoolExecutor\n"
+    )
+    assert thread_pool_names(module) == ["m.py:<module>", "m.py:run"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

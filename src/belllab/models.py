@@ -30,8 +30,8 @@ from .qm import JointDist
 
 
 def _hall_plus(setting: float, lam: np.ndarray) -> np.ndarray:
-    """Hall's deterministic outcome is +1: cos(2 setting - 2 lam) >= 0, the
-    tie going to +1."""
+    """Hall's deterministic outcome is +1: cos(2 setting - 2 lam) >= 0.  No
+    double argument makes the cosine exactly 0, so `>` would give the same."""
     return np.cos(2.0 * (setting - np.asarray(lam, dtype=float))) >= 0.0
 
 

@@ -252,15 +252,29 @@ class TestSubcommands:
         assert sum(report["kick_time_histogram"]) == 3000
         assert report["kick_time_chi2_pvalue"] > 0.01
 
-    @pytest.mark.parametrize("steps, theta2", [("1", "0"), ("1", "0.125pi"), ("1000", "0.125pi")],
-                             ids=["1-step-aligned", "1-step", "2-expected-a-bin"])
-    def test_schulman_paths_gives_no_p_value_without_a_valid_test(self, steps, theta2, tmp_path,
-                                                                  capsys):
+    @pytest.mark.parametrize("steps, theta2, samples, counted", [
+        ("1", "0", "2000", 0), ("1", "0.125pi", "2000", 2000), ("1000", "0.125pi", "2000", 2000),
+        ("10", "0.125pi", "49", 49),
+    ], ids=["1-step-aligned", "1-step", "2-expected-a-bin", "4.9-expected-a-bin"])
+    def test_schulman_paths_gives_no_p_value_without_a_valid_test(
+        self, steps, theta2, samples, counted, tmp_path, capsys
+    ):
         out = tmp_path / "r.json"
         assert main(["schulman-paths", "--gamma", "1e-3", "--theta2", theta2, "--steps", steps,
-                     "--samples", "2000", "--seed", "1", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["kick_time_chi2_pvalue"] is None
+                     "--samples", samples, "--seed", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert sum(report["kick_time_histogram"]) == counted
+        assert report["kick_time_chi2_pvalue"] is None
         assert " chi2 p=none" in capsys.readouterr().err
+
+    def test_schulman_paths_gives_a_p_value_at_5_expected_paths_a_bin(self, tmp_path):
+        # Cochran's rule holds with equality: 50 paths over 10 steps, none tied
+        out = tmp_path / "r.json"
+        assert main(["schulman-paths", "--gamma", "1e-3", "--steps", "10", "--samples", "50",
+                     "--seed", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert sum(report["kick_time_histogram"]) == 50
+        assert math.isfinite(report["kick_time_chi2_pvalue"])
 
     def test_schulman_paths_memory_is_flat_in_steps(self, tmp_path):
         argv = ["schulman-paths", "--gamma", "1e-3", "--seed", "1", "--out", str(tmp_path / "r.json")]
@@ -381,13 +395,14 @@ class TestSubcommands:
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
         threads_before = threading.active_count()
-        # four correlators of four shards each share the one pool
-        for cpus in (1, 2):
+        # four correlators of four shards each share the one pool, of the
+        # usable CPUs or --workers, whichever is fewer
+        for workers, cpus, size in (("4", 1, 1), ("4", 2, 2), ("1", 2, 1), ("1", 64, 1)):
             patch_usable_cpus(monkeypatch, cpus)
             sizes.clear()
-            assert main(["run-chsh", "--model", "hall", "--workers", "4", "--samples",
+            assert main(["run-chsh", "--model", "hall", "--workers", workers, "--samples",
                          "750001", "--out", str(tmp_path / "r.json")]) == 0
-            assert sizes == [cpus]
+            assert sizes == [size]
             assert threading.active_count() == threads_before
 
     def test_mutual_info_echoes_its_default_grid(self, tmp_path):

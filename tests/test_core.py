@@ -83,13 +83,11 @@ class TestRngStream:
         np.testing.assert_array_equal(a, RngStream(7).substream(0).generator.random(8))
 
     def test_substream_of_substream_does_not_collide(self):
+        # no key equals its parent's or a sibling's, over the root and two levels
         root = RngStream(7)
-        seen = set()
-        for i in range(4):
-            for j in range(4):
-                s = root.substream(i).substream(j)
-                seen.add(s.stream)
-        assert len(seen) == 16
+        firsts = [root.substream(i) for i in range(4)]
+        streams = [root, *firsts, *(s.substream(j) for s in firsts for j in range(4))]
+        assert len({(s.seed, s.stream) for s in streams}) == 1 + 4 + 16
 
     def test_substream_index_validation(self):
         with pytest.raises(ValueError):

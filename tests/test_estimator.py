@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy import integrate
 
 from belllab import estimator
@@ -26,6 +27,7 @@ from belllab.estimator import (
 from belllab.models import (
     DeltaMixtureModel,
     HallModel,
+    HiddenVariableModel,
     LambdaDistribution,
     LocalBaselineModel,
     PRBoxModel,
@@ -35,6 +37,7 @@ from belllab.models import (
 from belllab.qm import TSIRELSON_BOUND, chsh_pairs, qm_correlator, tsirelson_settings
 
 TSIRELSON = tsirelson_settings()
+angles = st.floats(min_value=0.0, max_value=PI, exclude_max=True)
 
 
 def analytic_chsh(model, settings):
@@ -74,6 +77,19 @@ class TestEstimateCorrelator:
             sums.append(float(np.sum(a_out.astype(int) * b_out)))
         est = estimate_correlator(model, a, b, sum(sizes), RngStream(8))
         assert est.value == math.fsum(sums) / sum(sizes)
+
+    @pytest.mark.parametrize("n, disagreements", [(10, 3), (101, 0), (1000, 999)])
+    def test_standard_error_is_that_of_a_mean_of_signs(self, n, disagreements):
+        class Fixed:
+            def count_disagreements(self, a, b, size, rng):
+                return disagreements
+
+        est = estimate_correlator(Fixed(), 0.0, 0.0, n, RngStream(0))
+        assert est.value == (n - 2 * disagreements) / n
+        # the unbiased sample variance of n values of +-1 is n (1 - mean^2) / (n - 1)
+        assert est.standard_error == pytest.approx(
+            math.sqrt((1.0 - est.value**2) / (n - 1)), rel=1e-14
+        )
 
     def test_convergence_rate(self):
         # error shrinks roughly as 1/sqrt(N) toward the analytic correlator
@@ -135,22 +151,21 @@ class TestPeresIdentity:
 
 
 def masked_loop_screening(model, a, b, n, rng):
-    """Reference for screening_residual: one boolean mask per lambda bin."""
-    lams, a_out, b_out = model.sample_runs(a, b, n, rng)
-    if lams is None:
-        bins, n_bins = np.zeros(n, dtype=int), 1
-    elif model.lambda_distribution(a, b).edges is None:
-        points = model.lambda_distribution(a, b).points
-        bins, n_bins = np.searchsorted(points, lams), points.size
+    """Reference for screening_residual: one boolean mask per lambda bin, the
+    bin being the piece `sample_lambdas` drew or, with no piece index, one of
+    SCREENING_BINS equal bins of [0, pi)."""
+    if isinstance(model, HiddenVariableModel):
+        index, lams = model.sample_lambdas(a, b, n, rng)
+        a_out, b_out = model.sample_outcomes(a, b, lams, rng, index)
+        if index is None:
+            index = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
     else:
-        bins = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
-        n_bins = SCREENING_BINS
+        _, a_out, b_out = model.sample_runs(a, b, n, rng)
+        index = np.zeros(n, dtype=int)
     worst, occupied, excluded = 0.0, 0, 0
-    for idx in range(n_bins):
-        mask = bins == idx
+    for idx in np.unique(index):
+        mask = index == idx
         count = int(mask.sum())
-        if count == 0:
-            continue
         if count < MIN_BIN_COUNT:
             excluded += 1
             continue
@@ -167,23 +182,40 @@ def masked_loop_screening(model, a, b, n, rng):
 
 class SteppedModel(LocalBaselineModel):
     """Malus outcomes with lambda dense on [0, pi/2), sparse on [pi/2, 3pi/4)
-    and absent from [3pi/4, pi): at 6400 samples its 64 screening bins are
-    32 occupied (about 190 samples each), 16 excluded (about 20) and 16 empty."""
+    and absent from [3pi/4, pi).  Its outcome probabilities vary within each
+    segment, so it returns no piece index, and at 6400 samples its 64 equal
+    screening bins are 32 occupied (about 190 samples each), 16 excluded
+    (about 20) and 16 empty."""
 
     def lambda_distribution(self, a, b):
         edges = np.array([0.0, PI / 2, 3 * PI / 4, PI])
         return LambdaDistribution(0.5 * (edges[:-1] + edges[1:]), np.array([0.95, 0.05, 0.0]), edges)
 
     def sample_lambdas(self, a, b, n, rng):
-        return self.lambda_distribution(a, b).sample(n, rng)
+        _, lams = self.lambda_distribution(a, b).sample(n, rng)
+        return None, lams
+
+
+class ManyAtomModel(DeltaMixtureModel):
+    """Malus outcomes on 200 equal atoms: the piece index is a uint8, and
+    past 63, 4 * index would wrap in it."""
+
+    def lambda_distribution(self, a, b):
+        return LambdaDistribution(np.arange(200) * PI / 200, np.full(200, 1 / 200))
 
 
 class TestScreening:
     def test_hall_screens(self):
         res = screening_residual(HallModel(), 0.0, PI / 8, 400_000, RngStream(4))
-        assert res.occupied_bins > 0
-        # binomial fluctuation scale for the worst of ~64 bins
-        assert res.value < 6 * math.sqrt(0.25 / (400_000 / (4 * 64)))
+        # one bin per segment; the outcomes are fixed on each
+        assert (res.value, res.occupied_bins, res.excluded_bins) == (0.0, 5, 0)
+
+    @hyp_settings(max_examples=50, deadline=None)
+    @given(a=angles, b=angles)
+    @example(a=0.01, b=0.04)  # an a- and a b-breakpoint within one 64th of pi
+    def test_hall_screens_exactly_at_any_settings(self, a, b):
+        res = screening_residual(HallModel(), a, b, 20_000, RngStream(9))
+        assert res.value == 0.0
 
     def test_delta_mixture_screens(self):
         res = screening_residual(DeltaMixtureModel(), 0.0, PI / 8, 200_000, RngStream(5))
@@ -201,13 +233,15 @@ class TestScreening:
         "model, a, b, n",
         [
             (HallModel(), 0.0, PI / 8, 200_000),
-            # ~100 samples per bin: some fall below MIN_BIN_COUNT
-            (HallModel(), 0.0, PI / 8, 6_400),
+            # the disagreement segments hold about 0.05^2 of the mass, about
+            # 16 samples: below MIN_BIN_COUNT
+            (HallModel(), 0.0, 0.05, 6_400),
             # occupied, excluded and empty bins at once (see the test below)
             (SteppedModel(), 0.0, PI / 8, 6_400),
             # a perpendicular to b: Hall's agreement segments carry no mass
             (HallModel(), 0.3, 0.3 + PI / 2, 12_800),
             (DeltaMixtureModel(), 0.0, PI / 8, 20_000),
+            (ManyAtomModel(), 0.0, PI / 8, 40_000),
             (LocalBaselineModel(), 0.0, PI / 8, 6_400),
             # about 16 samples per bin: every bin is excluded, so no residual
             (LocalBaselineModel(), 0.0, PI / 8, 1_000),

@@ -978,6 +978,14 @@ class TestKickStatistics:
         assert pred.value == pytest.approx(0.9274, abs=1e-4)
         assert 0.0 < pred.error_bound < 1e-4
 
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0], ids=["gate-spec", "gamma-1"])
+    def test_error_bound_is_the_overcount_and_the_discarded_windings_shift(self, gamma):
+        spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=gamma, steps=100)
+        pred = expected_net_dominance(spec)
+        discarded = endpoint_targets(spec)[2]
+        assert pred.discarded_winding_mass == discarded
+        assert pred.error_bound == pred.overcount + discarded * (1.0 - pred.value)
+
     def test_prediction_is_mirror_symmetric(self):
         plus = expected_net_dominance(PathSpec(PolAngle(0.0), PolAngle(PI / 8), 1e-3, 100))
         minus = expected_net_dominance(PathSpec(PolAngle(0.0), PolAngle(-PI / 8), 1e-3, 100))

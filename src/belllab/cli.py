@@ -45,6 +45,7 @@ from .schulman import (
     BridgeSamplingError,
     PathSpec,
     dominant_kick_stats,
+    endpoint_targets,
     free_kick_sums,
     sample_bridges,
     two_photon_joint,
@@ -280,7 +281,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
     with thread_pool() as pool:
         free = pool.submit(free_kick_sums, spec.gamma, spec.steps, args.samples, rng.substream(1))
         bridges = sample_bridges(spec, args.samples, rng.substream(0), pool)
-    kicks, discarded = dominant_kick_stats(bridges), bridges.discarded_winding_mass
+    kicks = dominant_kick_stats(bridges)
     del bridges  # the ensemble goes before the KS test's copies of the sums
     ks = stats.kstest(free.result(), stats.cauchy(scale=spec.gamma).cdf)
 
@@ -294,7 +295,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "paths": args.samples,
         "excluded_paths": kicks.excluded_paths,
         # endpoint weight the sampler's winding cut-off leaves out
-        "discarded_winding_mass": discarded,
+        "discarded_winding_mass": endpoint_targets(spec)[2],
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),

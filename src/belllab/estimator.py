@@ -140,23 +140,20 @@ def screening_residual(
     """Empirical check that outcomes factorize given (binned) lambda.
 
     Returns the worst |P(A,B | bin) - P(A | bin) P(B | bin)| over occupied
-    bins and outcome pairs.  A lambda's bin is the piece `sample_lambdas`
-    drew it from (a Hall segment or delta-mixture atom), on which outcome
-    probabilities are constant.  Without a piece index (the local baseline)
-    it is one of SCREENING_BINS equal bins: a binning bias of about
-    (pi/64)^2/12 ~ 2e-4, below the 200 000-sample noise of about 0.01.
-    Bins with fewer than MIN_BIN_COUNT samples are excluded and counted; if
-    none is left, the residual is None, not 0.  Models without a hidden
-    angle are one trivial bin, which measures the raw outcome correlation.
+    bins and outcome pairs of one `sample_runs` draw.  A run's bin is the
+    piece index it returns (a Hall segment or delta-mixture atom), on which
+    outcome probabilities are constant; with no index (the local baseline),
+    one of SCREENING_BINS equal bins of lambda, a binning bias of about
+    (pi/64)^2/12 ~ 2e-4, below the 200 000-sample noise of about 0.01; with
+    no lambdas either (the PR box), one trivial bin, which measures the raw
+    outcome correlation.  Bins with fewer than MIN_BIN_COUNT samples are
+    excluded and counted; if none is left, the residual is None, not 0.
     """
-    if isinstance(model, HiddenVariableModel):
-        index, lams = model.sample_lambdas(a, b, n, rng)
-        a_out, b_out = model.sample_outcomes(a, b, lams, rng, index)
-        if index is None:
-            index = np.minimum((lams / PI * SCREENING_BINS).astype(np.intp), SCREENING_BINS - 1)
-    else:
-        _, a_out, b_out = model.sample_runs(a, b, n, rng)
+    index, lams, a_out, b_out = model.sample_runs(a, b, n, rng)
+    if lams is None:
         index = np.zeros(n, dtype=np.intp)
+    elif index is None:
+        index = np.minimum((lams / PI * SCREENING_BINS).astype(np.intp), SCREENING_BINS - 1)
     index = index.astype(np.intp, copy=False)  # `4 * index` wraps in piece_index's uint8
 
     # counts[bin, A == -1, B == -1], from one pass over the samples

@@ -231,11 +231,12 @@ class HiddenVariableModel(ABC):
 
     def sample_runs(
         self, a: float, b: float, n: int, rng: RngStream
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n independent (lambda, A, B) triples."""
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+        """n independent runs ``(index, lams, A, B)``, lambdas drawn first;
+        ``index`` is what `sample_lambdas` returned (None: local baseline)."""
         index, lams = self.sample_lambdas(a, b, n, rng)
         a_out, b_out = self.sample_outcomes(a, b, lams, rng, index)
-        return lams, a_out, b_out
+        return index, lams, a_out, b_out
 
 
 class DeltaMixtureModel(HiddenVariableModel):
@@ -348,7 +349,7 @@ class PRBoxModel:
         x, y = self.box_inputs(a, b)
         a_out = _outcomes(rng.generator.random(n) < 0.5)
         b_out = -a_out if x & y else a_out.copy()
-        return None, a_out, b_out
+        return None, None, a_out, b_out
 
     def count_disagreements(self, a, b, n, rng):
         # the box anticorrelates exactly when x = y = 1, whatever its coin flips
@@ -366,6 +367,6 @@ def joint_outcome_dist(model: AnyModel, a: float, b: float) -> JointDist:
 
 def sample_run(model: AnyModel, a: float, b: float, rng: RngStream):
     """One (lambda, A, B) realization; lambda is None for lambda-free models."""
-    lams, a_out, b_out = model.sample_runs(a, b, 1, rng)
+    _, lams, a_out, b_out = model.sample_runs(a, b, 1, rng)
     lam = None if lams is None else PolAngle(lams[0])
     return lam, int(a_out[0]), int(b_out[0])

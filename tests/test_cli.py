@@ -35,7 +35,7 @@ from belllab.qm import chsh_pairs
 from belllab.schulman import (
     BridgeSamplingError,
     PathSpec,
-    expected_net_dominance,
+    endpoint_targets,
     two_photon_outcome_joint,
 )
 
@@ -203,9 +203,7 @@ class TestSubcommands:
         assert sum(report["kick_time_histogram"]) + report["excluded_paths"] == 2000
         assert report["cauchy_stability_ks_pvalue"] > 0.01
         spec = PathSpec(theta1=0.0, theta2=PI / 8, gamma=0.001, steps=20)
-        assert report["discarded_winding_mass"] == (
-            expected_net_dominance(spec).discarded_winding_mass
-        )
+        assert report["discarded_winding_mass"] == endpoint_targets(spec)[2]
         assert report["discarded_winding_mass"] == pytest.approx(2.527e-4, rel=1e-3)
 
     def test_schulman_paths_discarded_winding_mass_grows_with_gamma(self, tmp_path):

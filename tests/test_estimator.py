@@ -27,7 +27,6 @@ from belllab.estimator import (
 from belllab.models import (
     DeltaMixtureModel,
     HallModel,
-    HiddenVariableModel,
     LambdaDistribution,
     LocalBaselineModel,
     PRBoxModel,
@@ -73,7 +72,7 @@ class TestEstimateCorrelator:
         sizes = (SHARD_SIZE, 1001)
         sums = []
         for i, size in enumerate(sizes):
-            _, a_out, b_out = model.sample_runs(a, b, size, RngStream(8).substream(i))
+            _, _, a_out, b_out = model.sample_runs(a, b, size, RngStream(8).substream(i))
             sums.append(float(np.sum(a_out.astype(int) * b_out)))
         est = estimate_correlator(model, a, b, sum(sizes), RngStream(8))
         assert est.value == math.fsum(sums) / sum(sizes)
@@ -152,16 +151,13 @@ class TestPeresIdentity:
 
 def masked_loop_screening(model, a, b, n, rng):
     """Reference for screening_residual: one boolean mask per lambda bin, the
-    bin being the piece `sample_lambdas` drew or, with no piece index, one of
-    SCREENING_BINS equal bins of [0, pi)."""
-    if isinstance(model, HiddenVariableModel):
-        index, lams = model.sample_lambdas(a, b, n, rng)
-        a_out, b_out = model.sample_outcomes(a, b, lams, rng, index)
-        if index is None:
-            index = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
-    else:
-        _, a_out, b_out = model.sample_runs(a, b, n, rng)
+    bin being the piece index `sample_runs` returned or, with none, one of
+    SCREENING_BINS equal bins of [0, pi), or one bin with no lambdas either."""
+    index, lams, a_out, b_out = model.sample_runs(a, b, n, rng)
+    if lams is None:
         index = np.zeros(n, dtype=int)
+    elif index is None:
+        index = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
     worst, occupied, excluded = 0.0, 0, 0
     for idx in np.unique(index):
         mask = index == idx

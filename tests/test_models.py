@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 from scipy import integrate
 
 from belllab.core import PI, HALF_PI, PolAngle, RngStream
@@ -164,19 +164,49 @@ class TestPRBox:
 
     def test_sampling_is_perfectly_correlated(self):
         a, a_p, b, b_p = TSIRELSON
-        lam, a_out, b_out = self.model.sample_runs(a, b, 100, RngStream(0))
-        assert lam is None
+        index, lam, a_out, b_out = self.model.sample_runs(a, b, 100, RngStream(0))
+        assert index is None and lam is None
         np.testing.assert_array_equal(a_out, b_out)
-        _, a_out, b_out = self.model.sample_runs(a_p, b_p, 100, RngStream(0))
+        _, _, a_out, b_out = self.model.sample_runs(a_p, b_p, 100, RngStream(0))
         np.testing.assert_array_equal(a_out, -b_out)
 
     def test_outcomes_match_the_int64_reference(self):
         a, a_p, b, b_p = TSIRELSON
-        _, a_out, b_out = self.model.sample_runs(a_p, b_p, 10_000, RngStream(7))
+        _, _, a_out, b_out = self.model.sample_runs(a_p, b_p, 10_000, RngStream(7))
         reference = np.where(RngStream(7).generator.random(10_000) < 0.5, 1, -1)
         np.testing.assert_array_equal(a_out, reference)
         np.testing.assert_array_equal(b_out, -reference)
         assert a_out.dtype == b_out.dtype == np.int8
+
+
+finite_angles = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+class TestPRBoxOffLattice:
+    """Input matching at arbitrary float settings, not only the pi/64 lattice
+    the Tsirelson quadruple sits on."""
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(quad=st.tuples(*[finite_angles] * 4), n=st.integers(1, 10_000))
+    def test_configured_angles_and_only_those_are_inputs(self, quad, n):
+        a, a_p, b, b_p = quad
+        assume(PolAngle(a) != PolAngle(a_p) and PolAngle(b) != PolAngle(b_p))
+        model = PRBoxModel(quad)
+        for x, u in enumerate((a, a_p)):
+            for y, v in enumerate((b, b_p)):
+                assert model.box_inputs(u, v) == (x, y)
+                count = model.count_disagreements(u, v, n, RngStream(0))
+                assert count == (n if x & y else 0)
+                d = model.joint_dist(u, v)
+                assert d.p_pm + d.p_mp == count / n
+        for side, pair in ((1, (a, a_p)), (2, (b, b_p))):
+            for setting in pair:
+                for toward in (-math.inf, math.inf):
+                    near = float(np.nextafter(setting, toward))
+                    if PolAngle(near) in map(PolAngle, pair):
+                        continue  # wrapped onto a configured angle mod pi
+                    with pytest.raises(ValueError, match=f"side-{side}"):
+                        model.box_inputs(near, b) if side == 1 else model.box_inputs(a, near)
 
 
 class TestSamplingContract:
@@ -186,7 +216,7 @@ class TestSamplingContract:
     def test_sampled_frequencies_match_joint_dist(self, model):
         a, b = 0.0, PI / 8
         n = 100_000
-        _, a_out, b_out = model.sample_runs(a, b, n, RngStream(11))
+        _, _, a_out, b_out = model.sample_runs(a, b, n, RngStream(11))
         d = model.joint_dist(a, b)
         tol = 5 * math.sqrt(0.25 / n)
         assert np.mean((a_out == 1) & (b_out == 1)) == pytest.approx(d.p_pp, abs=tol)
@@ -216,7 +246,7 @@ def per_sample_runs(model, a, b, n, rng):
     p2 = model.outcome_prob(b, lams)
     a_out = np.where(gen.random(n) < p1, 1, -1)
     b_out = np.where(gen.random(n) < p2, 1, -1)
-    return lams, a_out, b_out
+    return index, lams, a_out, b_out
 
 
 class TestPiecewiseRuns:
@@ -237,8 +267,11 @@ class TestPiecewiseRuns:
     @pytest.mark.parametrize("seed", [0, 1, 2029])
     def test_runs_equal_per_sample_reference(self, model, seed):
         for k, (a, b) in enumerate(self.settings_pairs()):
-            lams, a_out, b_out = model.sample_runs(a, b, 20_000, RngStream(seed, k))
-            ref_lams, ref_a, ref_b = per_sample_runs(model, a, b, 20_000, RngStream(seed, k))
+            index, lams, a_out, b_out = model.sample_runs(a, b, 20_000, RngStream(seed, k))
+            ref_index, ref_lams, ref_a, ref_b = per_sample_runs(
+                model, a, b, 20_000, RngStream(seed, k)
+            )
+            np.testing.assert_array_equal(index, ref_index)
             np.testing.assert_array_equal(lams, ref_lams)
             np.testing.assert_array_equal(a_out, ref_a, err_msg=f"A at {(a, b)}")
             np.testing.assert_array_equal(b_out, ref_b, err_msg=f"B at {(a, b)}")
@@ -340,7 +373,7 @@ class TestCountDisagreements:
     def test_count_equals_sample_runs(self, model, seed):
         for k, (a, b) in enumerate(self.settings_pairs(model)):
             count = model.count_disagreements(a, b, 20_001, RngStream(seed, k))
-            _, a_out, b_out = model.sample_runs(a, b, 20_001, RngStream(seed, k))
+            _, _, a_out, b_out = model.sample_runs(a, b, 20_001, RngStream(seed, k))
             assert count == np.count_nonzero(a_out != b_out), (a, b)
             assert type(count) is int
 

@@ -854,7 +854,6 @@ class TestShards:
                     ensemble.largest[rows],
                     ensemble.kick_step[rows],
                     ensemble.total[rows],
-                    ensemble.discarded_winding_mass,
                 ),
             )
 
@@ -871,7 +870,6 @@ class TestShards:
                 with ThreadPoolExecutor(threads) as pool:
                     pooled = sample_bridges(spec, n, RngStream(22), pool)
                 assert_same_kicks(pooled, serial)
-                assert pooled.discarded_winding_mass == serial.discarded_winding_mass
         finally:
             sys.setswitchinterval(interval)
 
@@ -977,6 +975,44 @@ class TestKickStatistics:
         pred = expected_net_dominance(spec)
         assert pred.value == pytest.approx(0.9274, abs=1e-4)
         assert 0.0 < pred.error_bound < 1e-4
+
+    def test_overcount_matches_the_two_kick_term_by_quadrature(self, monkeypatch):
+        # at the gate spec's nearest winding alone, `overcount` against the
+        # expected number of kick pairs both beyond the threshold,
+        # steps (steps - 1) / 2 * P(|e1|, |e2| > c | net rotation delta), by
+        # mpmath quadrature; the leading-order form is off by O(gamma/|delta|)
+        spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=100)
+        rotations, weights, _ = endpoint_targets(spec)
+        nearest = rotations[np.argmax(weights)]
+        monkeypatch.setattr(
+            schulman, "endpoint_targets", lambda _: (np.array([nearest]), np.ones(1), 0.0)
+        )
+        overcount = expected_net_dominance(spec).overcount
+        with mpmath.workdps(15):
+            d, g = mpmath.mpf(abs(nearest)), mpmath.mpf(spec.gamma)
+            a = g / spec.steps
+            rest = g - 2 * a  # Cauchy width of the sum of the other steps - 2 kicks
+            c = schulman.DOMINANCE_THRESHOLD * d
+
+            def cauchy(width, x):
+                return width / (mpmath.pi * (x * x + width * width))
+
+            def second_beyond(z):
+                # the second kick y beyond +-c, the rest summing to z - y
+                def f(y):
+                    return cauchy(a, y) * cauchy(rest, z - y)
+                return mpmath.quad(f, [-mpmath.inf, *([z] if z < -c else []), -c]) + mpmath.quad(
+                    f, [c, *([z] if z > c else []), mpmath.inf]
+                )
+
+            def first_beyond(x):
+                return cauchy(a, x) * second_beyond(d - x)
+            # the second kick's window edge -c meets the rest's peak at x = d + c
+            pair_mass = mpmath.quad(first_beyond, [-mpmath.inf, -c]) + mpmath.quad(
+                first_beyond, [c, d + c, mpmath.inf]
+            )
+            want = float(spec.steps * (spec.steps - 1) / 2 * pair_mass / cauchy(g, d))
+        assert abs(overcount / want - 1.0) < spec.gamma / abs(nearest)
 
     @pytest.mark.parametrize("gamma", [1e-3, 1.0], ids=["gate-spec", "gamma-1"])
     def test_error_bound_is_the_overcount_and_the_discarded_windings_shift(self, gamma):

@@ -212,7 +212,10 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
                 raise UsageError(f"--{option} is required for {args.model}")
             setattr(args, option, default)
     settings = args.settings
-    model = entry.build(args)
+    try:
+        model = entry.build(args)
+    except ValueError as exc:  # a PR-box side whose two settings coincide mod pi
+        raise UsageError(str(exc)) from None
     # the worker count changes no result, so the report leaves it out
     config = ["model", *(option for option in entry.reads if option != "workers")]
 

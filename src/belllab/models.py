@@ -335,6 +335,9 @@ class PRBoxModel:
 
     def __init__(self, settings: tuple[float, float, float, float]) -> None:
         self.settings = tuple(PolAngle(s) for s in settings)
+        for side, (x, y) in ((1, self.settings[:2]), (2, self.settings[2:])):
+            if x == y:  # one angle could not stand for two box inputs
+                raise ValueError(f"side-{side} settings coincide mod pi at {float(x)!r}")
 
     def box_inputs(self, a: float, b: float) -> tuple[int, int]:
         return _box_input(1, a, self.settings[:2]), _box_input(2, b, self.settings[2:])

@@ -49,6 +49,11 @@ class TestParsing:
         assert float(parse_angle("pi")) == 0.0  # canonical
         assert float(parse_angle("-0.125pi")) == pytest.approx(7 * PI / 8)
 
+    def test_pi_multiples_take_a_sign_and_any_case(self):
+        assert parse_angle(" 0.25PI ") == parse_angle("+0.25Pi") == parse_angle("0.25pi")
+        # a bare sign is a whole turn, canonical 0 either way mod pi
+        assert float(parse_angle("+pi")) == float(parse_angle("-PI")) == 0.0
+
     def test_bad_angle(self):
         with pytest.raises(UsageError):
             parse_angle("twelve")
@@ -67,6 +72,13 @@ class TestParsing:
     def test_fmt_float_17_digits(self):
         assert fmt_float(1 / 3) == "0.33333333333333331"
         assert fmt_float(2.0) == "2"
+
+    def test_csv_flattens_a_tuple_as_json_writes_it_an_array(self, tmp_path):
+        report = {"pair": (PI, None), "rows": [[1, 0.5]]}
+        out = tmp_path / "r.csv"
+        cli.write_report(report, str(out), "csv")
+        assert out.read_text() == (f"key,value\npair[0],{fmt_float(PI)}\npair[1],\n"
+                                   "rows[0][0],1\nrows[0][1],0.5\n")
 
 
 class TestReports:
@@ -394,11 +406,13 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "ThreadPoolExecutor", recorded)
         threads_before = threading.active_count()
         # four correlators of four shards each share the one pool, of the
-        # usable CPUs or --workers, whichever is fewer
-        for workers, cpus, size in (("4", 1, 1), ("4", 2, 2), ("1", 2, 1), ("1", 64, 1)):
+        # usable CPUs or --workers (default 1), whichever is fewer
+        for workers, cpus, size in (("4", 1, 1), ("4", 2, 2), ("1", 2, 1), ("1", 64, 1),
+                                    (None, 2, 1)):
             patch_usable_cpus(monkeypatch, cpus)
             sizes.clear()
-            assert main(["run-chsh", "--model", "hall", "--workers", workers, "--samples",
+            option = ["--workers", workers] if workers else []
+            assert main(["run-chsh", "--model", "hall", *option, "--samples",
                          "750001", "--out", str(tmp_path / "r.json")]) == 0
             assert sizes == [size]
             assert threading.active_count() == threads_before
@@ -929,6 +943,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --gamma is read by schulman-2 only, not by {model}\n"
+
+    @pytest.mark.parametrize("settings, err", [
+        ("0,0,0.1,0.2", "side-1 settings coincide mod pi at 0.0"),
+        ("0,1pi,0.1,0.2", "side-1 settings coincide mod pi at 0.0"),
+        ("0.1,0.2,0.25pi,-0.75pi", f"side-2 settings coincide mod pi at {PI / 4!r}"),
+    ])
+    def test_run_chsh_refuses_a_pr_box_side_with_one_angle(self, settings, err, tmp_path, capsys):
+        # both settings of that side were box input 0, and S read 2.0
+        out = tmp_path / "r.json"
+        assert main(["run-chsh", "--model", "pr-box", "--samples", "1000",
+                     f"--settings={settings}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {err}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from belllab.models import (
 from belllab.qm import TSIRELSON_BOUND, chsh_pairs, qm_correlator, tsirelson_settings
 
 TSIRELSON = tsirelson_settings()
-angles = st.floats(min_value=0.0, max_value=PI, exclude_max=True)
+finite_angles = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
 def analytic_chsh(model, settings):
@@ -152,13 +153,15 @@ class TestPeresIdentity:
 def masked_loop_screening(model, a, b, n, rng):
     """Reference for screening_residual: one boolean mask per lambda bin, the
     bin being the piece index `sample_runs` returned or, with none, one of
-    SCREENING_BINS equal bins of [0, pi), or one bin with no lambdas either."""
+    SCREENING_BINS equal bins of [0, pi), or one bin with no lambdas either.
+    The four cells' |P(A,B | bin) - P(A | bin) P(B | bin)| are exact
+    fractions; their maximum over the bins is rounded once."""
     index, lams, a_out, b_out = model.sample_runs(a, b, n, rng)
     if lams is None:
         index = np.zeros(n, dtype=int)
     elif index is None:
         index = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
-    worst, occupied, excluded = 0.0, 0, 0
+    worst, occupied, excluded = Fraction(0), 0, 0
     for idx in np.unique(index):
         mask = index == idx
         count = int(mask.sum())
@@ -167,11 +170,11 @@ def masked_loop_screening(model, a, b, n, rng):
             continue
         occupied += 1
         a_bin, b_bin = a_out[mask], b_out[mask]
-        p_a = (a_bin == 1).mean()
-        p_b = (b_bin == 1).mean()
-        for a_val, pa in ((1, p_a), (-1, 1.0 - p_a)):
-            for b_val, pb in ((1, p_b), (-1, 1.0 - p_b)):
-                joint = float(np.mean((a_bin == a_val) & (b_bin == b_val)))
+        p_a = Fraction(int(np.count_nonzero(a_bin == 1)), count)
+        p_b = Fraction(int(np.count_nonzero(b_bin == 1)), count)
+        for a_val, pa in ((1, p_a), (-1, 1 - p_a)):
+            for b_val, pb in ((1, p_b), (-1, 1 - p_b)):
+                joint = Fraction(int(np.count_nonzero((a_bin == a_val) & (b_bin == b_val))), count)
                 worst = max(worst, abs(joint - pa * pb))
     return float(worst) if occupied else None, occupied, excluded
 
@@ -206,17 +209,20 @@ class TestScreening:
         # one bin per segment; the outcomes are fixed on each
         assert (res.value, res.occupied_bins, res.excluded_bins) == (0.0, 5, 0)
 
+    @pytest.mark.parametrize("model", [HallModel(), DeltaMixtureModel()], ids=lambda m: m.name)
     @hyp_settings(max_examples=50, deadline=None)
-    @given(a=angles, b=angles)
+    @given(a=finite_angles, b=finite_angles)
     @example(a=0.01, b=0.04)  # an a- and a b-breakpoint within one 64th of pi
-    def test_hall_screens_exactly_at_any_settings(self, a, b):
-        res = screening_residual(HallModel(), a, b, 20_000, RngStream(9))
+    @example(a=0.3, b=0.3 + PI / 2)  # coinciding delta-mixture atoms, merged
+    def test_piece_models_screen_exactly_at_any_settings(self, model, a, b):
+        # Hall's outcomes are fixed on each segment, and each delta-mixture
+        # atom is an outcome axis of a or b, fixing that side's outcome
+        res = screening_residual(model, a, b, 20_000, RngStream(9))
         assert res.value == 0.0
 
     def test_delta_mixture_screens(self):
         res = screening_residual(DeltaMixtureModel(), 0.0, PI / 8, 200_000, RngStream(5))
-        assert res.occupied_bins == 4
-        assert res.value < 6 * math.sqrt(0.25 / (200_000 / 4))
+        assert (res.value, res.occupied_bins) == (0.0, 4)
 
     def test_pr_box_does_not_screen(self):
         res = screening_residual(

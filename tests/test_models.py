@@ -1,6 +1,7 @@
 """Hidden-variable models: lambda distributions, outcome rules, joint statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,17 @@ class TestPRBox:
     def test_rejects_unconfigured_settings(self):
         with pytest.raises(ValueError):
             self.model.box_inputs(0.123, TSIRELSON[2])
+
+    @pytest.mark.parametrize("settings, side, angle", [
+        ((0.0, 0.0, 0.1, 0.2), 1, 0.0),
+        ((0.0, PI, 0.1, 0.2), 1, 0.0),  # the same axis mod pi
+        ((0.3, -0.2, 2.0 - 2 * PI, 2.0), 2, 2.0),
+    ])
+    def test_rejects_a_side_whose_settings_coincide(self, settings, side, angle):
+        # one angle would stand for both of that side's inputs, always input 0
+        with pytest.raises(ValueError, match=f"^side-{side} settings coincide mod pi at "
+                                             f"{re.escape(repr(angle))}$"):
+            PRBoxModel(settings)
 
     def test_sampling_is_perfectly_correlated(self):
         a, a_p, b, b_p = TSIRELSON

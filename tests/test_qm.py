@@ -36,6 +36,8 @@ class TestJointDist:
             JointDist(0.5, 0.5, 0.5, -0.5).validate()
         with pytest.raises(ValueError):
             JointDist(0.5, 0.5, 0.5, 0.5).validate()
+        with pytest.raises(ValueError):  # mass missing, not only mass in excess
+            JointDist(0.2, 0.2, 0.2, 0.2).validate()
         JointDist(0.25, 0.25, 0.25, 0.25).validate()
 
     def test_max_abs_diff(self):

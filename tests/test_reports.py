@@ -23,11 +23,11 @@ REPORT_DIGESTS = {
     _chsh("hall", "1"):
         "c0d831155cef8c9ae7e390c23a50b7b703aa12b5135dba81023f52b02faa7b08",
     _chsh("delta-mixture", "1"):
-        "fc4ae7333bbae273fe6525b265001d8adb8df983ef291a661ba3e1a12ff6f377",
+        "aa0f9a792aaa925047787f0e11ea4a478e6bf81530057142956a9690eb2d9987",
     _chsh("local-baseline", "1"):
-        "673cc75c47d86ad24591313fc55f2733079f17a61b609029c02e51ee76ac3728",
+        "4467b025f70533f56940930acbd270f11fddd54e814062648888c113f1c7c1a1",
     _chsh("pr-box", "1"):
-        "34530a7b51e056a406b31cbea9bbe260e81abbd3e3af387abb4333358cf3172b",
+        "e66122544669cd4dbd7884165216afc613d9630d6cda816d6c0c293e27e4e20a",
     _chsh("hall", "2"):
         "c0d831155cef8c9ae7e390c23a50b7b703aa12b5135dba81023f52b02faa7b08",
     ("scan-settings", "--model", "hall", "--grid", "16", "--seed", "0"):
@@ -50,11 +50,11 @@ CSV_REPORT_DIGESTS = {
     _chsh("hall", "1"):
         "899dc9710a15bc065be4da1e2a4f814c55ee038f6bd18c75c31be69021cb8df4",
     _chsh("delta-mixture", "1"):
-        "f94119fb08ace84fec343512a3696e612baeb8e95d05df1bdfa4753d78cd5d88",
+        "22aca4fa16c9b92db07495dae794f5a5638eb6d8ad96539dc5709823308d170f",
     _chsh("local-baseline", "1"):
-        "1cb5354b463714cacb516b2ca08ef1359148722aa498c38d1fa5b73f799c72c8",
+        "8e3a762a572a09cca00b20066aa6306cad61c2752b059697406e75ed688e03b9",
     _chsh("pr-box", "1"):
-        "faf9b4bd257058b63a20056e300040019cf3249f2651e840e83b53633e4f9e2f",
+        "a72d99f12a085bd2b05716ffec6a4058e2641bcbef5a396dbf5a48e5c986cca5",
     _chsh("hall", "2"):
         "899dc9710a15bc065be4da1e2a4f814c55ee038f6bd18c75c31be69021cb8df4",
     ("scan-settings", "--model", "hall", "--grid", "16", "--seed", "0"):

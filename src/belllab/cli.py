@@ -236,7 +236,7 @@ def cmd_run_chsh(args: argparse.Namespace) -> tuple[dict, str]:
             )
         correlators = [(e.value, e.standard_error, e.sample_count) for e in chsh.correlators]
         s_value, s_error = chsh.s_value, chsh.s_standard_error
-        pvalue = chsh_pvalue_log10(min(s_value, 4.0), args.samples)
+        pvalue = chsh_pvalue_log10(s_value, args.samples)
 
     body = {
         "config": _config_echo(args, config),
@@ -336,7 +336,7 @@ def cmd_two_photon(args: argparse.Namespace) -> tuple[dict, str]:
         "atom_windows": {
             fmt_float(atom): {
                 "mass": mass,
-                "share_of_windows": mass / total_window if total_window else None,
+                "share_of_windows": mass / total_window,
             }
             for atom, mass in windows.items()
         },

@@ -45,20 +45,18 @@ def _outcomes(plus: np.ndarray) -> np.ndarray:
 def hall_density(a: float, b: float, lam: np.ndarray | float) -> np.ndarray | float:
     """Setting-dependent hidden-angle density of the deterministic Hall model.
 
-    Piecewise constant in lambda; the pieces are separated by the points
-    where cos(2a - 2lam) or cos(2b - 2lam) changes sign.  Only defined
-    almost everywhere when a == b (the disagreement set then has measure
-    zero and the 0/0 value on it is never used).
+    Piecewise constant in lambda, between `hall_breakpoints`: one value where
+    Hall's rule gives both sides the same outcome, another where it does not.
+    A value on a set of measure zero is 0/0 and is given as 0.0: disagreement
+    at a = b, and agreement at a perpendicular to b, which rounding reaches.
     """
     d = abs(canonical_diff(a, b))
     z = (2.0 / PI) * 2.0 * d
-    s = np.where(_hall_plus(a, lam) == _hall_plus(b, lam), 1.0, -1.0)
-    num = 1.0 + s * math.cos(2.0 * d)
-    den = 1.0 + s * (1.0 - z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / (PI * den)
-    # a == b: the disagreement set is measure-zero; give it density 0.
-    return np.where(den == 0.0, 0.0, out)
+    c = math.cos(2.0 * d)
+    den_same, den_diff = 1.0 + (1.0 - z), 1.0 - (1.0 - z)
+    same = (1.0 + c) / (PI * den_same) if den_same else 0.0
+    diff = (1.0 - c) / (PI * den_diff) if den_diff else 0.0
+    return np.where(_hall_plus(a, lam) == _hall_plus(b, lam), same, diff)
 
 
 def hall_breakpoints(a: float, b: float) -> tuple[float, ...]:
@@ -128,8 +126,6 @@ class HiddenVariableModel(ABC):
     """Contract shared by all lambda-mediated models."""
 
     name: str
-    #: The outcome probabilities are 0 or 1, so outcome draws take no uniforms.
-    deterministic_outcomes: bool = False
 
     # -- lambda distribution ------------------------------------------------
 
@@ -152,7 +148,8 @@ class HiddenVariableModel(ABC):
 
     def outcome_prob(self, setting: float, lam: np.ndarray) -> np.ndarray:
         """P(outcome = +1 | setting, lam) on either side, vectorized over lam:
-        Malus' law cos^2(setting - lam) unless a model states its own rule."""
+        Malus' law cos^2(setting - lam) unless a model states its own rule.
+        A boolean rule gives the outcome itself, and outcome draws take no uniforms."""
         return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
 
     # -- derived ------------------------------------------------------------
@@ -178,17 +175,16 @@ class HiddenVariableModel(ABC):
         The outcome probabilities are evaluated at ``at``: each run's lambda,
         or with ``index`` (each run's atom or segment) the pieces' points.
         A run is +1 where its uniform falls below its probability, A's
-        uniforms drawn before B's; deterministic models draw none.
+        uniforms drawn before B's; a boolean rule draws none.
 
         Returns ``(a_plus, b_plus, take)``.  With ``take`` None the masks
-        hold one entry per run.  Otherwise (deterministic outcomes, given
-        ``index``) they hold one per piece, and ``take`` maps them onto the
-        runs.
+        hold one entry per run.  Otherwise (a boolean rule, given ``index``)
+        they hold one per piece, and ``take`` maps them onto the runs.
         """
         p1 = self.outcome_prob(a, at)
         p2 = self.outcome_prob(b, at)
-        if self.deterministic_outcomes:
-            return p1 == 1.0, p2 == 1.0, index
+        if p1.dtype == bool:
+            return p1, p2, index
         if index is not None:
             p1, p2 = p1[index], p2[index]
         gen = rng.generator
@@ -207,7 +203,7 @@ class HiddenVariableModel(ABC):
         With ``index`` (not None), each lambda's atom or segment of
         ``lambda_distribution(a, b)``, the outcome probabilities are
         evaluated once per piece, at its point.  A's uniforms are drawn
-        before B's; deterministic models draw none.
+        before B's; a boolean rule draws none.
         """
         at = lams if index is None else self.lambda_distribution(a, b).points
         a_plus, b_plus, take = self._plus_masks(a, b, at, index, rng)
@@ -220,7 +216,7 @@ class HiddenVariableModel(ABC):
         Draws what ``sample_runs`` draws, in order, except each lambda's
         position within its piece, which the outcomes do not read.  Skipping
         it moves no later draw: atoms have no position draw, and Hall's is
-        the last, since its outcomes draw no uniforms.  The local baseline,
+        the last, since a boolean rule draws no uniforms.  The local baseline,
         whose outcomes do read the position, overrides this.
         """
         dist = self.lambda_distribution(a, b)
@@ -268,7 +264,6 @@ class HallModel(HiddenVariableModel):
     """
 
     name = "hall"
-    deterministic_outcomes = True
 
     def lambda_distribution(self, a, b):
         edges = np.array([0.0, *hall_breakpoints(a, b), PI])
@@ -279,7 +274,7 @@ class HallModel(HiddenVariableModel):
         return self.lambda_distribution(a, b).sample(n, rng)
 
     def outcome_prob(self, setting, lam):
-        return _hall_plus(setting, lam).astype(float)
+        return _hall_plus(setting, lam)
 
 
 class LocalBaselineModel(HiddenVariableModel):

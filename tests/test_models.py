@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
 from scipy import integrate
 
-from belllab.core import PI, HALF_PI, PolAngle, RngStream
+from belllab.core import PI, HALF_PI, PolAngle, RngStream, canonical_diff
 from belllab.models import (
     DeltaMixtureModel,
     HallModel,
+    HiddenVariableModel,
     LambdaDistribution,
     LocalBaselineModel,
     PRBoxModel,
@@ -23,6 +24,7 @@ from belllab.models import (
 from belllab.qm import JointDist, qm_joint, tsirelson_settings
 
 angles = st.floats(min_value=0.0, max_value=PI - 1e-9, allow_nan=False)
+wide_settings = st.floats(min_value=-1e3, max_value=1e3)
 TSIRELSON = tsirelson_settings()
 
 
@@ -30,6 +32,49 @@ def local_baseline_joint(a: float, b: float) -> JointDist:
     """Joint of the uniform-lambda Malus model, (1/4)(1 + AB cos(2a - 2b)/2)."""
     c = 0.5 * math.cos(2 * (a - b))
     return JointDist(0.25 * (1 + c), 0.25 * (1 - c), 0.25 * (1 - c), 0.25 * (1 + c))
+
+
+def hall_density_reference(a: float, b: float, lam: np.ndarray) -> np.ndarray:
+    """Hall's density in its per-lambda form: a sign s, +1 where the two
+    outcomes agree, then (1 + s cos 2d) / (pi (1 + s (1 - z))) at each
+    lambda, with 0 where the denominator is 0."""
+    d = abs(canonical_diff(a, b))
+    z = (2.0 / PI) * 2.0 * d
+    agree = (np.cos(2.0 * (a - lam)) >= 0.0) == (np.cos(2.0 * (b - lam)) >= 0.0)
+    s = np.where(agree, 1.0, -1.0)
+    num = 1.0 + s * math.cos(2.0 * d)
+    den = 1.0 + s * (1.0 - z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / (PI * den)
+    return np.where(den == 0.0, 0.0, out)
+
+
+def near_breakpoints(a: float, b: float, ulps: int = 64) -> np.ndarray:
+    """Every double in [0, pi) within `ulps` ulps of each of Hall's breakpoints."""
+    steps = np.arange(-ulps, ulps + 1)
+    lam = np.concatenate(
+        [(np.float64(p).view(np.int64) + steps).view(np.float64) for p in hall_breakpoints(a, b)]
+    )
+    return lam[(lam >= 0.0) & (lam < PI)]
+
+
+@st.composite
+def hall_pairs(draw):
+    """Settings in [-1e3, 1e3]: any pair, a = b, or b = a + pi/2."""
+    a = draw(wide_settings)
+    kind = draw(st.sampled_from(["any", "equal", "perpendicular"]))
+    if kind == "any":
+        return a, draw(wide_settings)
+    return a, (a if kind == "equal" else a + HALF_PI)
+
+
+@st.composite
+def perpendicular_pairs(draw):
+    """a perpendicular to b in doubles, |a - b| = pi/2 exactly: b = a - pi/2
+    is exact for a in [pi/2, pi)."""
+    a = draw(st.floats(min_value=HALF_PI, max_value=PI, exclude_max=True))
+    pair = (a, a - HALF_PI)
+    return pair[::-1] if draw(st.booleans()) else pair
 
 
 class TestHallDensity:
@@ -57,6 +102,35 @@ class TestHallDensity:
             points=pts or None, limit=200,
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @given(hall_pairs(), st.lists(st.floats(0.0, PI, exclude_max=True), max_size=32))
+    @hyp_settings(max_examples=200, deadline=None)
+    def test_equals_the_per_lambda_form_bit_for_bit(self, pair, lams):
+        a, b = pair
+        lam = np.concatenate([np.array(lams, dtype=float), near_breakpoints(a, b)])
+        got = np.asarray(hall_density(a, b, lam), dtype=np.float64)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), hall_density_reference(a, b, lam).view(np.uint64)
+        )
+
+    @given(perpendicular_pairs())
+    @hyp_settings(max_examples=100, deadline=None)
+    def test_perpendicular_settings_near_breakpoints(self, pair):
+        # the agreement set is empty, but the rule reaches it by rounding
+        # near a breakpoint; its 0/0 value there is 0.0
+        a, b = pair
+        values = hall_density(a, b, near_breakpoints(a, b))
+        assert set(values.tolist()) <= {0.0, 1.0 / PI}
+
+    def test_perpendicular_rounding_reaches_the_agreement_set(self):
+        values = hall_density(3 * PI / 4, PI / 4, near_breakpoints(3 * PI / 4, PI / 4))
+        assert set(values.tolist()) == {0.0, 1.0 / PI}
+
+    @given(wide_settings)
+    @hyp_settings(max_examples=100, deadline=None)
+    def test_equal_settings_near_breakpoints(self, a):
+        # the rule never reaches the empty disagreement set at a = b
+        assert set(hall_density(a, a, near_breakpoints(a, a)).tolist()) == {1.0 / PI}
 
     def test_breakpoints(self):
         pts = hall_breakpoints(0.0, PI / 8)
@@ -99,8 +173,21 @@ class TestHallModel:
     def test_outcomes_deterministic_given_lambda(self):
         lam = np.array([0.1, 1.0, 2.0])
         p = self.model.outcome_prob(0.0, lam)
-        assert set(p.tolist()) <= {0.0, 1.0}
+        assert p.dtype == bool  # the rule gives the outcome, not a probability
         np.testing.assert_array_equal(p, np.cos(2.0 * (0.0 - lam)) >= 0.0)
+
+    def test_a_subclass_with_malus_outcomes_draws_them(self):
+        # outcomes are drawn unless the rule itself is boolean, whatever the class
+        class MalusHall(HallModel):
+            def outcome_prob(self, setting, lam):
+                return HiddenVariableModel.outcome_prob(self, setting, lam)
+
+        model, n = MalusHall(), 200_000
+        _, _, a_out, b_out = model.sample_runs(0.0, PI / 8, n, RngStream(12))
+        p = model.joint_dist(0.0, PI / 8).p_pp
+        assert p == pytest.approx(0.3693, abs=1e-4)
+        got = np.mean((a_out == 1) & (b_out == 1))
+        assert got == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / n))
 
     @given(angles, angles)
     @hyp_settings(max_examples=25, deadline=None)

@@ -101,6 +101,15 @@ class TestTsirelson:
         assert chsh_pairs((1, 2, 3, 4)) == ((1, 3), (2, 3), (1, 4), (2, 4))
         assert chsh_value(1.0, 2.0, 4.0, 8.0) == 1.0
 
+    @given(*[st.one_of(
+        st.sampled_from([-1.0, 1.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0)]),
+        st.floats(min_value=-1.0, max_value=1.0),
+    )] * 4)
+    def test_chsh_of_four_unit_correlators_is_at_most_four(self, c1, c2, c3, c4):
+        # rounding is monotone and 2, 3 and 4 are doubles, so a sampled S,
+        # from correlators in [-1, 1], never exceeds the p-value bound's range
+        assert chsh_value(c1, c2, c3, c4) <= 4.0
+
     def test_chsh_saturates_bound(self):
         assert qm_chsh(tsirelson_settings()) == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 

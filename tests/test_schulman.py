@@ -20,6 +20,7 @@ from belllab.schulman import (
     BridgeKicks,
     BridgeSamplingError,
     PathSpec,
+    _atom_window_mass,
     _cauchy_by_inversion,
     _conditional_step,
     dominant_kick_stats,
@@ -376,6 +377,18 @@ class TestTwoPhoton:
         for half_width in (3 * gamma, 1e-3, 0.5, 1.0, HALF_PI):
             windows = res.atom_window_masses(half_width)
             assert all(math.isfinite(m) and 0.0 <= m <= 1.0 for m in windows.values())
+
+    @given(
+        separation=st.floats(min_value=0.0, max_value=PI, exclude_max=True),
+        gamma=st.one_of(
+            st.floats(min_value=5e-324, max_value=1e300),
+            st.floats(min_value=-323.0, max_value=300.0).map(lambda e: 10.0**e),
+        ),
+    )
+    @hyp_settings(max_examples=300, deadline=None)
+    def test_three_width_window_holds_mass_at_every_width(self, separation, gamma):
+        # two-photon reports each window's share of their sum, which needs a sum > 0
+        assert _atom_window_mass(separation, gamma, 3.0 * gamma) > 0.0
 
     @pytest.mark.parametrize("gamma", [1e-4, 1e-3, 1e-2, 0.5])
     @pytest.mark.parametrize("a, b", WINDOW_SETTINGS)

@@ -192,10 +192,10 @@ def test_model_name_check_finds_them(tmp_path):
     assert model_name_tests(module) == ["m.py line 2", "m.py line 4", "m.py line 6"]
 
 
-def thread_pool_names(path: Path) -> list[str]:
-    """Where `path` names `ThreadPoolExecutor`, as "<file>:<function>", or
-    "<file>:<module>" outside any function.  A name, an attribute
-    (`futures.ThreadPoolExecutor`) and an import each count."""
+def name_sites(path: Path, name: str) -> list[str]:
+    """Where `path` names `name`, as "<file>:<function>", or "<file>:<module>"
+    outside any function.  A name, an attribute (`futures.ThreadPoolExecutor`,
+    `np.errstate`) and an import each count."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -203,7 +203,7 @@ def thread_pool_names(path: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if "ThreadPoolExecutor" in (
+            if name in (
                 getattr(child, "id", None),
                 getattr(child, "attr", None),
                 child.name.split(".")[-1] if isinstance(child, ast.alias) else None,
@@ -217,7 +217,8 @@ def thread_pool_names(path: Path) -> list[str]:
 
 def test_only_the_cli_thread_pool_builds_threads():
     # the library takes an executor; one CLI helper builds the run's pool
-    found = [name for path in sorted(SRC.glob("*.py")) for name in thread_pool_names(path)]
+    found = [site for path in sorted(SRC.glob("*.py"))
+             for site in name_sites(path, "ThreadPoolExecutor")]
     assert found == ["cli.py:<module>", "cli.py:thread_pool"]
 
 
@@ -232,7 +233,46 @@ def test_thread_pool_check_finds_them(tmp_path):
         "    def start(self):\n        return Pool()\n"
         "    pool = cf.ProcessPoolExecutor\n"
     )
-    assert thread_pool_names(module) == ["m.py:<module>", "m.py:run"]
+    assert name_sites(module, "ThreadPoolExecutor") == ["m.py:<module>", "m.py:run"]
+
+
+#: The functions that silence floating-point warnings with `np.errstate`,
+#: each with the reason its silenced operations are meant.
+ERRSTATE_ALLOWED = {
+    "schulman.py:endpoint_targets": "a winding's squared rotation in units of the"
+    " nearest overflows to inf, whose weight is then exactly 0",
+    "schulman.py:dominant_kick_stats": "a zero net rotation divides to inf and"
+    " counts as dominant",
+    "schulman.py:net_dominance_given_rotation": "the arctan ratios reach +-inf, whose"
+    " arctan is exact, at delta = 0 or a tiny b",
+    "schulman.py:expected_net_dominance": "the pair term divides by delta = 0 only"
+    " in the branch np.where discards, and an inf where it overflows is capped by"
+    " np.minimum",
+}
+
+
+def test_every_silenced_warning_has_a_stated_reason():
+    # a 0/0 or an overflow under errstate is silent; each one here is meant
+    found = [site for path in sorted(SRC.glob("*.py")) for site in name_sites(path, "errstate")]
+    assert sorted(set(found)) == sorted(ERRSTATE_ALLOWED)
+    assert all(ERRSTATE_ALLOWED.values())
+
+
+def test_errstate_check_finds_them(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy, numpy as np\n"
+        "from numpy import errstate as quiet\n"
+        "def ratio(x, y):\n"
+        "    with np.errstate(divide='ignore'):\n        return x / y\n"
+        "class Scaled:\n"
+        "    def scale(self, x):\n"
+        "        with np.seterr(over='ignore'):\n            return x * x\n"
+        "    def ratio(self, x, y):\n        def inner():\n"
+        "            with numpy.errstate(invalid='ignore'):\n                return x / y\n"
+        "        return inner()\n"
+    )
+    assert name_sites(module, "errstate") == ["m.py:<module>", "m.py:ratio", "m.py:inner"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

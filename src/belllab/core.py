@@ -57,10 +57,12 @@ class RngStream:
     """Deterministic splittable random stream.
 
     Counter-based (Philox) so that identical (seed, stream) pairs yield
-    identical sample sequences and distinct stream indices yield
-    statistically independent sequences, regardless of how many other
-    streams exist.  A stream instance is stateful and must be owned by
-    exactly one consumer at a time.
+    identical sample sequences and distinct stream keys yield statistically
+    independent sequences.  A substream's key packs its parent's key and its
+    index into 64 bits, so keys stay distinct only while they fit, at most
+    two levels below ``RngStream(seed)``; `substream` refuses a key that
+    would wrap.  A stream instance is stateful and must be owned by exactly
+    one consumer at a time.
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
@@ -71,10 +73,14 @@ class RngStream:
         ))
 
     def substream(self, index: int) -> "RngStream":
-        """Derived independent stream; index must be < 2**32."""
+        """Derived independent stream; index must be < 2**32, and the derived
+        key, stream * 2**32 + index + 1, below 2**64."""
         if not 0 <= index < 2**32:
             raise ValueError("substream index out of range")
-        return RngStream(self.seed, (self.stream * 2**32 + index + 1) % 2**64)
+        key = self.stream * 2**32 + index + 1
+        if key >= 2**64:
+            raise ValueError(f"substream key of {self!r} index {index} would wrap past 2**64")
+        return RngStream(self.seed, key)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -149,7 +149,8 @@ class HiddenVariableModel(ABC):
     def outcome_prob(self, setting: float, lam: np.ndarray) -> np.ndarray:
         """P(outcome = +1 | setting, lam) on either side, vectorized over lam:
         Malus' law cos^2(setting - lam) unless a model states its own rule.
-        A boolean rule gives the outcome itself, and outcome draws take no uniforms."""
+        A boolean rule gives the outcome itself, which `sample_outcomes`
+        returns as is, drawing no uniforms."""
         return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
 
     # -- derived ------------------------------------------------------------
@@ -167,72 +168,52 @@ class HiddenVariableModel(ABC):
         )
         return JointDist(*probs).validate(atol=1e-9)
 
-    def _plus_masks(
-        self, a: float, b: float, at: np.ndarray, index: np.ndarray | None, rng: RngStream
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Draw whether A and B are +1, independently given each lambda (screening).
+    def sample_outcomes(
+        self, a: float, b: float, at: np.ndarray, rng: RngStream, index: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw whether A and B are +1 (booleans, one per run), independently
+        given each lambda (screening).
 
         The outcome probabilities are evaluated at ``at``: each run's lambda,
-        or with ``index`` (each run's atom or segment) the pieces' points.
-        A run is +1 where its uniform falls below its probability, A's
-        uniforms drawn before B's; a boolean rule draws none.
-
-        Returns ``(a_plus, b_plus, take)``.  With ``take`` None the masks
-        hold one entry per run.  Otherwise (a boolean rule, given ``index``)
-        they hold one per piece, and ``take`` maps them onto the runs.
+        or with ``index`` (each run's atom or segment) the pieces' points,
+        gathered onto the runs.  A run is +1 where its uniform falls below
+        its probability, A's uniforms drawn before B's; a boolean rule is
+        the outcome itself and draws none.
         """
         p1 = self.outcome_prob(a, at)
         p2 = self.outcome_prob(b, at)
-        if p1.dtype == bool:
-            return p1, p2, index
         if index is not None:
-            p1, p2 = p1[index], p2[index]
+            # np.take reads the uint8 index as it is; p1[index] first casts it to intp
+            p1, p2 = np.take(p1, index), np.take(p2, index)
+        if p1.dtype == bool:
+            return p1, p2
         gen = rng.generator
-        return gen.random(p1.size) < p1, gen.random(p2.size) < p2, None
-
-    def sample_outcomes(
-        self,
-        a: float,
-        b: float,
-        lams: np.ndarray,
-        rng: RngStream,
-        index: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw A and B (int8, +-1) independently given each lambda (screening).
-
-        With ``index`` (not None), each lambda's atom or segment of
-        ``lambda_distribution(a, b)``, the outcome probabilities are
-        evaluated once per piece, at its point.  A's uniforms are drawn
-        before B's; a boolean rule draws none.
-        """
-        at = lams if index is None else self.lambda_distribution(a, b).points
-        a_plus, b_plus, take = self._plus_masks(a, b, at, index, rng)
-        a_out, b_out = _outcomes(a_plus), _outcomes(b_plus)
-        return (a_out, b_out) if take is None else (a_out[take], b_out[take])
+        return gen.random(p1.size) < p1, gen.random(p2.size) < p2
 
     def count_disagreements(self, a: float, b: float, n: int, rng: RngStream) -> int:
         """How many of the n runs ``sample_runs(a, b, n, rng)`` draws have A != B.
 
         Draws what ``sample_runs`` draws, in order, except each lambda's
-        position within its piece, which the outcomes do not read.  Skipping
-        it moves no later draw: atoms have no position draw, and Hall's is
-        the last, since a boolean rule draws no uniforms.  The local baseline,
-        whose outcomes do read the position, overrides this.
+        position within its piece: the outcomes read only the piece's point.
+        Skipping it moves no later draw: atoms have no position draw, and
+        Hall's is the last, since a boolean rule draws no uniforms.  The
+        local baseline, whose outcomes do read the position, overrides this.
         """
         dist = self.lambda_distribution(a, b)
         index = dist.piece_index(n, rng)
-        a_plus, b_plus, take = self._plus_masks(a, b, dist.points, index, rng)
-        disagree = a_plus != b_plus
-        return int(np.count_nonzero(disagree if take is None else disagree[take]))
+        a_plus, b_plus = self.sample_outcomes(a, b, dist.points, rng, index)
+        return int(np.count_nonzero(a_plus != b_plus))
 
     def sample_runs(
         self, a: float, b: float, n: int, rng: RngStream
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        """n independent runs ``(index, lams, A, B)``, lambdas drawn first;
-        ``index`` is what `sample_lambdas` returned (None: local baseline)."""
+        """n independent runs ``(index, lams, A, B)``, lambdas drawn first, A and
+        B int8 (+-1); ``index`` is what `sample_lambdas` returned (None: local
+        baseline)."""
         index, lams = self.sample_lambdas(a, b, n, rng)
-        a_out, b_out = self.sample_outcomes(a, b, lams, rng, index)
-        return index, lams, a_out, b_out
+        at = lams if index is None else self.lambda_distribution(a, b).points
+        a_plus, b_plus = self.sample_outcomes(a, b, at, rng, index)
+        return index, lams, _outcomes(a_plus), _outcomes(b_plus)
 
 
 class DeltaMixtureModel(HiddenVariableModel):
@@ -303,7 +284,7 @@ class LocalBaselineModel(HiddenVariableModel):
     def count_disagreements(self, a, b, n, rng):
         # outcome probabilities vary within a segment, so each run needs its lambda
         _, lams = self.sample_lambdas(a, b, n, rng)
-        a_plus, b_plus, _ = self._plus_masks(a, b, lams, None, rng)
+        a_plus, b_plus = self.sample_outcomes(a, b, lams, rng, None)
         return int(np.count_nonzero(a_plus != b_plus))
 
 

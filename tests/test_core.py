@@ -94,3 +94,13 @@ class TestRngStream:
             RngStream(0).substream(-1)
         with pytest.raises(ValueError):
             RngStream(0).substream(2**32)
+
+    def test_a_key_that_would_wrap_is_refused(self):
+        # modulo 2**64 a third level drops the first: run_chsh_experiment on
+        # RngStream(0).substream(k) gave the same S for every k
+        with pytest.raises(ValueError, match="wrap"):
+            RngStream(0).substream(1).substream(2).substream(3)
+        with pytest.raises(ValueError, match="wrap"):
+            RngStream(0).substream(2**32 - 1).substream(5)
+        top = RngStream(0).substream(2**32 - 2).substream(2**32 - 2)
+        assert top.stream == 2**64 - 1  # the largest key that fits

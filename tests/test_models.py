@@ -362,19 +362,27 @@ class TestPiecewiseRuns:
         yield a, float(PolAngle(a + PI / 4))  # b on a Hall breakpoint of a
         yield from ((float(TSIRELSON[0]), b), (a_p, b), (float(TSIRELSON[0]), b_p), (a_p, b_p))
 
+    @staticmethod
+    def assert_runs_equal_reference(model, a, b, n, *key):
+        index, lams, a_out, b_out = model.sample_runs(a, b, n, RngStream(*key))
+        ref_index, ref_lams, ref_a, ref_b = per_sample_runs(model, a, b, n, RngStream(*key))
+        np.testing.assert_array_equal(index, ref_index)
+        np.testing.assert_array_equal(lams, ref_lams)
+        np.testing.assert_array_equal(a_out, ref_a, err_msg=f"A at {(a, b)}")
+        np.testing.assert_array_equal(b_out, ref_b, err_msg=f"B at {(a, b)}")
+        assert a_out.dtype == b_out.dtype == np.int8
+
     @pytest.mark.parametrize("model", [HallModel(), DeltaMixtureModel()], ids=lambda m: m.name)
     @pytest.mark.parametrize("seed", [0, 1, 2029])
     def test_runs_equal_per_sample_reference(self, model, seed):
         for k, (a, b) in enumerate(self.settings_pairs()):
-            index, lams, a_out, b_out = model.sample_runs(a, b, 20_000, RngStream(seed, k))
-            ref_index, ref_lams, ref_a, ref_b = per_sample_runs(
-                model, a, b, 20_000, RngStream(seed, k)
-            )
-            np.testing.assert_array_equal(index, ref_index)
-            np.testing.assert_array_equal(lams, ref_lams)
-            np.testing.assert_array_equal(a_out, ref_a, err_msg=f"A at {(a, b)}")
-            np.testing.assert_array_equal(b_out, ref_b, err_msg=f"B at {(a, b)}")
-            assert a_out.dtype == b_out.dtype == np.int8
+            self.assert_runs_equal_reference(model, a, b, 20_000, seed, k)
+
+    @pytest.mark.parametrize("model", [HallModel(), DeltaMixtureModel()], ids=lambda m: m.name)
+    @given(pair=hall_pairs(), seed=st.integers(0, 2**32 - 1))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_runs_equal_per_sample_reference_at_any_settings(self, model, pair, seed):
+        self.assert_runs_equal_reference(model, *pair, 2000, seed)
 
     def test_hall_outcomes_draw_no_uniforms(self):
         a, b = 0.0, PI / 8
@@ -476,6 +484,15 @@ class TestCountDisagreements:
             assert count == np.count_nonzero(a_out != b_out), (a, b)
             assert type(count) is int
 
+    @pytest.mark.parametrize("model", MODELS[:3], ids=lambda m: m.name)
+    @given(pair=hall_pairs(), seed=st.integers(0, 2**32 - 1))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_count_equals_sample_runs_at_any_settings(self, model, pair, seed):
+        a, b = pair
+        count = model.count_disagreements(a, b, 2000, RngStream(seed))
+        _, _, a_out, b_out = model.sample_runs(a, b, 2000, RngStream(seed))
+        assert count == np.count_nonzero(a_out != b_out)
+
     @pytest.mark.parametrize("model", [DeltaMixtureModel(), LocalBaselineModel()],
                              ids=lambda m: m.name)
     def test_count_draws_what_sample_runs_draws(self, model):
@@ -497,6 +514,40 @@ class TestCountDisagreements:
             lams, dist.edges[index] + np.diff(dist.edges)[index] * within
         )
         assert counted.generator.random() == sampled.generator.random()
+
+
+class TestOutcomeDraw:
+    """`sample_outcomes`, the one draw of outcomes from their probabilities."""
+
+    @pytest.mark.parametrize("model", TestCountDisagreements.MODELS[:3], ids=lambda m: m.name)
+    @given(pair=hall_pairs(), seed=st.integers(0, 2**32 - 1))
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_a_mask_per_run(self, model, pair, seed):
+        # booleans, one per run; Hall's rule draws no uniforms, Malus' law A's n then B's n
+        a, b, n = *pair, 2000
+        index, lams = model.sample_lambdas(a, b, n, RngStream(seed))
+        at = lams if index is None else model.lambda_distribution(a, b).points
+        drawn, reference = RngStream(seed, 1), RngStream(seed, 1)
+        a_plus, b_plus = model.sample_outcomes(a, b, at, drawn, index)
+        assert a_plus.dtype == b_plus.dtype == bool
+        assert a_plus.shape == b_plus.shape == (n,)
+        reference.generator.random(0 if isinstance(model, HallModel) else 2 * n)
+        assert drawn.generator.random() == reference.generator.random()
+
+    def test_plus_where_the_uniform_falls_strictly_below(self):
+        # a uniform equal to P(+1) gives -1, so a +1 of probability 0 never
+        # happens, not even on a uniform of 0.0
+        class ProbabilityAsLambda(DeltaMixtureModel):
+            def outcome_prob(self, setting, lam):
+                return np.asarray(lam, dtype=float)
+
+        model, p = ProbabilityAsLambda(), np.array([0.0, 0.25, 0.5, 1.0])
+        below = np.array([0.0, *np.nextafter(p[1:], 0.0)])
+        on = np.array([0.0, 0.25, 0.5, below[-1]])
+        for u, want in ((on, [0, 0, 0, 1]), (below, [0, 1, 1, 1])):
+            a_plus, b_plus = model.sample_outcomes(0.0, 0.0, p, StubStream(u), None)
+            np.testing.assert_array_equal(a_plus, np.array(want, dtype=bool), err_msg=f"u = {u}")
+            np.testing.assert_array_equal(b_plus, a_plus)
 
 
 class TestExactLambdaSums:

@@ -275,6 +275,24 @@ def test_errstate_check_finds_them(tmp_path):
     assert name_sites(module, "errstate") == ["m.py:<module>", "m.py:ratio", "m.py:inner"]
 
 
+#: The functions in models.py that draw uniforms, each with what it draws.
+#: Every report rests on the order of these draws.
+UNIFORM_DRAWS_ALLOWED = {
+    "models.py:piece_index": "one uniform per run picks its atom or segment by mass",
+    "models.py:sample": "one uniform per run places its lambda within its segment",
+    "models.py:sample_outcomes": "A's uniforms, then B's, unless the outcome rule is"
+    " boolean; the one outcome draw, for runs and for correlator counts alike",
+    "models.py:sample_lambdas": "the local baseline's uniform lambda on [0, pi)",
+    "models.py:sample_runs": "the PR box's fair coin for A",
+}
+
+
+def test_every_uniform_draw_in_the_models_has_a_stated_reason():
+    found = name_sites(SRC / "models.py", "random")
+    assert sorted(set(found)) == sorted(UNIFORM_DRAWS_ALLOWED)
+    assert all(UNIFORM_DRAWS_ALLOWED.values())
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

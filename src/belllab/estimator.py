@@ -150,7 +150,7 @@ def screening_residual(
     from exact int64 counts, so it is rounded once, correctly while t^2 <
     2^53 (94 906 265 runs; the CLI's screening draw has at most 200 000).
     """
-    index, lams, a_out, b_out = model.sample_runs(a, b, n, rng)
+    index, lams, a_plus, b_plus = model.sample_runs(a, b, n, rng)
     if lams is None:
         index = np.zeros(n, dtype=np.intp)
     elif index is None:
@@ -158,7 +158,7 @@ def screening_residual(
     index = index.astype(np.intp, copy=False)  # `4 * index` wraps in piece_index's uint8
 
     # counts[bin] as (++, +-, -+, --), from one pass over the samples
-    codes = 4 * index + 2 * (a_out != 1) + (b_out != 1)
+    codes = 4 * index + 2 * ~a_plus + ~b_plus
     counts = np.bincount(codes, minlength=4 * index.max(initial=0) + 4).reshape(-1, 4)
     total = counts.sum(axis=1)
     excluded = int(np.count_nonzero((total > 0) & (total < MIN_BIN_COUNT)))

@@ -35,13 +35,6 @@ def _hall_plus(setting: float, lam: np.ndarray) -> np.ndarray:
     return np.cos(2.0 * (setting - np.asarray(lam, dtype=float))) >= 0.0
 
 
-def _outcomes(plus: np.ndarray) -> np.ndarray:
-    """+1 where ``plus`` is True and -1 elsewhere, as int8."""
-    out = plus.view(np.int8) * np.int8(2)
-    out -= 1
-    return out
-
-
 def hall_density(a: float, b: float, lam: np.ndarray | float) -> np.ndarray | float:
     """Setting-dependent hidden-angle density of the deterministic Hall model.
 
@@ -207,13 +200,12 @@ class HiddenVariableModel(ABC):
     def sample_runs(
         self, a: float, b: float, n: int, rng: RngStream
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        """n independent runs ``(index, lams, A, B)``, lambdas drawn first, A and
-        B int8 (+-1); ``index`` is what `sample_lambdas` returned (None: local
-        baseline)."""
+        """n independent runs ``(index, lams, a_plus, b_plus)``: lambdas drawn
+        first, then `sample_outcomes`; ``index`` is what `sample_lambdas`
+        returned (None: local baseline)."""
         index, lams = self.sample_lambdas(a, b, n, rng)
         at = lams if index is None else self.lambda_distribution(a, b).points
-        a_plus, b_plus = self.sample_outcomes(a, b, at, rng, index)
-        return index, lams, _outcomes(a_plus), _outcomes(b_plus)
+        return index, lams, *self.sample_outcomes(a, b, at, rng, index)
 
 
 class DeltaMixtureModel(HiddenVariableModel):
@@ -282,9 +274,7 @@ class LocalBaselineModel(HiddenVariableModel):
         return None, rng.generator.random(n) * PI
 
     def count_disagreements(self, a, b, n, rng):
-        # outcome probabilities vary within a segment, so each run needs its lambda
-        _, lams = self.sample_lambdas(a, b, n, rng)
-        a_plus, b_plus = self.sample_outcomes(a, b, lams, rng, None)
+        _, _, a_plus, b_plus = self.sample_runs(a, b, n, rng)
         return int(np.count_nonzero(a_plus != b_plus))
 
 
@@ -326,9 +316,9 @@ class PRBoxModel:
 
     def sample_runs(self, a, b, n, rng):
         x, y = self.box_inputs(a, b)
-        a_out = _outcomes(rng.generator.random(n) < 0.5)
-        b_out = -a_out if x & y else a_out.copy()
-        return None, None, a_out, b_out
+        a_plus = rng.generator.random(n) < 0.5
+        b_plus = ~a_plus if x & y else a_plus.copy()
+        return None, None, a_plus, b_plus
 
     def count_disagreements(self, a, b, n, rng):
         # the box anticorrelates exactly when x = y = 1, whatever its coin flips
@@ -346,6 +336,6 @@ def joint_outcome_dist(model: AnyModel, a: float, b: float) -> JointDist:
 
 def sample_run(model: AnyModel, a: float, b: float, rng: RngStream):
     """One (lambda, A, B) realization; lambda is None for lambda-free models."""
-    _, lams, a_out, b_out = model.sample_runs(a, b, 1, rng)
+    _, lams, a_plus, b_plus = model.sample_runs(a, b, 1, rng)
     lam = None if lams is None else PolAngle(lams[0])
-    return lam, int(a_out[0]), int(b_out[0])
+    return lam, 1 if a_plus[0] else -1, 1 if b_plus[0] else -1

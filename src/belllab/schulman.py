@@ -52,6 +52,10 @@ N_FAMILY_TERMS = 10_000
 #: single dominant kick, in criterion 8 and the schulman-paths report.
 DOMINANCE_THRESHOLD = 0.99
 
+#: Largest gamma / |delta|, delta the nearest target rotation, at which
+#: `expected_net_dominance` predicts the dominance share.
+DOMINANCE_DOMAIN = 0.1
+
 #: Proposal rounds a conditional step may take before it raises
 #: `BridgeSamplingError`.  A round accepts a pending path with probability
 #: pi Q_min C_{d1+d2}(r) (see `_conditional_step`), monotone in r^2, from
@@ -593,7 +597,7 @@ class DominancePrediction:
     discarded_winding_mass: float
 
     @property
-    def error_bound(self) -> float:
+    def error_estimate(self) -> float:
         """Over-count estimate plus the largest shift the discarded windings could cause.
 
         Dominance per winding grows with |net rotation|, so the cut-off
@@ -662,8 +666,9 @@ def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
     Averages `net_dominance_given_rotation` over the same truncated winding
     weights the sampler draws endpoints from.  That average counts kicks,
     not paths, so it over-counts paths with two kicks beyond the threshold.
-    Because the threshold exceeds 1/2, two same-sign kicks cannot both pass
-    it, so such pairs have opposite signs, x > (1 + threshold)|delta|
+    As the threshold exceeds 1/2, two same-sign kicks pass it together only
+    if the other kicks offset their excess, which is of higher order; to
+    leading order such pairs have opposite signs, x > (1 + threshold)|delta|
     and y = delta - x; summing the Cauchy tails a^2 / (pi^2 x^2 y^2) over the
     steps * (steps - 1) ordered pairs of kicks and dividing by
     C_gamma(delta) gives, to leading order in gamma/|delta|,
@@ -674,20 +679,21 @@ def expected_net_dominance(spec: PathSpec) -> DominancePrediction:
     which is reported as `overcount` together with the discarded winding mass.
     The prediction covers every path; `dominant_kick_stats` leaves out those
     whose largest kick two steps share, of probability zero except at one or
-    two steps with a net rotation of 0 or below an ulp of the kicks.
+    two steps with a net rotation below an ulp of the kicks.  It refuses
+    (`ValueError`) where that order no longer leads, gamma above
+    DOMINANCE_DOMAIN * |delta| for the nearest target rotation delta (so
+    always at delta = 0).
     """
     rotations, weights, discarded = endpoint_targets(spec)
+    delta = np.abs(rotations)
+    nearest = float(delta.min())
+    if spec.gamma > DOMINANCE_DOMAIN * nearest:
+        raise ValueError(f"gamma / |delta| = {spec.gamma:.6g} / {nearest:.6g} > {DOMINANCE_DOMAIN}")
     per_winding = net_dominance_given_rotation(rotations, spec.gamma, spec.steps)
     value = float(np.sum(weights * per_winding))
 
     u = 1.0 + DOMINANCE_THRESHOLD
     two_kick = 1.0 / u + 1.0 / (u - 1.0) - 2.0 * math.log(u / (u - 1.0))
-    delta = np.abs(rotations)
-    # gamma before the division: one step gives 0, not 0 * inf, where gamma / delta overflows
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pair = np.where(
-            delta > 0.0, (1.0 - 1.0 / spec.steps) * two_kick / PI * spec.gamma / delta, 0.0
-        )
-    # a share of paths cannot be over-counted by more than the count itself
-    overcount = float(np.sum(weights * np.minimum(pair, per_winding)))
+    pair = (1.0 - 1.0 / spec.steps) * two_kick / PI * spec.gamma / delta
+    overcount = float(np.sum(weights * pair))
     return DominancePrediction(value=value, overcount=overcount, discarded_winding_mass=discarded)

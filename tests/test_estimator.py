@@ -73,8 +73,8 @@ class TestEstimateCorrelator:
         sizes = (SHARD_SIZE, 1001)
         sums = []
         for i, size in enumerate(sizes):
-            _, _, a_out, b_out = model.sample_runs(a, b, size, RngStream(8).substream(i))
-            sums.append(float(np.sum(a_out.astype(int) * b_out)))
+            _, _, a_plus, b_plus = model.sample_runs(a, b, size, RngStream(8).substream(i))
+            sums.append(float(np.sum(np.where(a_plus == b_plus, 1, -1))))
         est = estimate_correlator(model, a, b, sum(sizes), RngStream(8))
         assert est.value == math.fsum(sums) / sum(sizes)
 
@@ -156,7 +156,7 @@ def masked_loop_screening(model, a, b, n, rng):
     SCREENING_BINS equal bins of [0, pi), or one bin with no lambdas either.
     The four cells' |P(A,B | bin) - P(A | bin) P(B | bin)| are exact
     fractions; their maximum over the bins is rounded once."""
-    index, lams, a_out, b_out = model.sample_runs(a, b, n, rng)
+    index, lams, a_plus, b_plus = model.sample_runs(a, b, n, rng)
     if lams is None:
         index = np.zeros(n, dtype=int)
     elif index is None:
@@ -169,11 +169,11 @@ def masked_loop_screening(model, a, b, n, rng):
             excluded += 1
             continue
         occupied += 1
-        a_bin, b_bin = a_out[mask], b_out[mask]
-        p_a = Fraction(int(np.count_nonzero(a_bin == 1)), count)
-        p_b = Fraction(int(np.count_nonzero(b_bin == 1)), count)
-        for a_val, pa in ((1, p_a), (-1, 1 - p_a)):
-            for b_val, pb in ((1, p_b), (-1, 1 - p_b)):
+        a_bin, b_bin = a_plus[mask], b_plus[mask]
+        p_a = Fraction(int(np.count_nonzero(a_bin)), count)
+        p_b = Fraction(int(np.count_nonzero(b_bin)), count)
+        for a_val, pa in ((True, p_a), (False, 1 - p_a)):
+            for b_val, pb in ((True, p_b), (False, 1 - p_b)):
                 joint = Fraction(int(np.count_nonzero((a_bin == a_val) & (b_bin == b_val))), count)
                 worst = max(worst, abs(joint - pa * pb))
     return float(worst) if occupied else None, occupied, excluded

@@ -183,10 +183,10 @@ class TestHallModel:
                 return HiddenVariableModel.outcome_prob(self, setting, lam)
 
         model, n = MalusHall(), 200_000
-        _, _, a_out, b_out = model.sample_runs(0.0, PI / 8, n, RngStream(12))
+        _, _, a_plus, b_plus = model.sample_runs(0.0, PI / 8, n, RngStream(12))
         p = model.joint_dist(0.0, PI / 8).p_pp
         assert p == pytest.approx(0.3693, abs=1e-4)
-        got = np.mean((a_out == 1) & (b_out == 1))
+        got = np.mean(a_plus & b_plus)
         assert got == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / n))
 
     @given(angles, angles)
@@ -263,19 +263,19 @@ class TestPRBox:
 
     def test_sampling_is_perfectly_correlated(self):
         a, a_p, b, b_p = TSIRELSON
-        index, lam, a_out, b_out = self.model.sample_runs(a, b, 100, RngStream(0))
+        index, lam, a_plus, b_plus = self.model.sample_runs(a, b, 100, RngStream(0))
         assert index is None and lam is None
-        np.testing.assert_array_equal(a_out, b_out)
-        _, _, a_out, b_out = self.model.sample_runs(a_p, b_p, 100, RngStream(0))
-        np.testing.assert_array_equal(a_out, -b_out)
+        np.testing.assert_array_equal(a_plus, b_plus)
+        _, _, a_plus, b_plus = self.model.sample_runs(a_p, b_p, 100, RngStream(0))
+        np.testing.assert_array_equal(a_plus, ~b_plus)
 
-    def test_outcomes_match_the_int64_reference(self):
+    def test_outcomes_are_the_fair_coin(self):
         a, a_p, b, b_p = TSIRELSON
-        _, _, a_out, b_out = self.model.sample_runs(a_p, b_p, 10_000, RngStream(7))
-        reference = np.where(RngStream(7).generator.random(10_000) < 0.5, 1, -1)
-        np.testing.assert_array_equal(a_out, reference)
-        np.testing.assert_array_equal(b_out, -reference)
-        assert a_out.dtype == b_out.dtype == np.int8
+        _, _, a_plus, b_plus = self.model.sample_runs(a_p, b_p, 10_000, RngStream(7))
+        reference = RngStream(7).generator.random(10_000) < 0.5
+        np.testing.assert_array_equal(a_plus, reference)
+        np.testing.assert_array_equal(b_plus, ~reference)
+        assert a_plus.dtype == b_plus.dtype == bool
 
 
 finite_angles = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -315,16 +315,25 @@ class TestSamplingContract:
     def test_sampled_frequencies_match_joint_dist(self, model):
         a, b = 0.0, PI / 8
         n = 100_000
-        _, _, a_out, b_out = model.sample_runs(a, b, n, RngStream(11))
+        _, _, a_plus, b_plus = model.sample_runs(a, b, n, RngStream(11))
         d = model.joint_dist(a, b)
         tol = 5 * math.sqrt(0.25 / n)
-        assert np.mean((a_out == 1) & (b_out == 1)) == pytest.approx(d.p_pp, abs=tol)
-        assert np.mean((a_out == 1) & (b_out == -1)) == pytest.approx(d.p_pm, abs=tol)
+        assert np.mean(a_plus & b_plus) == pytest.approx(d.p_pp, abs=tol)
+        assert np.mean(a_plus & ~b_plus) == pytest.approx(d.p_pm, abs=tol)
 
-    def test_sample_run_single(self):
-        lam, a_out, b_out = sample_run(DeltaMixtureModel(), 0.0, PI / 8, RngStream(3))
-        assert isinstance(lam, PolAngle)
-        assert a_out in (-1, 1) and b_out in (-1, 1)
+    @pytest.mark.parametrize(
+        "model", [DeltaMixtureModel(), HallModel(), LocalBaselineModel(), PRBoxModel(TSIRELSON)],
+        ids=lambda m: m.name,
+    )
+    def test_sample_run_gives_the_sign_of_sample_runs(self, model):
+        # +1 exactly where the one-run draw of `sample_runs` is True, on each side
+        a, b = TSIRELSON[1], TSIRELSON[3]
+        for seed in range(16):
+            _, lams, a_plus, b_plus = model.sample_runs(a, b, 1, RngStream(seed))
+            lam, a_out, b_out = sample_run(model, a, b, RngStream(seed))
+            assert lam is None if lams is None else isinstance(lam, PolAngle)
+            assert (a_out, b_out) == (1 if a_plus[0] else -1, 1 if b_plus[0] else -1)
+            assert type(a_out) is type(b_out) is int
 
     def test_joint_outcome_dist_dispatch(self):
         d = joint_outcome_dist(DeltaMixtureModel(), 0.0, 0.0)
@@ -343,9 +352,7 @@ def per_sample_runs(model, a, b, n, rng):
         lams = dist.edges[index] + np.diff(dist.edges)[index] * gen.random(n)
     p1 = model.outcome_prob(a, lams)
     p2 = model.outcome_prob(b, lams)
-    a_out = np.where(gen.random(n) < p1, 1, -1)
-    b_out = np.where(gen.random(n) < p2, 1, -1)
-    return index, lams, a_out, b_out
+    return index, lams, gen.random(n) < p1, gen.random(n) < p2
 
 
 class TestPiecewiseRuns:
@@ -364,13 +371,13 @@ class TestPiecewiseRuns:
 
     @staticmethod
     def assert_runs_equal_reference(model, a, b, n, *key):
-        index, lams, a_out, b_out = model.sample_runs(a, b, n, RngStream(*key))
+        index, lams, a_plus, b_plus = model.sample_runs(a, b, n, RngStream(*key))
         ref_index, ref_lams, ref_a, ref_b = per_sample_runs(model, a, b, n, RngStream(*key))
         np.testing.assert_array_equal(index, ref_index)
         np.testing.assert_array_equal(lams, ref_lams)
-        np.testing.assert_array_equal(a_out, ref_a, err_msg=f"A at {(a, b)}")
-        np.testing.assert_array_equal(b_out, ref_b, err_msg=f"B at {(a, b)}")
-        assert a_out.dtype == b_out.dtype == np.int8
+        np.testing.assert_array_equal(a_plus, ref_a, err_msg=f"A at {(a, b)}")
+        np.testing.assert_array_equal(b_plus, ref_b, err_msg=f"B at {(a, b)}")
+        assert a_plus.dtype == b_plus.dtype == bool
 
     @pytest.mark.parametrize("model", [HallModel(), DeltaMixtureModel()], ids=lambda m: m.name)
     @pytest.mark.parametrize("seed", [0, 1, 2029])
@@ -480,8 +487,8 @@ class TestCountDisagreements:
     def test_count_equals_sample_runs(self, model, seed):
         for k, (a, b) in enumerate(self.settings_pairs(model)):
             count = model.count_disagreements(a, b, 20_001, RngStream(seed, k))
-            _, _, a_out, b_out = model.sample_runs(a, b, 20_001, RngStream(seed, k))
-            assert count == np.count_nonzero(a_out != b_out), (a, b)
+            _, _, a_plus, b_plus = model.sample_runs(a, b, 20_001, RngStream(seed, k))
+            assert count == np.count_nonzero(a_plus != b_plus), (a, b)
             assert type(count) is int
 
     @pytest.mark.parametrize("model", MODELS[:3], ids=lambda m: m.name)
@@ -490,8 +497,8 @@ class TestCountDisagreements:
     def test_count_equals_sample_runs_at_any_settings(self, model, pair, seed):
         a, b = pair
         count = model.count_disagreements(a, b, 2000, RngStream(seed))
-        _, _, a_out, b_out = model.sample_runs(a, b, 2000, RngStream(seed))
-        assert count == np.count_nonzero(a_out != b_out)
+        _, _, a_plus, b_plus = model.sample_runs(a, b, 2000, RngStream(seed))
+        assert count == np.count_nonzero(a_plus != b_plus)
 
     @pytest.mark.parametrize("model", [DeltaMixtureModel(), LocalBaselineModel()],
                              ids=lambda m: m.name)

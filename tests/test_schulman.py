@@ -987,7 +987,7 @@ class TestKickStatistics:
         spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=100)
         pred = expected_net_dominance(spec)
         assert pred.value == pytest.approx(0.9274, abs=1e-4)
-        assert 0.0 < pred.error_bound < 1e-4
+        assert 0.0 < pred.error_estimate < 1e-4
 
     def test_overcount_matches_the_two_kick_term_by_quadrature(self, monkeypatch):
         # at the gate spec's nearest winding alone, `overcount` against the
@@ -1027,13 +1027,41 @@ class TestKickStatistics:
             want = float(spec.steps * (spec.steps - 1) / 2 * pair_mass / cauchy(g, d))
         assert abs(overcount / want - 1.0) < spec.gamma / abs(nearest)
 
-    @pytest.mark.parametrize("gamma", [1e-3, 1.0], ids=["gate-spec", "gamma-1"])
-    def test_error_bound_is_the_overcount_and_the_discarded_windings_shift(self, gamma):
-        spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=gamma, steps=100)
+    def test_error_estimate_is_the_overcount_and_the_discarded_windings_shift(self):
+        spec = PathSpec(theta1=PolAngle(0.0), theta2=PolAngle(PI / 8), gamma=1e-3, steps=100)
         pred = expected_net_dominance(spec)
         discarded = endpoint_targets(spec)[2]
         assert pred.discarded_winding_mass == discarded
-        assert pred.error_bound == pred.overcount + discarded * (1.0 - pred.value)
+        assert pred.error_estimate == pred.overcount + discarded * (1.0 - pred.value)
+
+    @pytest.mark.parametrize("theta2, gamma", [
+        (PI / 8, 0.1 * PI / 8 * (1.0 + 1e-9)),  # just beyond the domain
+        (PI / 8, 1.0),
+        (0.0, 1e-3),  # aligned paths: the nearest rotation is 0
+        (HALF_PI, 1e-300),
+    ], ids=["just-beyond", "gamma-1", "aligned", "aligned-perpendicular"])
+    def test_refuses_beyond_its_domain(self, theta2, gamma):
+        spec = PathSpec(PolAngle(0.0), PolAngle(theta2), gamma, 100)
+        with pytest.raises(ValueError, match=r"^gamma / \|delta\| = .* > 0\.1$"):
+            expected_net_dominance(spec)
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0], ids=["just-inside", "on-the-edge"])
+    def test_answers_inside_its_domain(self, scale):
+        spec = PathSpec(PolAngle(0.0), PolAngle(PI / 8), 0.1 * PI / 8 * scale, 100)
+        pred = expected_net_dominance(spec)
+        assert 0.0 < pred.overcount < pred.value < 1.0
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_share_is_below_the_expected_count_beyond_the_domain(self, ratio):
+        # the expected number of kicks beyond the threshold bounds the share of
+        # such paths at any spec, where the prediction of the share refuses
+        spec = PathSpec(PolAngle(0.0), PolAngle(PI / 8), ratio * PI / 8, 100)
+        rotations, weights, _ = endpoint_targets(spec)
+        count = float(np.sum(weights * net_dominance_given_rotation(rotations, spec.gamma, 100)))
+        kicks = dominant_kick_stats(sample_bridges(spec, 50_000, RngStream(7)))
+        share = kicks.net_dominance_share
+        se = math.sqrt(share * (1.0 - share) / (50_000 - kicks.excluded_paths))
+        assert share < count + 5 * se
 
     def test_prediction_is_mirror_symmetric(self):
         plus = expected_net_dominance(PathSpec(PolAngle(0.0), PolAngle(PI / 8), 1e-3, 100))
@@ -1110,10 +1138,14 @@ class TestKickStatistics:
                     spec = PathSpec(PolAngle(0.0), PolAngle(theta2), float(gamma), steps)
                 except ValueError:
                     continue
-                pred = expected_net_dominance(spec)
                 where = f"gamma={gamma:.3g}, steps={steps}"
+                if gamma > 0.1 * np.abs(endpoint_targets(spec)[0]).min():
+                    with pytest.raises(ValueError):
+                        expected_net_dominance(spec)
+                    continue
+                pred = expected_net_dominance(spec)
                 assert 0.0 <= pred.value <= steps * (1.0 + 1e-12), where
-                assert math.isfinite(pred.error_bound), where
+                assert math.isfinite(pred.error_estimate), where
                 assert 0.0 <= pred.discarded_winding_mass <= 1.0, where
                 if theta2 == PI / 8 and gamma <= 1e-100:
                     # every kept winding lies more than 1e98 widths from 0

@@ -1,7 +1,9 @@
 """Source hygiene: every import in the package is read, every definition is
-reached from outside the tests, and every demo runs."""
+reached from outside the tests, every demo runs, and every entry of the
+mutant table `tests/mutants.py` still applies."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -245,9 +247,6 @@ ERRSTATE_ALLOWED = {
     " counts as dominant",
     "schulman.py:net_dominance_given_rotation": "the arctan ratios reach +-inf, whose"
     " arctan is exact, at delta = 0 or a tiny b",
-    "schulman.py:expected_net_dominance": "the pair term divides by delta = 0 only"
-    " in the branch np.where discards, and an inf where it overflows is capped by"
-    " np.minimum",
 }
 
 
@@ -303,3 +302,23 @@ def test_demo_runs(demo):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_mutant_names_its_text_and_tests(monkeypatch):
+    # tests/mutants.py: each entry's old text occurs once in its file, and
+    # each entry names the tests that kill it, all collected, or is equivalent
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "mutants", mutants)  # dataclasses look it up
+    spec.loader.exec_module(mutants)
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.path).read_text(encoding="utf-8").count(m.old) == 1, (m.path, m.old)
+        assert m.old != m.new
+        assert bool(m.killed_by) != bool(m.equivalent), (m.path, m.new)
+    ids = sorted({t for m in mutants.MUTANTS for t in m.killed_by})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert set(ids) <= set(proc.stdout.splitlines())

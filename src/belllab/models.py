@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PI, PolAngle, RngStream, canonical_diff, outcome_axes
+from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .qm import JointDist
 
 
@@ -92,24 +92,31 @@ class LambdaDistribution:
         index = self.piece_index(n, rng)
         if self.edges is None:
             return index, self.points[index]
-        lengths = np.diff(self.edges)
-        return index, self.edges[index] + lengths[index] * rng.generator.random(n)
+        u = rng.generator.random(n)
+        if self.mass.size == 1:  # the bits of the gather below, without it
+            u *= self.edges[1] - self.edges[0]
+            u += self.edges[0]
+            return index, u
+        return index, self.edges[index] + np.diff(self.edges)[index] * u
 
     def piece_index(self, n: int, rng: RngStream) -> np.ndarray:
         """n atom or segment indices drawn by mass, in the smallest unsigned dtype.
 
-        The indices, and the stream position after them, are those of
+        One piece draws no uniform.  Otherwise the indices, and the stream
+        position after them, are those of
         ``Generator.choice(mass.size, n, p=mass / mass.sum())``: one uniform
         per draw, and the number of CDF entries at or below it, which
         ``choice`` finds with ``searchsorted(cdf, u, side="right")``.  For a
         few pieces, adding ``u >= c`` per entry is faster.  The last entry,
         1.0, is never at or below u.
         """
+        index = np.zeros(n, dtype=np.min_scalar_type(self.mass.size - 1))
+        if self.mass.size == 1:
+            return index
         p = self.mass / self.mass.sum()
         cdf = p.cumsum()
         cdf /= cdf[-1]
         u = rng.generator.random(n)
-        index = np.zeros(n, dtype=np.min_scalar_type(self.mass.size - 1))
         for c in cdf[:-1]:
             index += u >= c
         return index
@@ -126,17 +133,6 @@ class HiddenVariableModel(ABC):
     def lambda_distribution(self, a: float, b: float) -> LambdaDistribution:
         """The (a, b)-dependent hidden-angle distribution as atoms or segments."""
 
-    @abstractmethod
-    def sample_lambdas(
-        self, a: float, b: float, n: int, rng: RngStream
-    ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Draw n hidden angles from the (a, b)-dependent distribution.
-
-        Returns ``(index, lams)`` as `LambdaDistribution.sample` does where
-        the outcome probabilities are constant on each atom or segment of
-        ``lambda_distribution``, and ``(None, lams)`` where they are not.
-        """
-
     # -- outcome model ------------------------------------------------------
 
     def outcome_prob(self, setting: float, lam: np.ndarray) -> np.ndarray:
@@ -148,18 +144,35 @@ class HiddenVariableModel(ABC):
 
     # -- derived ------------------------------------------------------------
 
+    def _per_piece(self, a: float, dist: LambdaDistribution) -> bool:
+        """Whether outcomes are drawn once per piece of ``dist``, at its point,
+        and not per lambda: where the pieces are atoms, or the rule is boolean
+        (a model cuts its segments where such a rule changes).  Then no
+        outcome reads a lambda's position within its segment."""
+        return dist.edges is None or self.outcome_prob(a, dist.points).dtype == bool
+
     def joint_dist(self, a: float, b: float) -> JointDist:
-        """Separability integral, summed exactly over the lambda distribution."""
+        """Separability integral, summed exactly over the lambda distribution:
+        at each piece's point where outcomes are drawn per piece, otherwise
+        over each segment in closed form for Malus' law."""
         dist = self.lambda_distribution(a, b)
-        p1 = self.outcome_prob(a, dist.points)
-        p2 = self.outcome_prob(b, dist.points)
-        # P(-1) = 1 - P(+1); the order is that of JointDist: ++, +-, -+, --
-        probs = (
-            float(np.sum(dist.mass * q1 * q2))
-            for q1 in (p1, 1.0 - p1)
-            for q2 in (p2, 1.0 - p2)
-        )
-        return JointDist(*probs).validate(atol=1e-9)
+        # the order is that of JointDist: ++, +-, -+, --
+        if self._per_piece(a, dist):
+            p1 = self.outcome_prob(a, dist.points)
+            p2 = self.outcome_prob(b, dist.points)
+            cells = (dist.mass * q1 * q2 for q1 in (p1, 1.0 - p1) for q2 in (p2, 1.0 - p2))
+        else:
+            # P(+-1 | lam) = (1 +- cos(2s - 2lam)) / 2.  Over a segment of length
+            # L about m, cos(2s - 2lam) averages to cos(2s - 2m) sin(L) / L, and
+            # cos(2a - 2lam) cos(2b - 2lam) to half of cos(2a - 2b) plus
+            # cos(2a + 2b - 4m) sin(2L) / 2L.
+            m, length = dist.points, np.diff(dist.edges)
+            c1, c2 = (np.cos(2.0 * (s - m)) * np.sinc(length / PI) for s in (a, b))
+            c12 = 0.5 * (math.cos(2.0 * (a - b))
+                         + np.cos(2.0 * (a + b) - 4.0 * m) * np.sinc(2.0 * length / PI))
+            cells = (0.25 * dist.mass * (1.0 + s1 * c1 + s2 * c2 + s1 * s2 * c12)
+                     for s1 in (1, -1) for s2 in (1, -1))
+        return JointDist(*(float(np.sum(c)) for c in cells)).validate(atol=1e-9)
 
     def sample_outcomes(
         self, a: float, b: float, at: np.ndarray, rng: RngStream, index: np.ndarray | None
@@ -168,10 +181,10 @@ class HiddenVariableModel(ABC):
         given each lambda (screening).
 
         The outcome probabilities are evaluated at ``at``: each run's lambda,
-        or with ``index`` (each run's atom or segment) the pieces' points,
-        gathered onto the runs.  A run is +1 where its uniform falls below
-        its probability, A's uniforms drawn before B's; a boolean rule is
-        the outcome itself and draws none.
+        or, where `_per_piece` holds, the pieces' points, gathered onto the
+        runs by ``index`` (each run's atom or segment).  A run is +1 where
+        its uniform falls below its probability, A's uniforms drawn before
+        B's; a boolean rule is the outcome itself and draws none.
         """
         p1 = self.outcome_prob(a, at)
         p2 = self.outcome_prob(b, at)
@@ -186,26 +199,36 @@ class HiddenVariableModel(ABC):
     def count_disagreements(self, a: float, b: float, n: int, rng: RngStream) -> int:
         """How many of the n runs ``sample_runs(a, b, n, rng)`` draws have A != B.
 
-        Draws what ``sample_runs`` draws, in order, except each lambda's
-        position within its piece: the outcomes read only the piece's point.
-        Skipping it moves no later draw: atoms have no position draw, and
-        Hall's is the last, since a boolean rule draws no uniforms.  The
-        local baseline, whose outcomes do read the position, overrides this.
+        Draws what ``sample_runs`` draws, in order, except, where outcomes
+        are drawn per piece, each lambda's position within its piece, which
+        they do not read.  Skipping it moves no later draw: atoms have no
+        position draw, and a boolean rule draws no uniforms after it.
         """
         dist = self.lambda_distribution(a, b)
-        index = dist.piece_index(n, rng)
-        a_plus, b_plus = self.sample_outcomes(a, b, dist.points, rng, index)
+        if self._per_piece(a, dist):
+            a_plus, b_plus = self.sample_outcomes(a, b, dist.points, rng, dist.piece_index(n, rng))
+        else:
+            a_plus, b_plus = self.sample_outcomes(a, b, dist.sample(n, rng)[1], rng, None)
         return int(np.count_nonzero(a_plus != b_plus))
+
+    def sample_lambdas(
+        self, a: float, b: float, n: int, rng: RngStream
+    ) -> tuple[LambdaDistribution, np.ndarray, np.ndarray]:
+        """The (a, b) distribution and n hidden angles drawn from it:
+        ``(dist, index, lams)``, as `LambdaDistribution.sample` draws them."""
+        dist = self.lambda_distribution(a, b)
+        return dist, *dist.sample(n, rng)
 
     def sample_runs(
         self, a: float, b: float, n: int, rng: RngStream
     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
         """n independent runs ``(index, lams, a_plus, b_plus)``: lambdas drawn
-        first, then `sample_outcomes`; ``index`` is what `sample_lambdas`
-        returned (None: local baseline)."""
-        index, lams = self.sample_lambdas(a, b, n, rng)
-        at = lams if index is None else self.lambda_distribution(a, b).points
-        return index, lams, *self.sample_outcomes(a, b, at, rng, index)
+        first, then `sample_outcomes`; ``index`` is each run's piece where
+        outcomes are drawn per piece, and None where they are drawn per lambda."""
+        dist, index, lams = self.sample_lambdas(a, b, n, rng)
+        if self._per_piece(a, dist):
+            return index, lams, *self.sample_outcomes(a, b, dist.points, rng, index)
+        return None, lams, *self.sample_outcomes(a, b, lams, rng, None)
 
 
 class DeltaMixtureModel(HiddenVariableModel):
@@ -224,8 +247,8 @@ class DeltaMixtureModel(HiddenVariableModel):
         atoms = np.array(sorted(merged))
         return LambdaDistribution(atoms, np.array([merged[x] for x in atoms]))
 
-    def sample_lambdas(self, a, b, n, rng):
-        return self.lambda_distribution(a, b).sample(n, rng)
+    # its own attribute: perfbench/tracing.py times sample_lambdas per class
+    sample_lambdas = HiddenVariableModel.sample_lambdas
 
 
 class HallModel(HiddenVariableModel):
@@ -243,8 +266,8 @@ class HallModel(HiddenVariableModel):
         mids = 0.5 * (edges[:-1] + edges[1:])
         return LambdaDistribution(mids, hall_density(a, b, mids) * np.diff(edges), edges)
 
-    def sample_lambdas(self, a, b, n, rng):
-        return self.lambda_distribution(a, b).sample(n, rng)
+    # its own attribute: perfbench/tracing.py times sample_lambdas per class
+    sample_lambdas = HiddenVariableModel.sample_lambdas
 
     def outcome_prob(self, setting, lam):
         return _hall_plus(setting, lam)
@@ -261,21 +284,10 @@ class LocalBaselineModel(HiddenVariableModel):
     name = "local-baseline"
 
     def lambda_distribution(self, a, b):
-        # Uniform lambda as three equal segments.  The midpoint sum is exact:
-        # the Malus product is a trigonometric polynomial of degree 2 in
-        # 2*lambda, which the three-point midpoint rule integrates exactly.
-        edges = np.linspace(0.0, PI, 4)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return LambdaDistribution(mids, np.full(3, 1.0 / 3.0), edges)
+        return LambdaDistribution(np.array([HALF_PI]), np.array([1.0]), np.array([0.0, PI]))
 
-    def sample_lambdas(self, a, b, n, rng):
-        # the three segments only make the exact sum finite; outcome
-        # probabilities vary within them, so no piece index is returned
-        return None, rng.generator.random(n) * PI
-
-    def count_disagreements(self, a, b, n, rng):
-        _, _, a_plus, b_plus = self.sample_runs(a, b, n, rng)
-        return int(np.count_nonzero(a_plus != b_plus))
+    # its own attribute: perfbench/tracing.py times sample_lambdas per class
+    sample_lambdas = HiddenVariableModel.sample_lambdas
 
 
 def _box_input(side: int, setting: float, choices: tuple[PolAngle, PolAngle]) -> int:

@@ -51,7 +51,8 @@ T_CAL = "tests/test_calibration.py"
 MASKED_LB = (f"{T_EST}::TestScreening::test_matches_masked_loop_bit_for_bit"
              "[model6-0.0-0.39269908169872414-6400]")
 CODES = "codes = 4 * index + 2 * ~a_plus + ~b_plus"
-LOCAL_COUNT = "_, _, a_plus, b_plus = self.sample_runs(a, b, n, rng)"
+LOCAL_COUNT = "self.sample_outcomes(a, b, dist.sample(n, rng)[1], rng, None)"
+PER_PIECE = "return dist.edges is None or self.outcome_prob(a, dist.points).dtype == bool"
 SIGNS = "return lam, 1 if a_plus[0] else -1, 1 if b_plus[0] else -1"
 DRAW = "return gen.random(p1.size) < p1, gen.random(p2.size) < p2"
 SAME = "same = (1.0 + c) / (PI * den_same) if den_same else 0.0"
@@ -91,11 +92,34 @@ MUTANTS = [
         "[local-baseline]",
         f"{T_CAL}::test_correlators_are_calibrated[local-baseline]",
     )),
-    Mutant(MOD, f"    def count_disagreements(self, a, b, n, rng):\n        {LOCAL_COUNT}\n"
-           "        return int(np.count_nonzero(a_plus != b_plus))\n", "", (
+    Mutant(MOD, LOCAL_COUNT,
+           "self.sample_outcomes(a, b, dist.points, rng, dist.piece_index(n, rng))", (
         f"{T_EST}::TestEstimateCorrelator::test_shard_sums_are_those_of_sample_runs"
         "[local-baseline]",
         f"{T_MOD}::TestCountDisagreements::test_count_equals_sample_runs[0-local-baseline]",
+        f"{T_MOD}::TestCountDisagreements::test_count_equals_sample_runs[0-malus-hall]",
+    )),
+    # the one sampling rule: per piece or per lambda, and the one-segment draw
+    Mutant(MOD, PER_PIECE, PER_PIECE.replace("return ", "return not (") + ")", (
+        f"{T_MOD}::TestHallModel::test_matches_qm",
+        f"{T_MOD}::TestPiecewiseRuns::test_local_baseline_lambdas_carry_no_pieces",
+        f"{T_MOD}::TestHallModel::test_a_subclass_with_malus_outcomes_draws_them",
+    )),
+    Mutant(MOD, "- 4.0 * m)", "+ 4.0 * m)", (
+        f"{T_MOD}::TestHallModel::test_a_subclass_with_malus_outcomes_draws_them",
+        f"{T_MOD}::TestMalusSegments::test_joint_is_the_quadrature"
+        "[0.0-0.39269908169872414-stepped]",
+    )),
+    Mutant(MOD, "        if self.mass.size == 1:\n            return index\n", "", (
+        f"{T_MOD}::TestPiecewiseRuns::test_local_baseline_lambdas_carry_no_pieces",
+        f"{T_MOD}::TestPiecewiseRuns::test_one_segment_is_its_uniforms_scaled[0.3-1.7]",
+        f"{T_MOD}::TestPieceIndex::test_indices_and_stream_equal_choice[0]",
+        f"{T_REP}::test_benchmark_report_bytes_are_pinned[run-chsh --model local-baseline"
+        " --samples 1000000 --workers 1 --seed 0]",
+    )),
+    Mutant(MOD, "if self.mass.size == 1:  #", "if self.mass.size != 1:  #", (
+        f"{T_MOD}::TestPiecewiseRuns::test_runs_equal_per_sample_reference[0-hall]",
+        f"{T_MOD}::TestPiecewiseRuns::test_pieces_index_the_drawn_lambdas",
     )),
     Mutant(MOD, "np.take(p1, index), np.take(p2, index)",
            "np.take(p2, index), np.take(p2, index)", (

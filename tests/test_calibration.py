@@ -12,11 +12,14 @@ sigma = 0 must be estimated exactly and are left out of the pooled tests.
 For a correct sampler the z are close to N(0, 1), so the Kolmogorov-Smirnov
 p against N(0, 1) and the chi^2 p of sum z^2 (one degree of freedom per
 pair) are uniform.  Each is asserted above 1e-3, so a correct sampler fails a
-model's pair of checks with probability below 2e-3, and this file with
-probability below 6e-3, for a seed chosen blind.  The seeds above are fixed,
-so the outcome is reproducible.  `test_a_one_percent_count_bias_is_caught`
-shows that the checks can fail: a local baseline whose disagreement count is
-1% high stays under 5 SE at every one of these pairs, and fails here.
+model's pair of checks with probability below 2e-3, and this file's five
+models with probability below 1e-2, for a seed chosen blind.  The seeds
+above are fixed, so the outcome is reproducible.  Beside the package's three
+models, two segment models whose Malus outcomes are drawn per lambda are
+checked: Hall's density with Malus outcomes, and `SteppedModel`.
+`test_a_one_percent_count_bias_is_caught` shows that the checks can fail: a
+local baseline whose disagreement count is 1% high stays under 5 SE at every
+one of these pairs, and fails here.
 """
 
 import math
@@ -28,6 +31,8 @@ from scipy import stats
 from belllab.core import HALF_PI, RngStream
 from belllab.estimator import estimate_correlator
 from belllab.models import DeltaMixtureModel, HallModel, LocalBaselineModel
+from test_estimator import SteppedModel
+from test_models import MalusHall
 
 RUNS = 20_000
 LEVEL = 1e-3
@@ -68,7 +73,9 @@ class BiasedBaseline(LocalBaselineModel):
 
 
 @pytest.mark.parametrize(
-    "model", [DeltaMixtureModel(), HallModel(), LocalBaselineModel()], ids=lambda m: m.name
+    "model",
+    [DeltaMixtureModel(), HallModel(), LocalBaselineModel(), MalusHall(), SteppedModel()],
+    ids=lambda m: m.name,
 )
 def test_correlators_are_calibrated(model):
     z = z_scores(model)

@@ -182,17 +182,15 @@ def masked_loop_screening(model, a, b, n, rng):
 class SteppedModel(LocalBaselineModel):
     """Malus outcomes with lambda dense on [0, pi/2), sparse on [pi/2, 3pi/4)
     and absent from [3pi/4, pi).  Its outcome probabilities vary within each
-    segment, so it returns no piece index, and at 6400 samples its 64 equal
-    screening bins are 32 occupied (about 190 samples each), 16 excluded
-    (about 20) and 16 empty."""
+    segment, so its runs carry no piece index, and at 6400 samples its 64
+    equal screening bins are 32 occupied (about 190 samples each), 16
+    excluded (about 20) and 16 empty."""
+
+    name = "stepped"
 
     def lambda_distribution(self, a, b):
         edges = np.array([0.0, PI / 2, 3 * PI / 4, PI])
         return LambdaDistribution(0.5 * (edges[:-1] + edges[1:]), np.array([0.95, 0.05, 0.0]), edges)
-
-    def sample_lambdas(self, a, b, n, rng):
-        _, lams = self.lambda_distribution(a, b).sample(n, rng)
-        return None, lams
 
 
 class ManyAtomModel(DeltaMixtureModel):

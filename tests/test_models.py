@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings as hyp_settings, strategies as st
@@ -22,6 +23,7 @@ from belllab.models import (
     sample_run,
 )
 from belllab.qm import JointDist, qm_joint, tsirelson_settings
+from test_estimator import SteppedModel
 
 angles = st.floats(min_value=0.0, max_value=PI - 1e-9, allow_nan=False)
 wide_settings = st.floats(min_value=-1e3, max_value=1e3)
@@ -56,6 +58,34 @@ def near_breakpoints(a: float, b: float, ulps: int = 64) -> np.ndarray:
         [(np.float64(p).view(np.int64) + steps).view(np.float64) for p in hall_breakpoints(a, b)]
     )
     return lam[(lam >= 0.0) & (lam < PI)]
+
+
+class MalusHall(HallModel):
+    """Hall's density with Malus outcomes (Hall, PRL 105, 250404 (2010)): a
+    segment model whose outcome probabilities vary within each segment."""
+
+    name = "malus-hall"
+
+    def outcome_prob(self, setting, lam):
+        return HiddenVariableModel.outcome_prob(self, setting, lam)
+
+
+def malus_joint_by_quadrature(density, cuts, a: float, b: float) -> list[float]:
+    """The four cells (++, +-, -+, --) of the separability integral of a
+    piecewise-constant density with Malus outcomes, by mpmath quadrature at
+    30 digits between consecutive cuts; the density is read at each piece's
+    midpoint."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        cells = [mpmath.mpf(0)] * 4
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            rho = mpmath.mpf(float(density(0.5 * (lo + hi))))
+            for k, (plus_a, plus_b) in enumerate([(1, 1), (1, 0), (0, 1), (0, 0)]):
+                def f(lam):
+                    pa, pb = mpmath.cos(a - lam) ** 2, mpmath.cos(b - lam) ** 2
+                    return (pa if plus_a else 1 - pa) * (pb if plus_b else 1 - pb)
+                cells[k] += rho * mpmath.quad(f, [mpmath.mpf(lo), mpmath.mpf(hi)])
+        return [float(c) for c in cells]
 
 
 @st.composite
@@ -162,7 +192,7 @@ class TestDeltaMixture:
         assert got.max_abs_diff(qm_joint(a, b)) < 1e-9
 
     def test_sampled_lambdas_live_on_atoms(self):
-        _, lams = self.model.sample_lambdas(0.0, PI / 8, 1000, RngStream(1))
+        _, _, lams = self.model.sample_lambdas(0.0, PI / 8, 1000, RngStream(1))
         atoms = self.model.lambda_distribution(0.0, PI / 8).points
         assert set(np.unique(lams)) <= set(atoms)
 
@@ -177,17 +207,21 @@ class TestHallModel:
         np.testing.assert_array_equal(p, np.cos(2.0 * (0.0 - lam)) >= 0.0)
 
     def test_a_subclass_with_malus_outcomes_draws_them(self):
-        # outcomes are drawn unless the rule itself is boolean, whatever the class
-        class MalusHall(HallModel):
-            def outcome_prob(self, setting, lam):
-                return HiddenVariableModel.outcome_prob(self, setting, lam)
-
-        model, n = MalusHall(), 200_000
-        _, _, a_plus, b_plus = model.sample_runs(0.0, PI / 8, n, RngStream(12))
-        p = model.joint_dist(0.0, PI / 8).p_pp
-        assert p == pytest.approx(0.3693, abs=1e-4)
-        got = np.mean(a_plus & b_plus)
-        assert got == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / n))
+        # a float rule on segments is integrated and drawn per lambda, whatever the class
+        model, n, a, b = MalusHall(), 200_000, 0.0, PI / 8
+        reference = malus_joint_by_quadrature(
+            lambda lam: hall_density(a, b, lam), [0.0, *hall_breakpoints(a, b), PI], a, b
+        )
+        got = model.joint_dist(a, b)
+        np.testing.assert_allclose(
+            [got.p_pp, got.p_pm, got.p_mp, got.p_mm], reference, rtol=0.0, atol=1e-12
+        )
+        p = got.p_pp
+        index, _, a_plus, b_plus = model.sample_runs(a, b, n, RngStream(12))
+        assert index is None
+        assert np.mean(a_plus & b_plus) == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / n))
+        count = model.count_disagreements(a, b, n, RngStream(12))
+        assert count == np.count_nonzero(a_plus != b_plus)
 
     @given(angles, angles)
     @hyp_settings(max_examples=25, deadline=None)
@@ -198,7 +232,7 @@ class TestHallModel:
     def test_sampled_lambda_histogram_matches_density(self):
         a, b = 0.0, PI / 8
         n = 200_000
-        _, lams = self.model.sample_lambdas(a, b, n, RngStream(5))
+        _, _, lams = self.model.sample_lambdas(a, b, n, RngStream(5))
         edges = np.linspace(0.0, PI, 33)
         hist, _ = np.histogram(lams, bins=edges, density=True)
         mids = 0.5 * (edges[:-1] + edges[1:])
@@ -407,9 +441,23 @@ class TestPiecewiseRuns:
         np.testing.assert_array_equal(lams, atoms.points[index])
 
     def test_local_baseline_lambdas_carry_no_pieces(self):
-        index, lams = LocalBaselineModel().sample_lambdas(0.0, PI / 8, 1000, RngStream(2))
+        # its Malus probabilities vary within its one segment, so they are drawn per lambda
+        index, lams, _, _ = LocalBaselineModel().sample_runs(0.0, PI / 8, 1000, RngStream(2))
         assert index is None
         assert lams.shape == (1000,) and np.all((0.0 <= lams) & (lams < PI))
+        np.testing.assert_array_equal(lams, RngStream(2).generator.random(1000) * PI)
+
+    @pytest.mark.parametrize("low, high", [(0.0, PI), (0.3, 1.7), (2.0, 2.0 + 1e-9)])
+    def test_one_segment_is_its_uniforms_scaled(self, low, high):
+        # no piece uniform, then random(n) * length + low, bit for bit
+        dist = LambdaDistribution(np.array([0.5 * (low + high)]), np.array([1.0]),
+                                  np.array([low, high]))
+        drawn, reference = RngStream(3), RngStream(3)
+        index, lams = dist.sample(1000, drawn)
+        expected = reference.generator.random(1000) * (high - low) + low
+        np.testing.assert_array_equal(lams.view(np.uint64), expected.view(np.uint64))
+        np.testing.assert_array_equal(index, 0)
+        assert drawn.generator.random() == reference.generator.random()
 
 
 class StubStream:
@@ -426,7 +474,8 @@ class StubStream:
 
 class TestPieceIndex:
     """`LambdaDistribution.piece_index` counts CDF crossings in place of
-    `Generator.choice`; indices and stream position must equal choice's."""
+    `Generator.choice`; indices and stream position must equal choice's,
+    except that one piece draws no uniform."""
 
     MASSES = [
         [1.0],
@@ -456,7 +505,9 @@ class TestPieceIndex:
                 dist.mass.size, size=50_000, p=dist.mass / dist.mass.sum()
             )
             np.testing.assert_array_equal(index, reference, err_msg=f"mass {dist.mass}")
-            assert ours.generator.random() == theirs.generator.random()
+            # choice draws a uniform per index, even for one piece
+            untouched = RngStream(seed, k) if dist.mass.size == 1 else theirs
+            assert ours.generator.random() == untouched.generator.random()
             assert index.dtype == np.uint8
 
     def test_a_uniform_on_a_cdf_entry_goes_to_the_next_piece(self):
@@ -473,7 +524,8 @@ class TestCountDisagreements:
     """`count_disagreements` must equal the A != B count of `sample_runs` on
     the same substream, for every model and at the edge settings."""
 
-    MODELS = [HallModel(), DeltaMixtureModel(), LocalBaselineModel(), PRBoxModel(TSIRELSON)]
+    MODELS = [HallModel(), DeltaMixtureModel(), LocalBaselineModel(), PRBoxModel(TSIRELSON),
+              MalusHall(), SteppedModel()]
 
     @staticmethod
     def settings_pairs(model):
@@ -514,8 +566,7 @@ class TestCountDisagreements:
         a, b = 0.0, PI / 8
         counted, sampled = RngStream(6), RngStream(6)
         HallModel().count_disagreements(a, b, 1000, counted)
-        index, lams = HallModel().sample_lambdas(a, b, 1000, sampled)
-        dist = HallModel().lambda_distribution(a, b)
+        dist, index, lams = HallModel().sample_lambdas(a, b, 1000, sampled)
         within = counted.generator.random(1000)
         np.testing.assert_array_equal(
             lams, dist.edges[index] + np.diff(dist.edges)[index] * within
@@ -532,7 +583,7 @@ class TestOutcomeDraw:
     def test_a_mask_per_run(self, model, pair, seed):
         # booleans, one per run; Hall's rule draws no uniforms, Malus' law A's n then B's n
         a, b, n = *pair, 2000
-        index, lams = model.sample_lambdas(a, b, n, RngStream(seed))
+        index, lams, _, _ = model.sample_runs(a, b, n, RngStream(seed))
         at = lams if index is None else model.lambda_distribution(a, b).points
         drawn, reference = RngStream(seed, 1), RngStream(seed, 1)
         a_plus, b_plus = model.sample_outcomes(a, b, at, drawn, index)
@@ -555,6 +606,31 @@ class TestOutcomeDraw:
             a_plus, b_plus = model.sample_outcomes(0.0, 0.0, p, StubStream(u), None)
             np.testing.assert_array_equal(a_plus, np.array(want, dtype=bool), err_msg=f"u = {u}")
             np.testing.assert_array_equal(b_plus, a_plus)
+
+
+def stepped_density(lam: float) -> float:
+    """`SteppedModel`'s density: 0.95 on [0, pi/2), 0.05 on [pi/2, 3pi/4)."""
+    return 0.95 / HALF_PI if lam < HALF_PI else 0.05 / (PI / 4) if lam < 3 * PI / 4 else 0.0
+
+
+class TestMalusSegments:
+    """Segment models with Malus outcomes, whose probabilities vary within a
+    segment: `joint_dist` integrates each segment in closed form."""
+
+    CASES = [
+        (MalusHall(), lambda a, b: (lambda lam: hall_density(a, b, lam),
+                                    [0.0, *hall_breakpoints(a, b), PI])),
+        (SteppedModel(), lambda a, b: (stepped_density, [0.0, HALF_PI, 3 * PI / 4, PI])),
+    ]
+
+    @pytest.mark.parametrize("model, density", CASES, ids=[m.name for m, _ in CASES])
+    @pytest.mark.parametrize("a, b", [(0.0, PI / 8), (0.3, 0.3), (0.3, 0.3 + HALF_PI),
+                                      (0.3, 0.3 + PI / 4), (-7.5, 912.0)])
+    def test_joint_is_the_quadrature(self, model, density, a, b):
+        got = model.joint_dist(a, b)
+        np.testing.assert_allclose([got.p_pp, got.p_pm, got.p_mp, got.p_mm],
+                                   malus_joint_by_quadrature(*density(a, b), a, b),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestExactLambdaSums:

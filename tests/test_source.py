@@ -277,11 +277,11 @@ def test_errstate_check_finds_them(tmp_path):
 #: The functions in models.py that draw uniforms, each with what it draws.
 #: Every report rests on the order of these draws.
 UNIFORM_DRAWS_ALLOWED = {
-    "models.py:piece_index": "one uniform per run picks its atom or segment by mass",
+    "models.py:piece_index": "one uniform per run picks its atom or segment by mass,"
+    " unless there is one",
     "models.py:sample": "one uniform per run places its lambda within its segment",
     "models.py:sample_outcomes": "A's uniforms, then B's, unless the outcome rule is"
     " boolean; the one outcome draw, for runs and for correlator counts alike",
-    "models.py:sample_lambdas": "the local baseline's uniform lambda on [0, pi)",
     "models.py:sample_runs": "the PR box's fair coin for A",
 }
 

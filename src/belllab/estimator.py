@@ -180,19 +180,8 @@ def lambda_independence_residual(
     settings pairs; zero iff the model treats them identically."""
     if not isinstance(model, HiddenVariableModel):
         raise ValueError("model exposes no hidden angle")
-    dist_1 = model.lambda_distribution(*settings_1)
-    dist_2 = model.lambda_distribution(*settings_2)
-    if dist_1.edges is None:
-        support = sorted(set(dist_1.points.tolist()) | set(dist_2.points.tolist()))
-        m_1 = dict(zip(dist_1.points.tolist(), dist_1.mass.tolist()))
-        m_2 = dict(zip(dist_2.points.tolist(), dist_2.mass.tolist()))
-        return 0.5 * sum(abs(m_1.get(x, 0.0) - m_2.get(x, 0.0)) for x in support)
-
-    # both densities are constant between consecutive edges of either one
-    edges = np.union1d(dist_1.edges, dist_2.edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    gap = np.abs(dist_1.density_at(mids) - dist_2.density_at(mids))
-    return 0.5 * float(np.sum(gap * np.diff(edges)))
+    dist_1, dist_2 = (model.lambda_distribution(*pair) for pair in (settings_1, settings_2))
+    return dist_1.total_variation(dist_2)
 
 
 def mutual_information_hall(lambda_grid: int = 2048, settings_grid: int = 64) -> MIEstimate:

@@ -78,10 +78,19 @@ class LambdaDistribution:
     mass: np.ndarray
     edges: np.ndarray | None = None
 
-    def density_at(self, lam: np.ndarray) -> np.ndarray:
-        """Segment density mass / length at each lam in [0, pi)."""
-        index = np.searchsorted(self.edges, lam, side="right") - 1
-        return (self.mass / np.diff(self.edges))[index]
+    def total_variation(self, other: LambdaDistribution) -> float:
+        """Total-variation distance to ``other``, of the same form: half the mass
+        gap summed over the union of the atoms, or over the cells between the
+        union of the edges, where both densities are constant (read at midpoints)."""
+        if self.edges is None:
+            m_1 = dict(zip(self.points.tolist(), self.mass.tolist()))
+            m_2 = dict(zip(other.points.tolist(), other.mass.tolist()))
+            return 0.5 * sum(abs(m_1.get(x, 0.0) - m_2.get(x, 0.0)) for x in sorted(m_1 | m_2))
+        edges = np.union1d(self.edges, other.edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        rho = [(d.mass / np.diff(d.edges))[np.searchsorted(d.edges, mids, side="right") - 1]
+               for d in (self, other)]
+        return 0.5 * float(np.sum(np.abs(rho[0] - rho[1]) * np.diff(edges)))
 
     def sample(self, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
         """n hidden angles: an atom or segment by mass, then uniform within it.
@@ -153,14 +162,16 @@ class HiddenVariableModel(ABC):
 
     def joint_dist(self, a: float, b: float) -> JointDist:
         """Separability integral, summed exactly over the lambda distribution:
-        at each piece's point where outcomes are drawn per piece, otherwise
-        over each segment in closed form for Malus' law."""
+        at each piece's point where outcomes are drawn per piece, otherwise over
+        each segment in closed form for Malus' law (NotImplementedError for any other)."""
         dist = self.lambda_distribution(a, b)
         # the order is that of JointDist: ++, +-, -+, --
         if self._per_piece(a, dist):
             p1 = self.outcome_prob(a, dist.points)
             p2 = self.outcome_prob(b, dist.points)
             cells = (dist.mass * q1 * q2 for q1 in (p1, 1.0 - p1) for q2 in (p2, 1.0 - p2))
+        elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:
+            raise NotImplementedError(f"{type(self).__name__}: segments integrate Malus' law only")
         else:
             # P(+-1 | lam) = (1 +- cos(2s - 2lam)) / 2.  Over a segment of length
             # L about m, cos(2s - 2lam) averages to cos(2s - 2m) sin(L) / L, and

@@ -58,6 +58,8 @@ DRAW = "return gen.random(p1.size) < p1, gen.random(p2.size) < p2"
 SAME = "same = (1.0 + c) / (PI * den_same) if den_same else 0.0"
 DIFF = "diff = (1.0 - c) / (PI * den_diff) if den_diff else 0.0"
 DOMAIN = "if spec.gamma > DOMINANCE_DOMAIN * nearest:"
+GUARD = "elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:"
+HALL_TV = f"{T_EST}::TestLambdaIndependence::test_hall_matches_quadrature"
 
 MUTANTS = [
     # screening tallies of boolean outcomes
@@ -135,6 +137,31 @@ MUTANTS = [
     )),
     Mutant(MOD, DRAW, DRAW.replace("< p1", "<= p1"), (
         f"{T_MOD}::TestOutcomeDraw::test_plus_where_the_uniform_falls_strictly_below",
+    )),
+    # exact lambda sums: the segment integral's refusal and the total variation
+    Mutant(MOD, GUARD, GUARD.replace(" is not ", " is "), (
+        f"{T_MOD}::TestOtherFloatRules::test_joint_dist_refuses[half-visibility]",
+        f"{T_MOD}::TestMalusSegments::test_joint_is_the_quadrature"
+        "[0.0-0.39269908169872414-malus-hall]",
+        f"{T_MOD}::TestMalusSegments::test_joint_is_the_quadrature"
+        "[0.0-0.39269908169872414-stepped]",
+    )),
+    Mutant(MOD, "return 0.5 * float(np.sum(np.abs(", "return 1.0 * float(np.sum(np.abs(", (
+        f"{HALL_TV}[pair_10-pair_20]", f"{HALL_TV}[pair_11-pair_21]",
+    )),
+    Mutant(MOD, "edges = np.union1d(self.edges, other.edges)", "edges = self.edges", (
+        f"{HALL_TV}[pair_10-pair_20]",
+        f"{T_MOD}::TestTotalVariation::test_is_symmetric_where_the_edges_differ",
+    )),
+    Mutant(MOD, "for x in sorted(m_1 | m_2)", "for x in sorted(m_1)", (
+        f"{T_EST}::TestLambdaIndependence::test_delta_mixture_depends_on_settings",
+        f"{T_MOD}::TestTotalVariation::test_disjoint_atoms_are_one_apart",
+    )),
+    Mutant(MOD, 'np.searchsorted(d.edges, mids, side="right")',
+           'np.searchsorted(d.edges, mids, side="left")', equivalent=(
+        "a midpoint lies inside its cell, on no edge, unless two edges are adjacent"
+        " doubles: then it may round onto one, and the misread cell is one ulp wide,"
+        " moving the sum by about 1e-16 at most; no test's settings give such edges"
     )),
     # Hall's rule and density
     Mutant(MOD, "lam, dtype=float))) >= 0.0", "lam, dtype=float))) < 0.0", (

@@ -65,9 +65,48 @@ class MalusHall(HallModel):
     segment model whose outcome probabilities vary within each segment."""
 
     name = "malus-hall"
+    outcome_prob = HiddenVariableModel.outcome_prob
+
+
+class HalfVisibility(LocalBaselineModel):
+    """The local baseline with half-visibility outcomes,
+    P(+1) = (1 + cos(2s - 2 lam) / 2) / 2: a float rule, not Malus' law."""
+
+    name = "half-visibility"
 
     def outcome_prob(self, setting, lam):
-        return HiddenVariableModel.outcome_prob(self, setting, lam)
+        return 0.5 + 0.25 * np.cos(2.0 * (setting - np.asarray(lam, dtype=float)))
+
+
+class SineRule(LocalBaselineModel):
+    """The local baseline with P(+1) = (1 + sin(s - lam)) / 2, a float rule
+    that is not Malus' law."""
+
+    name = "sine-rule"
+
+    def outcome_prob(self, setting, lam):
+        return 0.5 * (1.0 + np.sin(setting - np.asarray(lam, dtype=float)))
+
+
+def total_variation_reference(dist_1, dist_2) -> float:
+    """The total-variation sum as the estimator stated it before
+    `LambdaDistribution.total_variation`: the atoms' dict sum over the sorted
+    union of the supports, or |rho_1 - rho_2| times width over the union of
+    the edges, each density looked up at the cell midpoints."""
+    if dist_1.edges is None:
+        support = sorted(set(dist_1.points.tolist()) | set(dist_2.points.tolist()))
+        m_1 = dict(zip(dist_1.points.tolist(), dist_1.mass.tolist()))
+        m_2 = dict(zip(dist_2.points.tolist(), dist_2.mass.tolist()))
+        return 0.5 * sum(abs(m_1.get(x, 0.0) - m_2.get(x, 0.0)) for x in support)
+
+    def density(dist, lam):
+        index = np.searchsorted(dist.edges, lam, side="right") - 1
+        return (dist.mass / np.diff(dist.edges))[index]
+
+    edges = np.union1d(dist_1.edges, dist_2.edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    gap = np.abs(density(dist_1, mids) - density(dist_2, mids))
+    return 0.5 * float(np.sum(gap * np.diff(edges)))
 
 
 def malus_joint_by_quadrature(density, cuts, a: float, b: float) -> list[float]:
@@ -260,8 +299,11 @@ class TestLocalBaseline:
         assert got.max_abs_diff(local_baseline_joint(a, b)) < 1e-14
 
     def test_lambda_distribution_ignores_settings(self):
+        # one segment [0, pi) of density 1/pi, at every settings pair
         dist = self.model.lambda_distribution(0.0, PI / 8)
-        np.testing.assert_allclose(dist.density_at(np.linspace(0, 3, 7)), 1.0 / PI)
+        np.testing.assert_array_equal(dist.edges, [0.0, PI])
+        np.testing.assert_allclose(dist.mass / np.diff(dist.edges), 1.0 / PI)
+        assert dist.total_variation(self.model.lambda_distribution(PI / 4, 7 * PI / 8)) == 0.0
 
 
 class TestPRBox:
@@ -631,6 +673,74 @@ class TestMalusSegments:
         np.testing.assert_allclose([got.p_pp, got.p_pm, got.p_mp, got.p_mm],
                                    malus_joint_by_quadrature(*density(a, b), a, b),
                                    rtol=0.0, atol=1e-12)
+
+
+class TestOtherFloatRules:
+    """A float rule on segments other than Malus' law: `joint_dist` has no
+    exact integral for it and refuses, while its runs are drawn per lambda."""
+
+    MODELS = [HalfVisibility(), SineRule()]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_joint_dist_refuses(self, model):
+        for a, b in TestPiecewiseRuns.settings_pairs():
+            with pytest.raises(NotImplementedError, match=type(model).__name__):
+                model.joint_dist(a, b)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("seed", [0, 1, 2029])
+    def test_runs_are_the_local_baselines_lambdas_with_their_own_outcomes(self, model, seed):
+        # the parent's lambdas, then A's uniforms below P(+1), then B's
+        for k, (a, b) in enumerate(TestPiecewiseRuns.settings_pairs()):
+            n = 20_001
+            index, lams, a_plus, b_plus = model.sample_runs(a, b, n, RngStream(seed, k))
+            _, parent_lams, _, _ = LocalBaselineModel().sample_runs(a, b, n, RngStream(seed, k))
+            gen = RngStream(seed, k).generator
+            reference = gen.random(n) * PI
+            assert index is None
+            np.testing.assert_array_equal(lams.view(np.uint64), parent_lams.view(np.uint64))
+            np.testing.assert_array_equal(lams.view(np.uint64), reference.view(np.uint64))
+            np.testing.assert_array_equal(a_plus, gen.random(n) < model.outcome_prob(a, lams))
+            np.testing.assert_array_equal(b_plus, gen.random(n) < model.outcome_prob(b, lams))
+            count = model.count_disagreements(a, b, n, RngStream(seed, k))
+            assert count == np.count_nonzero(a_plus != b_plus), (a, b)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_sampled_p_pp_is_the_quadrature(self, model):
+        # half visibility: 1/4 + cos(2a - 2b) / 32 = 0.2721 at (0, pi/8)
+        a, b, n = 0.0, PI / 8, 400_000
+        p, _ = integrate.quad(
+            lambda lam: model.outcome_prob(a, lam) * model.outcome_prob(b, lam) / PI, 0.0, PI
+        )
+        _, _, a_plus, b_plus = model.sample_runs(a, b, n, RngStream(1))
+        assert np.mean(a_plus & b_plus) == pytest.approx(p, abs=5 * math.sqrt(p * (1 - p) / n))
+
+
+class TestTotalVariation:
+    """`LambdaDistribution.total_variation`, the exact lambda-independence sum."""
+
+    @pytest.mark.parametrize("model", [HallModel(), DeltaMixtureModel(), LocalBaselineModel()],
+                             ids=lambda m: m.name)
+    @given(pair_1=hall_pairs(), pair_2=hall_pairs())
+    @hyp_settings(max_examples=60, deadline=None)
+    def test_equals_the_estimators_former_sum(self, model, pair_1, pair_2):
+        dist_1, dist_2 = model.lambda_distribution(*pair_1), model.lambda_distribution(*pair_2)
+        got = dist_1.total_variation(dist_2)
+        assert got == total_variation_reference(dist_1, dist_2)
+        assert got == dist_2.total_variation(dist_1)
+        assert dist_1.total_variation(dist_1) == 0.0
+        assert 0.0 <= got <= 1.0
+
+    def test_is_symmetric_where_the_edges_differ(self):
+        # each density is read on the cells of both distributions' edges
+        model = HallModel()
+        dist_1, dist_2 = (model.lambda_distribution(0.0, b) for b in (PI / 8, 3 * PI / 8))
+        assert dist_1.total_variation(dist_2) == dist_2.total_variation(dist_1) > 0.1
+
+    def test_disjoint_atoms_are_one_apart(self):
+        model = DeltaMixtureModel()
+        dist_1, dist_2 = (model.lambda_distribution(a, a + PI / 8) for a in (0.0, PI / 16))
+        assert dist_1.total_variation(dist_2) == 1.0
 
 
 class TestExactLambdaSums:

@@ -42,6 +42,7 @@ from .estimator import (
 from .models import DeltaMixtureModel, HallModel, HiddenVariableModel, LocalBaselineModel, PRBoxModel
 from .qm import chsh_pairs, chsh_value, qm_correlator, qm_joint, tsirelson_settings
 from .schulman import (
+    DOMINANCE_THRESHOLD,
     BridgeSamplingError,
     PathSpec,
     dominant_kick_stats,
@@ -302,7 +303,7 @@ def cmd_schulman_paths(args: argparse.Namespace) -> tuple[dict, str]:
         "kick_time_histogram": hist.tolist(),
         "kick_time_chi2_pvalue": chi2_p,
         "cauchy_stability_ks_pvalue": float(ks.pvalue),
-        "net_dominance_over_0.99_fraction": kicks.net_dominance_share,
+        f"net_dominance_over_{DOMINANCE_THRESHOLD}_fraction": kicks.net_dominance_share,
         "dominance_fraction_quantiles": kicks.dominance_fraction_quantiles,
     }
     return body, (

@@ -139,21 +139,19 @@ def screening_residual(
 
     Returns the worst |P(A,B | bin) - P(A | bin) P(B | bin)| over occupied
     bins and outcome pairs of one `sample_runs` draw.  A run's bin is the
-    piece index it returns (a Hall segment or delta-mixture atom), on which
+    piece index it returns (a Hall segment, a delta-mixture atom, or the PR
+    box's one piece, which measures the raw outcome correlation), on which
     outcome probabilities are constant; with no index (the local baseline),
     one of SCREENING_BINS equal bins of lambda, a binning bias of about
-    (pi/64)^2/12 ~ 2e-4, below the 200 000-sample noise of about 0.01; with
-    no lambdas either (the PR box), one trivial bin, which measures the raw
-    outcome correlation.  Bins with fewer than MIN_BIN_COUNT samples are
-    excluded and counted; if none is left, the residual is None, not 0.
+    (pi/64)^2/12 ~ 2e-4, below the 200 000-sample noise of about 0.01.
+    Bins with fewer than MIN_BIN_COUNT samples are excluded and counted; if
+    none is left, the residual is None, not 0.
     In all four cells of a bin of t runs it is +-(n++ n-- - n+- n-+) / t^2,
     from exact int64 counts, so it is rounded once, correctly while t^2 <
     2^53 (94 906 265 runs; the CLI's screening draw has at most 200 000).
     """
     index, lams, a_plus, b_plus = model.sample_runs(a, b, n, rng)
-    if lams is None:
-        index = np.zeros(n, dtype=np.intp)
-    elif index is None:
+    if index is None:
         index = np.minimum((lams / PI * SCREENING_BINS).astype(np.intp), SCREENING_BINS - 1)
     index = index.astype(np.intp, copy=False)  # `4 * index` wraps in piece_index's uint8
 

@@ -341,7 +341,8 @@ class PRBoxModel:
         x, y = self.box_inputs(a, b)
         a_plus = rng.generator.random(n) < 0.5
         b_plus = ~a_plus if x & y else a_plus.copy()
-        return None, None, a_plus, b_plus
+        # every run from the one piece, as `piece_index` gives it; no lambda
+        return np.zeros(n, dtype=np.uint8), None, a_plus, b_plus
 
     def count_disagreements(self, a, b, n, rng):
         # the box anticorrelates exactly when x = y = 1, whatever its coin flips

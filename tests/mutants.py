@@ -60,6 +60,8 @@ DIFF = "diff = (1.0 - c) / (PI * den_diff) if den_diff else 0.0"
 DOMAIN = "if spec.gamma > DOMINANCE_DOMAIN * nearest:"
 GUARD = "elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:"
 HALL_TV = f"{T_EST}::TestLambdaIndependence::test_hall_matches_quadrature"
+LAMBDA_BINS = "np.minimum((lams / PI * SCREENING_BINS).astype(np.intp), SCREENING_BINS - 1)"
+MIX = "w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))"
 
 MUTANTS = [
     # screening tallies of boolean outcomes
@@ -78,6 +80,22 @@ MUTANTS = [
         MASKED_LB, f"{T_EST}::TestScreening::test_pr_box_does_not_screen",
     )),
     Mutant(EST, "np.abs(pp * mm - pm * mp)", "(pp * mm - pm * mp)", (MASKED_LB,)),
+    # screening bins of runs drawn per lambda, and the PR box's one piece
+    Mutant(EST, LAMBDA_BINS, LAMBDA_BINS.replace("lams / PI", "lams"), (
+        MASKED_LB,
+        f"{T_EST}::TestScreening::test_empty_bins_count_as_neither_occupied_nor_excluded",
+        f"{T_REP}::test_benchmark_report_bytes_are_pinned[run-chsh --model local-baseline"
+        " --samples 1000000 --workers 1 --seed 0]",
+    )),
+    Mutant(EST, LAMBDA_BINS, LAMBDA_BINS.replace("SCREENING_BINS - 1", "SCREENING_BINS - 2"), (
+        MASKED_LB,
+        f"{T_EST}::TestScreening::test_matches_masked_loop_bit_for_bit"
+        "[model7-0.0-0.39269908169872414-1000]",
+    )),
+    Mutant(MOD, "return np.zeros(n, dtype=np.uint8), None",
+           "return np.ones(n, dtype=np.uint8), None", (
+        f"{T_MOD}::TestPRBox::test_sampling_is_perfectly_correlated",
+    )),
     # the outcome draw and the runs
     Mutant(MOD, "b_plus = ~a_plus if x & y", "b_plus = a_plus if x & y", (
         f"{T_MOD}::TestPRBox::test_sampling_is_perfectly_correlated",
@@ -230,6 +248,23 @@ MUTANTS = [
     Mutant(SCH, "nearest = float(delta.min())", "nearest = float(delta.max())", (
         f"{T_SCH}::TestKickStatistics::test_refuses_beyond_its_domain[gamma-1]",
         f"{T_SCH}::TestKickStatistics::test_refuses_beyond_its_domain[aligned]",
+    )),
+    # the bridge sampler: the proposal mixture, the tie rule and the endpoint families
+    Mutant(SCH, MIX, MIX.replace("math.sqrt(d2) /", "math.sqrt(d1) /"), (
+        f"{T_SCH}::TestConditionalStep::test_proposal_rate_is_exact_at_any_scale"
+        "[0.001-0.099-10.0]",
+        f"{T_SCH}::TestConditionalStep::test_tiny_widths_keep_the_law_and_the_acceptance",
+        f"{T_CAL}::test_bridges_are_calibrated",
+    )),
+    Mutant(SCH, "            np.copyto(shard_step, -1, where=eps == shard_largest)\n", "", (
+        f"{T_SCH}::TestRowBlocks::test_a_tie_for_the_largest_kick_leaves_the_path_out",
+        f"{T_CLI}::TestSubcommands::test_schulman_paths_leaves_out_tied_kicks[aligned-2-steps]",
+    )),
+    Mutant(SCH, "rotations = np.concatenate([d0 + n * PI, d0 + HALF_PI + n * PI])",
+           "rotations = d0 + n * PI", (
+        f"{T_SCH}::TestBridges::test_net_rotation_distribution",
+        f"{T_SCH}::TestKickStatistics::test_discarded_winding_mass_matches_mpmath[0.4-1.0]",
+        f"{T_ACC}::test_criterion_08_path_statistics",
     )),
     # report writing and argument parsing
     Mutant(CLI, 'format(float(x), ".17g")', 'format(float(x), ".16g")', (

@@ -895,6 +895,16 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run-chsh", "--model", "hall", "--samples", "1e6"], "invalid int value: '1e6'"),
+        (["two-photon", "--gamma", "abc"], "invalid float value: 'abc'"),
+    ], ids=["int", "float"])
+    def test_values_that_do_not_parse_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("argv", [
         ["schulman-paths", "--gamma", "1e-3", "--steps", "5", "--samples", "10", "--theta1={}"],

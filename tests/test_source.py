@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package is read, every definition is
 reached from outside the tests, every demo runs, and every entry of the
-mutant table `tests/mutants.py` still applies."""
+mutant table `tests/mutants.py` and of the line tracer's allowlist
+`tests/lines.py` still applies."""
 
 import ast
 import importlib.util
@@ -322,3 +323,13 @@ def test_every_mutant_names_its_text_and_tests(monkeypatch):
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert set(ids) <= set(proc.stdout.splitlines())
+
+
+def test_every_allowed_unrun_statement_names_one_statement():
+    # tests/lines.py: each allowlist entry is the text of exactly one statement
+    spec = importlib.util.spec_from_file_location("lines", ROOT / "tests" / "lines.py")
+    lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lines)
+    for (name, text), reason in lines.ALLOWED.items():
+        assert list(lines.statements(SRC / name).values()).count(text) == 1, (name, text)
+        assert reason

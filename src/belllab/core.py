@@ -68,9 +68,26 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed)
         self.stream = int(stream)
-        self.generator = np.random.Generator(np.random.Philox(
+        self.generator = np.random.Generator(self._philox())
+
+    def _philox(self) -> np.random.Philox:
+        """A Philox bit generator at the start of this stream."""
+        return np.random.Philox(
             key=np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
-        ))
+        )
+
+    def generator_at(self, k: int) -> np.random.Generator:
+        """A new generator whose first double is double k of this stream, counted
+        from its start, reached without drawing the k before it.  Philox yields
+        four doubles per counter step, so its counter advances k // 4 steps and
+        k % 4 doubles are skipped.  ``self.generator`` does not move."""
+        if k < 0:
+            raise ValueError(f"stream address {k} is negative")
+        bit_generator = self._philox()
+        bit_generator.advance(k // 4)
+        generator = np.random.Generator(bit_generator)
+        generator.random(k % 4)
+        return generator
 
     def substream(self, index: int) -> "RngStream":
         """Derived independent stream; index must be < 2**32, and the derived

@@ -28,6 +28,19 @@ import numpy as np
 from .core import HALF_PI, PI, PolAngle, RngStream, canonical_diff, outcome_axes
 from .qm import JointDist
 
+#: Runs per chunk of a `HiddenVariableModel.count_disagreements` shard: its
+#: buffers, made once per shard, then stay in the CPU's caches.
+CHUNK_SIZE = 8192
+
+
+def _malus(setting: float, lam: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Malus' law cos^2(setting - lam), written into ``out`` (which may be
+    ``lam``): the bits of ``np.cos(setting - lam) ** 2``, whose ``** 2`` numpy
+    computes as `np.square`."""
+    np.subtract(setting, lam, out=out)
+    np.cos(out, out=out)
+    return np.square(out, out=out)
+
 
 def _hall_plus(setting: float, lam: np.ndarray) -> np.ndarray:
     """Hall's deterministic outcome is +1: cos(2 setting - 2 lam) >= 0.  No
@@ -101,12 +114,20 @@ class LambdaDistribution:
         index = self.piece_index(n, rng)
         if self.edges is None:
             return index, self.points[index]
-        u = rng.generator.random(n)
-        if self.mass.size == 1:  # the bits of the gather below, without it
+        return index, self.place(index, rng.generator.random(n), np.empty(n))
+
+    def place(self, index: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Each uniform of ``u`` moved, in place, to its lambda in segment
+        ``index``: edges[index] + width[index] * u, gathered through
+        ``scratch``, a float buffer of u's size.  One segment needs neither
+        the index nor the gather."""
+        if self.mass.size == 1:
             u *= self.edges[1] - self.edges[0]
             u += self.edges[0]
-            return index, u
-        return index, self.edges[index] + np.diff(self.edges)[index] * u
+            return u
+        # mode="clip": the indices are in range, and "raise" would buffer the output
+        np.multiply(u, np.take(np.diff(self.edges), index, out=scratch, mode="clip"), out=u)
+        return np.add(u, np.take(self.edges, index, out=scratch, mode="clip"), out=u)
 
     def piece_index(self, n: int, rng: RngStream) -> np.ndarray:
         """n atom or segment indices drawn by mass, in the smallest unsigned dtype.
@@ -114,21 +135,36 @@ class LambdaDistribution:
         One piece draws no uniform.  Otherwise the indices, and the stream
         position after them, are those of
         ``Generator.choice(mass.size, n, p=mass / mass.sum())``: one uniform
-        per draw, and the number of CDF entries at or below it, which
-        ``choice`` finds with ``searchsorted(cdf, u, side="right")``.  For a
-        few pieces, adding ``u >= c`` per entry is faster.  The last entry,
-        1.0, is never at or below u.
+        per draw, and its piece by `index_of`.
         """
-        index = np.zeros(n, dtype=np.min_scalar_type(self.mass.size - 1))
+        index = np.zeros(n, dtype=self.index_dtype)
         if self.mass.size == 1:
             return index
-        p = self.mass / self.mass.sum()
-        cdf = p.cumsum()
+        return self.index_of(rng.generator.random(n), self.cdf(), index, np.empty(n, dtype=bool))
+
+    @property
+    def index_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every piece index."""
+        return np.min_scalar_type(self.mass.size - 1)
+
+    def cdf(self) -> np.ndarray:
+        """The cumulative masses, normalized as ``Generator.choice`` does, so
+        that the last entry is 1.0."""
+        cdf = (self.mass / self.mass.sum()).cumsum()
         cdf /= cdf[-1]
-        u = rng.generator.random(n)
+        return cdf
+
+    @staticmethod
+    def index_of(u: np.ndarray, cdf: np.ndarray, out: np.ndarray, above: np.ndarray) -> np.ndarray:
+        """Each uniform's piece written into ``out``: the number of CDF entries
+        at or below it, which ``choice`` finds with
+        ``searchsorted(cdf, u, side="right")``.  For a few pieces, adding
+        ``u >= c`` per entry is faster; ``above`` is a boolean buffer of u's
+        size for it.  The last entry, 1.0, is never at or below u."""
+        out.fill(0)
         for c in cdf[:-1]:
-            index += u >= c
-        return index
+            np.add(out, np.greater_equal(u, c, out=above), out=out)
+        return out
 
 
 class HiddenVariableModel(ABC):
@@ -149,9 +185,14 @@ class HiddenVariableModel(ABC):
         Malus' law cos^2(setting - lam) unless a model states its own rule.
         A boolean rule gives the outcome itself, which `sample_outcomes`
         returns as is, drawing no uniforms."""
-        return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
+        lam = np.asarray(lam, dtype=float)
+        return _malus(setting, lam, np.empty_like(lam))
 
     # -- derived ------------------------------------------------------------
+
+    def _rule_is_malus(self) -> bool:
+        """Whether the outcome rule is Malus' law, the base `outcome_prob`."""
+        return type(self).outcome_prob is HiddenVariableModel.outcome_prob
 
     def _per_piece(self, a: float, dist: LambdaDistribution) -> bool:
         """Whether outcomes are drawn once per piece of ``dist``, at its point,
@@ -170,7 +211,7 @@ class HiddenVariableModel(ABC):
             p1 = self.outcome_prob(a, dist.points)
             p2 = self.outcome_prob(b, dist.points)
             cells = (dist.mass * q1 * q2 for q1 in (p1, 1.0 - p1) for q2 in (p2, 1.0 - p2))
-        elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:
+        elif not self._rule_is_malus():
             raise NotImplementedError(f"{type(self).__name__}: segments integrate Malus' law only")
         else:
             # P(+-1 | lam) = (1 +- cos(2s - 2lam)) / 2.  Over a segment of length
@@ -208,19 +249,56 @@ class HiddenVariableModel(ABC):
         return gen.random(p1.size) < p1, gen.random(p2.size) < p2
 
     def count_disagreements(self, a: float, b: float, n: int, rng: RngStream) -> int:
-        """How many of the n runs ``sample_runs(a, b, n, rng)`` draws have A != B.
+        """How many of the n runs ``sample_runs(a, b, n, rng)`` draws from the
+        start of ``rng``'s stream have A != B.
 
-        Draws what ``sample_runs`` draws, in order, except, where outcomes
-        are drawn per piece, each lambda's position within its piece, which
-        they do not read.  Skipping it moves no later draw: atoms have no
-        position draw, and a boolean rule draws no uniforms after it.
+        Each draw is read at its address in the stream.  ``sample_runs``
+        draws blocks of n doubles, in order: the piece uniforms, where there
+        is more than one piece; each lambda's position within its segment;
+        A's uniforms; B's, the last two unless the rule is boolean.  Where
+        outcomes are drawn per piece, no position is read.  The runs are
+        walked in chunks of `CHUNK_SIZE`, in buffers made once, with the
+        outcome probabilities of the pieces, and for a boolean rule whether
+        A and B differ on each, evaluated once.  ``rng.generator`` is not
+        moved.
         """
         dist = self.lambda_distribution(a, b)
-        if self._per_piece(a, dist):
-            a_plus, b_plus = self.sample_outcomes(a, b, dist.points, rng, dist.piece_index(n, rng))
-        else:
-            a_plus, b_plus = self.sample_outcomes(a, b, dist.sample(n, rng)[1], rng, None)
-        return int(np.count_nonzero(a_plus != b_plus))
+        per_piece, several = self._per_piece(a, dist), dist.mass.size > 1
+        tables = [self.outcome_prob(s, dist.points) for s in (a, b)] if per_piece else [None] * 2
+        differs = tables[0] != tables[1] if per_piece and tables[0].dtype == bool else None
+        # the addresses of sample_runs' blocks
+        at_position = n if several else 0
+        at_a = at_position if dist.edges is None else at_position + n
+        cdf = dist.cdf() if several else None
+        pick = rng.generator_at(0).random if several else None
+        position = None if per_piece else rng.generator_at(at_position).random
+        draws = [None] * 2 if differs is not None else [
+            rng.generator_at(at).random for at in (at_a, at_a + n)]
+        malus = self._rule_is_malus()
+        size = min(n, CHUNK_SIZE)
+        index_buf = np.zeros(size, dtype=dist.index_dtype)
+        u_buf, p_buf, lam_buf = np.empty(size), np.empty(size), np.empty(size)
+        a_buf, differ_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        disagreements = 0
+        for start in range(0, n, CHUNK_SIZE):
+            m = min(CHUNK_SIZE, n - start)
+            u, p, index = u_buf[:m], p_buf[:m], index_buf[:m]
+            a_plus, differ = a_buf[:m], differ_buf[:m]
+            if several:
+                dist.index_of(pick(out=u), cdf, index, differ)
+            if differs is not None:
+                np.take(differs, index, out=differ, mode="clip")  # "clip": see `place`
+            else:
+                lam = None if per_piece else dist.place(index, position(out=lam_buf[:m]), p)
+                for setting, table, draw, plus in zip((a, b), tables, draws, (a_plus, differ)):
+                    if per_piece:
+                        prob = np.take(table, index, out=p, mode="clip")
+                    else:
+                        prob = _malus(setting, lam, p) if malus else self.outcome_prob(setting, lam)
+                    np.less(draw(out=u), prob, out=plus)
+                np.not_equal(a_plus, differ, out=differ)
+            disagreements += np.count_nonzero(differ)
+        return int(disagreements)
 
     def sample_lambdas(
         self, a: float, b: float, n: int, rng: RngStream

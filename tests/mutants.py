@@ -42,8 +42,9 @@ class Mutant:
 
 
 EST, MOD, QM = "src/belllab/estimator.py", "src/belllab/models.py", "src/belllab/qm.py"
-SCH, CLI = "src/belllab/schulman.py", "src/belllab/cli.py"
+SCH, CLI, CORE = "src/belllab/schulman.py", "src/belllab/cli.py", "src/belllab/core.py"
 T_EST, T_MOD, T_QM = "tests/test_estimator.py", "tests/test_models.py", "tests/test_qm.py"
+T_CORE = "tests/test_core.py"
 T_SCH, T_CLI = "tests/test_schulman.py", "tests/test_cli.py"
 T_ACC, T_REP = "tests/test_acceptance.py", "tests/test_reports.py"
 T_CAL = "tests/test_calibration.py"
@@ -51,14 +52,16 @@ T_CAL = "tests/test_calibration.py"
 MASKED_LB = (f"{T_EST}::TestScreening::test_matches_masked_loop_bit_for_bit"
              "[model6-0.0-0.39269908169872414-6400]")
 CODES = "codes = 4 * index + 2 * ~a_plus + ~b_plus"
-LOCAL_COUNT = "self.sample_outcomes(a, b, dist.sample(n, rng)[1], rng, None)"
+LOCAL_COUNT = "zip((a, b), tables, draws, (a_plus, differ))"
+ORACLE = f"{T_MOD}::TestChunkedCount::test_count_equals_the_whole_array_oracle"
+COUNT = f"{T_MOD}::TestCountDisagreements::test_count_equals_sample_runs"
 PER_PIECE = "return dist.edges is None or self.outcome_prob(a, dist.points).dtype == bool"
 SIGNS = "return lam, 1 if a_plus[0] else -1, 1 if b_plus[0] else -1"
 DRAW = "return gen.random(p1.size) < p1, gen.random(p2.size) < p2"
 SAME = "same = (1.0 + c) / (PI * den_same) if den_same else 0.0"
 DIFF = "diff = (1.0 - c) / (PI * den_diff) if den_diff else 0.0"
 DOMAIN = "if spec.gamma > DOMINANCE_DOMAIN * nearest:"
-GUARD = "elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:"
+GUARD = "elif not self._rule_is_malus():"
 HALL_TV = f"{T_EST}::TestLambdaIndependence::test_hall_matches_quadrature"
 LAMBDA_BINS = "np.minimum((lams / PI * SCREENING_BINS).astype(np.intp), SCREENING_BINS - 1)"
 MIX = "w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))"
@@ -107,17 +110,60 @@ MUTANTS = [
     Mutant(MOD, SIGNS, "return lam, 1 if a_plus[0] else -1, -1 if b_plus[0] else 1", (
         f"{T_MOD}::TestSamplingContract::test_sample_run_gives_the_sign_of_sample_runs[pr-box]",
     )),
-    Mutant(MOD, LOCAL_COUNT, LOCAL_COUNT.replace("(a, b,", "(a, a,"), (
+    # the correlator count: stream addresses, chunks and per-piece tables
+    Mutant(MOD, LOCAL_COUNT, LOCAL_COUNT.replace("(a, b)", "(a, a)"), (
         f"{T_EST}::TestEstimateCorrelator::test_shard_sums_are_those_of_sample_runs"
         "[local-baseline]",
         f"{T_CAL}::test_correlators_are_calibrated[local-baseline]",
+        f"{ORACLE}[local-baseline]",
     )),
-    Mutant(MOD, LOCAL_COUNT,
-           "self.sample_outcomes(a, b, dist.points, rng, dist.piece_index(n, rng))", (
+    Mutant(MOD, "per_piece, several = self._per_piece(a, dist),",
+           "per_piece, several = True,", (
         f"{T_EST}::TestEstimateCorrelator::test_shard_sums_are_those_of_sample_runs"
         "[local-baseline]",
-        f"{T_MOD}::TestCountDisagreements::test_count_equals_sample_runs[0-local-baseline]",
-        f"{T_MOD}::TestCountDisagreements::test_count_equals_sample_runs[0-malus-hall]",
+        f"{COUNT}[0-local-baseline]",
+        f"{COUNT}[0-malus-hall]",
+    )),
+    Mutant(CORE, "        generator.random(k % 4)\n", "", (
+        f"{T_CORE}::TestRngStream::test_generator_at_is_the_stream_sliced",
+        f"{ORACLE}[delta-mixture]",
+    )),
+    Mutant(MOD, "for at in (at_a, at_a + n)]", "for at in (at_a + n, at_a)]", (
+        f"{ORACLE}[delta-mixture]", f"{ORACLE}[local-baseline]", f"{COUNT}[0-delta-mixture]",
+    )),
+    Mutant(MOD, "at_position = n if several else 0", "at_position = n", (
+        f"{ORACLE}[local-baseline]",
+        f"{T_REP}::test_benchmark_report_bytes_are_pinned[run-chsh --model local-baseline"
+        " --samples 1000000 --workers 1 --seed 0]",
+    )),
+    Mutant(MOD, "at_a = at_position if dist.edges is None else at_position + n",
+           "at_a = at_position + n", (
+        f"{ORACLE}[delta-mixture]", f"{COUNT}[0-delta-mixture]",
+    )),
+    Mutant(MOD, "for start in range(0, n, CHUNK_SIZE):",
+           "for start in range(0, n - n % CHUNK_SIZE, CHUNK_SIZE):", (
+        f"{ORACLE}[hall]", f"{ORACLE}[local-baseline]", f"{COUNT}[0-hall]",
+    )),
+    Mutant(MOD, "differs = tables[0] != tables[1]", "differs = tables[0] != tables[0]", (
+        f"{ORACLE}[hall]", f"{COUNT}[0-hall]",
+        f"{T_ACC}::test_criterion_03_monte_carlo_chsh_violation",
+    )),
+    Mutant(MOD, "np.less(draw(out=u), prob, out=plus)",
+           "np.less_equal(draw(out=u), prob, out=plus)", (
+        f"{T_MOD}::TestChunkedCount::test_plus_where_the_uniform_falls_strictly_below",
+    )),
+    Mutant(MOD, "prob = _malus(setting, lam, p) if malus else self.outcome_prob(setting, lam)",
+           "prob = self.outcome_prob(setting, lam)", equivalent=(
+        "the base rule computes the same bits into a new array of the chunk's size;"
+        " a shard's memory peak grows by one chunk's doubles and stays under 1 MiB"
+    )),
+    Mutant(MOD, "np.greater_equal(u, c, out=above)", "np.greater(u, c, out=above)", (
+        f"{T_MOD}::TestPieceIndex::test_a_uniform_on_a_cdf_entry_goes_to_the_next_piece",
+    )),
+    Mutant(MOD, "np.multiply(u, np.take(np.diff(self.edges), index,",
+           "np.multiply(u, np.take(self.edges, index,", (
+        f"{T_MOD}::TestPiecewiseRuns::test_pieces_index_the_drawn_lambdas",
+        f"{T_MOD}::TestPiecewiseRuns::test_runs_equal_per_sample_reference[0-hall]",
     )),
     # the one sampling rule: per piece or per lambda, and the one-segment draw
     Mutant(MOD, PER_PIECE, PER_PIECE.replace("return ", "return not (") + ")", (
@@ -137,7 +183,8 @@ MUTANTS = [
         f"{T_REP}::test_benchmark_report_bytes_are_pinned[run-chsh --model local-baseline"
         " --samples 1000000 --workers 1 --seed 0]",
     )),
-    Mutant(MOD, "if self.mass.size == 1:  #", "if self.mass.size != 1:  #", (
+    Mutant(MOD, "if self.mass.size == 1:\n            u *=",
+           "if self.mass.size != 1:\n            u *=", (
         f"{T_MOD}::TestPiecewiseRuns::test_runs_equal_per_sample_reference[0-hall]",
         f"{T_MOD}::TestPiecewiseRuns::test_pieces_index_the_drawn_lambdas",
     )),
@@ -151,13 +198,12 @@ MUTANTS = [
     )),
     Mutant(MOD, "if p1.dtype == bool:", "if p1.dtype != bool:", (
         f"{T_MOD}::TestPiecewiseRuns::test_hall_outcomes_draw_no_uniforms",
-        f"{T_ACC}::test_criterion_03_monte_carlo_chsh_violation",
     )),
     Mutant(MOD, DRAW, DRAW.replace("< p1", "<= p1"), (
         f"{T_MOD}::TestOutcomeDraw::test_plus_where_the_uniform_falls_strictly_below",
     )),
     # exact lambda sums: the segment integral's refusal and the total variation
-    Mutant(MOD, GUARD, GUARD.replace(" is not ", " is "), (
+    Mutant(MOD, GUARD, GUARD.replace("not ", ""), (
         f"{T_MOD}::TestOtherFloatRules::test_joint_dist_refuses[half-visibility]",
         f"{T_MOD}::TestMalusSegments::test_joint_is_the_quadrature"
         "[0.0-0.39269908169872414-malus-hall]",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from belllab.core import (
     HALF_PI,
@@ -104,3 +104,21 @@ class TestRngStream:
             RngStream(0).substream(2**32 - 1).substream(5)
         top = RngStream(0).substream(2**32 - 2).substream(2**32 - 2)
         assert top.stream == 2**64 - 1  # the largest key that fits
+
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           k=st.integers(0, 1_200_000), m=st.integers(0, 40))
+    @example(seed=0, stream=0, k=0, m=8)
+    @example(seed=3, stream=1, k=7, m=9)  # k % 4 != 0
+    @example(seed=2029, stream=2**40 + 5, k=1_000_003, m=6)  # k > 10**6
+    @hyp_settings(max_examples=30, deadline=None)
+    def test_generator_at_is_the_stream_sliced(self, seed, stream, k, m):
+        got = RngStream(seed, stream).generator_at(k).random(m)
+        want = RngStream(seed, stream).generator.random(k + m)[k:]
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_generator_at_moves_no_generator_and_refuses_a_negative_address(self):
+        stream = RngStream(5, 2)
+        stream.generator_at(9).random(3)
+        assert stream.generator.random() == RngStream(5, 2).generator.random()
+        with pytest.raises(ValueError, match="negative"):
+            stream.generator_at(-1)

@@ -2,15 +2,18 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings as hyp_settings, strategies as st
+from hypothesis import assume, example, given, settings as hyp_settings, strategies as st
 from scipy import integrate
 
 from belllab.core import PI, HALF_PI, PolAngle, RngStream, canonical_diff
+from belllab.estimator import SHARD_SIZE
 from belllab.models import (
+    CHUNK_SIZE,
     DeltaMixtureModel,
     HallModel,
     HiddenVariableModel,
@@ -595,26 +598,100 @@ class TestCountDisagreements:
         _, _, a_plus, b_plus = model.sample_runs(a, b, 2000, RngStream(seed))
         assert count == np.count_nonzero(a_plus != b_plus)
 
-    @pytest.mark.parametrize("model", [DeltaMixtureModel(), LocalBaselineModel()],
-                             ids=lambda m: m.name)
-    def test_count_draws_what_sample_runs_draws(self, model):
+    @pytest.mark.parametrize("model", MODELS[:3] + MODELS[4:], ids=lambda m: m.name)
+    def test_count_reads_the_stream_from_its_start_and_moves_no_generator(self, model):
         a, b = 0.0, PI / 8
-        counted, sampled = RngStream(6), RngStream(6)
-        model.count_disagreements(a, b, 1000, counted)
-        model.sample_runs(a, b, 1000, sampled)
-        assert counted.generator.random() == sampled.generator.random()
+        fresh, used = RngStream(6), RngStream(6)
+        used.generator.random(5)
+        count = model.count_disagreements(a, b, 1000, used)
+        assert count == model.count_disagreements(a, b, 1000, fresh)
+        assert used.generator.random() == RngStream(6).generator.random(6)[5]
 
-    def test_hall_count_skips_only_the_last_draw(self):
-        # the uniforms after the count are those that place each lambda in its segment
-        a, b = 0.0, PI / 8
-        counted, sampled = RngStream(6), RngStream(6)
-        HallModel().count_disagreements(a, b, 1000, counted)
-        dist, index, lams = HallModel().sample_lambdas(a, b, 1000, sampled)
-        within = counted.generator.random(1000)
-        np.testing.assert_array_equal(
-            lams, dist.edges[index] + np.diff(dist.edges)[index] * within
-        )
-        assert counted.generator.random() == sampled.generator.random()
+
+def whole_array_count(model, a, b, n, rng):
+    """`count_disagreements` as it was before it walked its shard in chunks,
+    kept as the oracle: every draw of the shard at once, in `sample_runs`'
+    order and through `sample_outcomes`, skipping each lambda's position
+    where outcomes are drawn per piece."""
+    dist = model.lambda_distribution(a, b)
+    if model._per_piece(a, dist):
+        a_plus, b_plus = model.sample_outcomes(a, b, dist.points, rng, dist.piece_index(n, rng))
+    else:
+        a_plus, b_plus = model.sample_outcomes(a, b, dist.sample(n, rng)[1], rng, None)
+    return int(np.count_nonzero(a_plus != b_plus))
+
+
+class ArrayStream:
+    """An RngStream stand-in whose stream is the given doubles:
+    `generator_at(k)` reads them from double k on."""
+
+    def __init__(self, doubles):
+        self.doubles = np.asarray(doubles, dtype=float)
+
+    def generator_at(self, k):
+        stream = self
+
+        class Reader:
+            def random(self, out):
+                nonlocal k
+                out[...] = stream.doubles[k:k + out.size]
+                k += out.size
+                return out
+
+        return Reader()
+
+
+class TestChunkedCount:
+    """`count_disagreements` walks a shard in chunks of `CHUNK_SIZE` runs,
+    reading each draw at its address in the stream; its count must equal the
+    whole-array oracle's."""
+
+    MODELS = [HallModel(), DeltaMixtureModel(), LocalBaselineModel(), MalusHall(), SteppedModel(),
+              HalfVisibility(), SineRule()]
+    SIZES = [1, 3, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, SHARD_SIZE]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    @given(n=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1),
+           pair=st.one_of(st.sampled_from(list(TestPiecewiseRuns.settings_pairs())), hall_pairs()))
+    @example(n=CHUNK_SIZE + 1, seed=0, pair=(0.3, 0.3))
+    @example(n=SHARD_SIZE, seed=1, pair=(0.3, 0.3 + HALF_PI))
+    @example(n=1001, seed=2, pair=(0.3, 0.3 + PI / 4))  # b on a Hall breakpoint of a
+    @example(n=3, seed=3, pair=(float(TSIRELSON[1]), float(TSIRELSON[3])))
+    @hyp_settings(max_examples=12, deadline=None)
+    def test_count_equals_the_whole_array_oracle(self, model, n, seed, pair):
+        a, b = pair
+        count = model.count_disagreements(a, b, n, RngStream(seed, 1))
+        assert count == whole_array_count(model, a, b, n, RngStream(seed, 1))
+        assert type(count) is int
+
+    @pytest.mark.parametrize("model", MODELS[:4], ids=lambda m: m.name)
+    def test_a_shard_peaks_under_a_mebibyte(self, model):
+        a, b = (float(x) for x in TSIRELSON[1::2])
+        model.count_disagreements(a, b, SHARD_SIZE, RngStream(0))  # numpy's own first-call caches
+        tracemalloc.start()
+        try:
+            model.count_disagreements(a, b, SHARD_SIZE, RngStream(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_plus_where_the_uniform_falls_strictly_below(self):
+        # one atom whose P(+1) is the setting: A's uniforms at [0, n), B's at [n, 2n);
+        # a uniform equal to P(+1) gives -1, and P(+1) = 0 never gives +1, not on 0.0 either
+        class ProbabilityIsSetting(DeltaMixtureModel):
+            def lambda_distribution(self, a, b):
+                return LambdaDistribution(np.array([0.0]), np.array([1.0]))
+
+            def outcome_prob(self, setting, lam):
+                return np.full(np.shape(lam), setting)
+
+        u = np.array([0.0, 0.25, np.nextafter(0.25, 0.0), 0.5, 0.0])
+        model = ProbabilityIsSetting()
+        for a, b in ((0.0, 0.25), (0.25, 0.0), (0.25, 0.25), (0.0, 0.0)):
+            # B's uniforms are A's, reversed
+            count = model.count_disagreements(a, b, u.size, ArrayStream([*u, *u[::-1]]))
+            assert count == np.count_nonzero((u < a) != (u[::-1] < b)), (a, b)
 
 
 class TestOutcomeDraw:

@@ -282,7 +282,11 @@ UNIFORM_DRAWS_ALLOWED = {
     " unless there is one",
     "models.py:sample": "one uniform per run places its lambda within its segment",
     "models.py:sample_outcomes": "A's uniforms, then B's, unless the outcome rule is"
-    " boolean; the one outcome draw, for runs and for correlator counts alike",
+    " boolean: the outcome draw of sampled runs",
+    "models.py:count_disagreements": "a correlator shard reads the uniforms `sample_runs`"
+    " draws at their addresses in the stream (`RngStream.generator_at`), chunk by chunk:"
+    " piece uniforms, positions where outcomes are drawn per lambda, then A's and B's"
+    " unless the rule is boolean",
     "models.py:sample_runs": "the PR box's fair coin for A",
 }
 

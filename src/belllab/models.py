@@ -265,14 +265,14 @@ class HiddenVariableModel(ABC):
         dist = self.lambda_distribution(a, b)
         per_piece, several = self._per_piece(a, dist), dist.mass.size > 1
         tables = [self.outcome_prob(s, dist.points) for s in (a, b)] if per_piece else [None] * 2
-        differs = tables[0] != tables[1] if per_piece and tables[0].dtype == bool else None
+        piece_differs = tables[0] != tables[1] if per_piece and tables[0].dtype == bool else None
         # the addresses of sample_runs' blocks
         at_position = n if several else 0
         at_a = at_position if dist.edges is None else at_position + n
         cdf = dist.cdf() if several else None
         pick = rng.generator_at(0).random if several else None
         position = None if per_piece else rng.generator_at(at_position).random
-        draws = [None] * 2 if differs is not None else [
+        draws = [None] * 2 if piece_differs is not None else [
             rng.generator_at(at).random for at in (at_a, at_a + n)]
         malus = self._rule_is_malus()
         size = min(n, CHUNK_SIZE)
@@ -286,8 +286,8 @@ class HiddenVariableModel(ABC):
             a_plus, differ = a_buf[:m], differ_buf[:m]
             if several:
                 dist.index_of(pick(out=u), cdf, index, differ)
-            if differs is not None:
-                np.take(differs, index, out=differ, mode="clip")  # "clip": see `place`
+            if piece_differs is not None:
+                np.take(piece_differs, index, out=differ, mode="clip")  # "clip": see `place`
             else:
                 lam = None if per_piece else dist.place(index, position(out=lam_buf[:m]), p)
                 for setting, table, draw, plus in zip((a, b), tables, draws, (a_plus, differ)):

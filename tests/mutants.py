@@ -144,7 +144,8 @@ MUTANTS = [
            "for start in range(0, n - n % CHUNK_SIZE, CHUNK_SIZE):", (
         f"{ORACLE}[hall]", f"{ORACLE}[local-baseline]", f"{COUNT}[0-hall]",
     )),
-    Mutant(MOD, "differs = tables[0] != tables[1]", "differs = tables[0] != tables[0]", (
+    Mutant(MOD, "piece_differs = tables[0] != tables[1]",
+           "piece_differs = tables[0] != tables[0]", (
         f"{ORACLE}[hall]", f"{COUNT}[0-hall]",
         f"{T_ACC}::test_criterion_03_monte_carlo_chsh_violation",
     )),

@@ -695,7 +695,7 @@ class TestChunkedCount:
 
 
 class TestOutcomeDraw:
-    """`sample_outcomes`, the one draw of outcomes from their probabilities."""
+    """`sample_outcomes`, the outcome draw of sampled runs."""
 
     @pytest.mark.parametrize("model", TestCountDisagreements.MODELS[:3], ids=lambda m: m.name)
     @given(pair=hall_pairs(), seed=st.integers(0, 2**32 - 1))

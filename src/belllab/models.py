@@ -33,15 +33,6 @@ from .qm import JointDist
 CHUNK_SIZE = 8192
 
 
-def _malus(setting: float, lam: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Malus' law cos^2(setting - lam), written into ``out`` (which may be
-    ``lam``): the bits of ``np.cos(setting - lam) ** 2``, whose ``** 2`` numpy
-    computes as `np.square`."""
-    np.subtract(setting, lam, out=out)
-    np.cos(out, out=out)
-    return np.square(out, out=out)
-
-
 def _hall_plus(setting: float, lam: np.ndarray) -> np.ndarray:
     """Hall's deterministic outcome is +1: cos(2 setting - 2 lam) >= 0.  No
     double argument makes the cosine exactly 0, so `>` would give the same."""
@@ -111,10 +102,11 @@ class LambdaDistribution:
         Returns ``(index, lams)``: ``index[i]`` is the atom or segment
         ``lams[i]`` was drawn from.
         """
-        index = self.piece_index(n, rng)
+        u = np.empty(n)  # the piece uniforms, then `place`'s scratch
+        index = self.piece_index(n, rng, u)
         if self.edges is None:
             return index, self.points[index]
-        return index, self.place(index, rng.generator.random(n), np.empty(n))
+        return index, self.place(index, rng.generator.random(n), u)
 
     def place(self, index: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Each uniform of ``u`` moved, in place, to its lambda in segment
@@ -129,18 +121,20 @@ class LambdaDistribution:
         np.multiply(u, np.take(np.diff(self.edges), index, out=scratch, mode="clip"), out=u)
         return np.add(u, np.take(self.edges, index, out=scratch, mode="clip"), out=u)
 
-    def piece_index(self, n: int, rng: RngStream) -> np.ndarray:
+    def piece_index(self, n: int, rng: RngStream, u: np.ndarray | None = None) -> np.ndarray:
         """n atom or segment indices drawn by mass, in the smallest unsigned dtype.
 
         One piece draws no uniform.  Otherwise the indices, and the stream
         position after them, are those of
         ``Generator.choice(mass.size, n, p=mass / mass.sum())``: one uniform
-        per draw, and its piece by `index_of`.
+        per draw, into ``u`` where a float buffer of n is given, and its
+        piece by `index_of`.
         """
         index = np.zeros(n, dtype=self.index_dtype)
         if self.mass.size == 1:
             return index
-        return self.index_of(rng.generator.random(n), self.cdf(), index, np.empty(n, dtype=bool))
+        u = rng.generator.random(n, out=u)
+        return self.index_of(u, self.cdf(), index, np.empty(n, dtype=bool))
 
     @property
     def index_dtype(self) -> np.dtype:
@@ -185,14 +179,9 @@ class HiddenVariableModel(ABC):
         Malus' law cos^2(setting - lam) unless a model states its own rule.
         A boolean rule gives the outcome itself, which `sample_outcomes`
         returns as is, drawing no uniforms."""
-        lam = np.asarray(lam, dtype=float)
-        return _malus(setting, lam, np.empty_like(lam))
+        return np.cos(setting - np.asarray(lam, dtype=float)) ** 2
 
     # -- derived ------------------------------------------------------------
-
-    def _rule_is_malus(self) -> bool:
-        """Whether the outcome rule is Malus' law, the base `outcome_prob`."""
-        return type(self).outcome_prob is HiddenVariableModel.outcome_prob
 
     def _per_piece(self, a: float, dist: LambdaDistribution) -> bool:
         """Whether outcomes are drawn once per piece of ``dist``, at its point,
@@ -211,7 +200,7 @@ class HiddenVariableModel(ABC):
             p1 = self.outcome_prob(a, dist.points)
             p2 = self.outcome_prob(b, dist.points)
             cells = (dist.mass * q1 * q2 for q1 in (p1, 1.0 - p1) for q2 in (p2, 1.0 - p2))
-        elif not self._rule_is_malus():
+        elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:
             raise NotImplementedError(f"{type(self).__name__}: segments integrate Malus' law only")
         else:
             # P(+-1 | lam) = (1 +- cos(2s - 2lam)) / 2.  Over a segment of length
@@ -248,33 +237,40 @@ class HiddenVariableModel(ABC):
         gen = rng.generator
         return gen.random(p1.size) < p1, gen.random(p2.size) < p2
 
+    def _draw_starts(self, a: float, dist: LambdaDistribution, n: int) -> list[int | None]:
+        """Where each block of n doubles that ``sample_runs`` draws from the
+        distribution ``dist`` starts in its stream, in the order it draws
+        them: the piece uniforms, each lambda's position within its segment,
+        A's uniforms and B's.  None stands for a block it does not draw: the
+        piece uniforms of one piece, the positions of atoms, and A's and B's
+        uniforms under a boolean rule."""
+        boolean = self.outcome_prob(a, dist.points).dtype == bool
+        starts, at = [], 0
+        for drawn in (dist.mass.size > 1, dist.edges is not None, not boolean, not boolean):
+            starts.append(at if drawn else None)
+            at += n if drawn else 0
+        return starts
+
     def count_disagreements(self, a: float, b: float, n: int, rng: RngStream) -> int:
         """How many of the n runs ``sample_runs(a, b, n, rng)`` draws from the
         start of ``rng``'s stream have A != B.
 
-        Each draw is read at its address in the stream.  ``sample_runs``
-        draws blocks of n doubles, in order: the piece uniforms, where there
-        is more than one piece; each lambda's position within its segment;
-        A's uniforms; B's, the last two unless the rule is boolean.  Where
-        outcomes are drawn per piece, no position is read.  The runs are
-        walked in chunks of `CHUNK_SIZE`, in buffers made once, with the
-        outcome probabilities of the pieces, and for a boolean rule whether
-        A and B differ on each, evaluated once.  ``rng.generator`` is not
-        moved.
+        Each draw is read at its address in the stream, which `_draw_starts`
+        gives; where outcomes are drawn per piece, no position is read.  The
+        runs are walked in chunks of `CHUNK_SIZE`, in buffers made once, with
+        the outcome probabilities of the pieces, and for a boolean rule
+        whether A and B differ on each, evaluated once.  ``rng.generator`` is
+        neither read nor moved, so two counts on one stream read the same
+        draws: each count needs a stream of its own, as each
+        `estimate_correlator` shard has its substream.
         """
         dist = self.lambda_distribution(a, b)
-        per_piece, several = self._per_piece(a, dist), dist.mass.size > 1
+        per_piece = self._per_piece(a, dist)
+        pick, position, *draws = (None if at is None else rng.generator_at(at).random
+                                  for at in self._draw_starts(a, dist, n))
         tables = [self.outcome_prob(s, dist.points) for s in (a, b)] if per_piece else [None] * 2
-        piece_differs = tables[0] != tables[1] if per_piece and tables[0].dtype == bool else None
-        # the addresses of sample_runs' blocks
-        at_position = n if several else 0
-        at_a = at_position if dist.edges is None else at_position + n
-        cdf = dist.cdf() if several else None
-        pick = rng.generator_at(0).random if several else None
-        position = None if per_piece else rng.generator_at(at_position).random
-        draws = [None] * 2 if piece_differs is not None else [
-            rng.generator_at(at).random for at in (at_a, at_a + n)]
-        malus = self._rule_is_malus()
+        piece_differs = tables[0] != tables[1] if draws[0] is None else None
+        cdf = dist.cdf() if pick is not None else None
         size = min(n, CHUNK_SIZE)
         index_buf = np.zeros(size, dtype=dist.index_dtype)
         u_buf, p_buf, lam_buf = np.empty(size), np.empty(size), np.empty(size)
@@ -284,7 +280,7 @@ class HiddenVariableModel(ABC):
             m = min(CHUNK_SIZE, n - start)
             u, p, index = u_buf[:m], p_buf[:m], index_buf[:m]
             a_plus, differ = a_buf[:m], differ_buf[:m]
-            if several:
+            if pick is not None:
                 dist.index_of(pick(out=u), cdf, index, differ)
             if piece_differs is not None:
                 np.take(piece_differs, index, out=differ, mode="clip")  # "clip": see `place`
@@ -294,7 +290,7 @@ class HiddenVariableModel(ABC):
                     if per_piece:
                         prob = np.take(table, index, out=p, mode="clip")
                     else:
-                        prob = _malus(setting, lam, p) if malus else self.outcome_prob(setting, lam)
+                        prob = self.outcome_prob(setting, lam)
                     np.less(draw(out=u), prob, out=plus)
                 np.not_equal(a_plus, differ, out=differ)
             disagreements += np.count_nonzero(differ)

@@ -61,7 +61,7 @@ DRAW = "return gen.random(p1.size) < p1, gen.random(p2.size) < p2"
 SAME = "same = (1.0 + c) / (PI * den_same) if den_same else 0.0"
 DIFF = "diff = (1.0 - c) / (PI * den_diff) if den_diff else 0.0"
 DOMAIN = "if spec.gamma > DOMINANCE_DOMAIN * nearest:"
-GUARD = "elif not self._rule_is_malus():"
+GUARD = "elif type(self).outcome_prob is not HiddenVariableModel.outcome_prob:"
 HALL_TV = f"{T_EST}::TestLambdaIndependence::test_hall_matches_quadrature"
 LAMBDA_BINS = "np.minimum((lams / PI * SCREENING_BINS).astype(np.intp), SCREENING_BINS - 1)"
 MIX = "w = math.sqrt(d2) / (math.sqrt(d1) + math.sqrt(d2))"
@@ -117,8 +117,8 @@ MUTANTS = [
         f"{T_CAL}::test_correlators_are_calibrated[local-baseline]",
         f"{ORACLE}[local-baseline]",
     )),
-    Mutant(MOD, "per_piece, several = self._per_piece(a, dist),",
-           "per_piece, several = True,", (
+    Mutant(MOD, "per_piece = self._per_piece(a, dist)\n        pick",
+           "per_piece = True\n        pick", (
         f"{T_EST}::TestEstimateCorrelator::test_shard_sums_are_those_of_sample_runs"
         "[local-baseline]",
         f"{COUNT}[0-local-baseline]",
@@ -128,16 +128,15 @@ MUTANTS = [
         f"{T_CORE}::TestRngStream::test_generator_at_is_the_stream_sliced",
         f"{ORACLE}[delta-mixture]",
     )),
-    Mutant(MOD, "for at in (at_a, at_a + n)]", "for at in (at_a + n, at_a)]", (
+    Mutant(MOD, LOCAL_COUNT, LOCAL_COUNT.replace("draws", "draws[::-1]"), (
         f"{ORACLE}[delta-mixture]", f"{ORACLE}[local-baseline]", f"{COUNT}[0-delta-mixture]",
     )),
-    Mutant(MOD, "at_position = n if several else 0", "at_position = n", (
+    Mutant(MOD, "for drawn in (dist.mass.size > 1,", "for drawn in (True,", (
         f"{ORACLE}[local-baseline]",
         f"{T_REP}::test_benchmark_report_bytes_are_pinned[run-chsh --model local-baseline"
         " --samples 1000000 --workers 1 --seed 0]",
     )),
-    Mutant(MOD, "at_a = at_position if dist.edges is None else at_position + n",
-           "at_a = at_position + n", (
+    Mutant(MOD, "dist.edges is not None, not boolean", "True, not boolean", (
         f"{ORACLE}[delta-mixture]", f"{COUNT}[0-delta-mixture]",
     )),
     Mutant(MOD, "for start in range(0, n, CHUNK_SIZE):",
@@ -152,11 +151,6 @@ MUTANTS = [
     Mutant(MOD, "np.less(draw(out=u), prob, out=plus)",
            "np.less_equal(draw(out=u), prob, out=plus)", (
         f"{T_MOD}::TestChunkedCount::test_plus_where_the_uniform_falls_strictly_below",
-    )),
-    Mutant(MOD, "prob = _malus(setting, lam, p) if malus else self.outcome_prob(setting, lam)",
-           "prob = self.outcome_prob(setting, lam)", equivalent=(
-        "the base rule computes the same bits into a new array of the chunk's size;"
-        " a shard's memory peak grows by one chunk's doubles and stays under 1 MiB"
     )),
     Mutant(MOD, "np.greater_equal(u, c, out=above)", "np.greater(u, c, out=above)", (
         f"{T_MOD}::TestPieceIndex::test_a_uniform_on_a_cdf_entry_goes_to_the_next_piece",
@@ -204,7 +198,7 @@ MUTANTS = [
         f"{T_MOD}::TestOutcomeDraw::test_plus_where_the_uniform_falls_strictly_below",
     )),
     # exact lambda sums: the segment integral's refusal and the total variation
-    Mutant(MOD, GUARD, GUARD.replace("not ", ""), (
+    Mutant(MOD, GUARD, GUARD.replace(" is not ", " is "), (
         f"{T_MOD}::TestOtherFloatRules::test_joint_dist_refuses[half-visibility]",
         f"{T_MOD}::TestMalusSegments::test_joint_is_the_quadrature"
         "[0.0-0.39269908169872414-malus-hall]",

@@ -513,9 +513,12 @@ class StubStream:
         self.generator = self
         self.uniforms = np.asarray(uniforms, dtype=float)
 
-    def random(self, n):
+    def random(self, n, out=None):
         assert n == self.uniforms.size
-        return self.uniforms
+        if out is None:
+            return self.uniforms
+        out[...] = self.uniforms
+        return out
 
 
 class TestPieceIndex:
@@ -675,6 +678,17 @@ class TestChunkedCount:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
+    def test_draw_starts_are_the_blocks_sample_runs_draws(self, model):
+        # n doubles a block, back to back, and sample_runs' generator stops after the last
+        a, b, n = 0.3, 0.3 + PI / 8, 1001
+        dist = model.lambda_distribution(a, b)
+        starts = [at for at in model._draw_starts(a, dist, n) if at is not None]
+        assert starts == list(range(0, n * len(starts), n))
+        drawn = RngStream(4)
+        model.sample_runs(a, b, n, drawn)
+        assert drawn.generator.random() == RngStream(4).generator_at(n * len(starts)).random()
 
     def test_plus_where_the_uniform_falls_strictly_below(self):
         # one atom whose P(+1) is the setting: A's uniforms at [0, n), B's at [n, 2n);
